@@ -10,6 +10,7 @@
 //   --seed=S        master seed
 //   --full          paper-scale defaults (slower)
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -194,6 +195,13 @@ inline Result<std::vector<RangeQuery>> PaperWorkload(Federation* fed, size_t m,
         return TriggersApproximationEverywhere(fed, q) &&
                AnswerIsSubstantial(fed, q);
       });
+}
+
+/// The median (upper middle for an even count) of `values`; 0 when empty.
+inline double Percentile50(std::vector<double> values) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
 }
 
 /// FNV-1a over the bit patterns of `values`: a compact fingerprint of a

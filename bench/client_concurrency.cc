@@ -38,12 +38,6 @@
 namespace fedaqp {
 namespace {
 
-double Percentile50(std::vector<double> values) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
-}
-
 int Run(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   const size_t rows = flags.GetInt("rows", 40000);
@@ -232,9 +226,9 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "mixed-load run failed\n");
     return 1;
   }
-  const double p50_high_prio = Percentile50(prio_high);
-  const double p50_low_prio = Percentile50(prio_low);
-  const double p50_high_fifo = Percentile50(fifo_high);
+  const double p50_high_prio = bench::Percentile50(prio_high);
+  const double p50_low_prio = bench::Percentile50(prio_low);
+  const double p50_high_fifo = bench::Percentile50(fifo_high);
 
   const double async_qps = async_wall > 0 ? sequence.size() / async_wall : 0;
   const double sync_qps = sync_wall > 0 ? sequence.size() / sync_wall : 0;

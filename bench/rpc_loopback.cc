@@ -3,22 +3,84 @@
 // RpcProviderServer per provider. Reports the real bytes moved on the
 // wire next to SimNetwork's charged bytes (they must match: the
 // simulator charges the codec's framed sizes) and the in-process vs
-// loopback latency. Emits BENCH_rpc_loopback.json.
+// loopback latency. It also measures the host's RPC roof: the median
+// round trip of a raw framed ping-pong over 127.0.0.1 through the same
+// TcpConnection codec (loopback_rtt_us_p50), next to the median of one
+// call through RemoteEndpoint and RpcProviderServer (rpc_call_us_p50,
+// repeated PublishSummary on one open session). Emits
+// BENCH_rpc_loopback.json.
 //
 //   --rows=N --providers=P --queries=M --seed=S --threads=T
 
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/stopwatch.h"
 #include "rpc/remote_endpoint.h"
 #include "rpc/server.h"
+#include "rpc/transport.h"
+#include "rpc/wire.h"
 
 namespace fedaqp {
 namespace {
+
+/// Timed round trips behind each RPC roof median.
+constexpr size_t kPings = 2000;
+
+/// Median of `rounds` timed calls of `round_trip` (after rounds / 10
+/// untimed warm-up calls), in microseconds; negative when a call fails.
+template <typename RoundTrip>
+double MedianMicros(size_t rounds, RoundTrip round_trip) {
+  for (size_t i = 0; i < rounds / 10; ++i) {
+    if (!round_trip()) return -1.0;
+  }
+  std::vector<double> micros;
+  micros.reserve(rounds);
+  for (size_t i = 0; i < rounds; ++i) {
+    Stopwatch timer;
+    if (!round_trip()) return -1.0;
+    micros.push_back(timer.ElapsedMicros());
+  }
+  return bench::Percentile50(std::move(micros));
+}
+
+/// Median round trip of a raw framed ping-pong over 127.0.0.1: an echo
+/// thread sends every frame straight back, so this is the floor under
+/// any RPC made through the same codec on this host.
+double LoopbackRttMicros(size_t rounds, const ByteWriter& ping) {
+  Result<TcpListener> listener = TcpListener::Listen(0);
+  if (!listener.ok()) return -1.0;
+  std::thread echo([&listener] {
+    Result<TcpConnection> peer = listener->Accept();
+    if (!peer.ok()) return;
+    for (;;) {
+      Result<RpcFrame> frame = peer->ReceiveFrame();
+      if (!frame.ok()) return;  // The client closed.
+      ByteWriter payload;
+      payload.PutRaw(frame->payload.data(), frame->payload.size());
+      if (!peer->SendFrame(frame->method, payload).ok()) return;
+    }
+  });
+  Result<TcpConnection> client =
+      TcpConnection::Connect("127.0.0.1", listener->port());
+  if (!client.ok()) {
+    listener->Interrupt();
+    echo.join();
+    return -1.0;
+  }
+  const double rtt = MedianMicros(rounds, [&] {
+    return client->SendFrame(RpcMethod::kPublishSummary, ping).ok() &&
+           client->ReceiveFrame().ok();
+  });
+  client->Close();
+  echo.join();
+  return rtt;
+}
 
 int Run(int argc, char** argv) {
   bench::Flags flags(argc, argv);
@@ -122,6 +184,28 @@ int Run(int argc, char** argv) {
   for (auto* e : raw) real_bytes += e->bytes_sent() + e->bytes_received();
   real_bytes -= handshake_bytes;
 
+  // The RPC roof: one plain call on its own connection against a raw
+  // ping-pong carrying the same request frame.
+  const SummaryRequest summary{1, 0.5};
+  ByteWriter ping;
+  EncodeSummaryRequest(summary, &ping);
+  const double loopback_rtt_us = LoopbackRttMicros(kPings, ping);
+  Result<std::shared_ptr<RemoteEndpoint>> caller =
+      RemoteEndpoint::Connect("127.0.0.1", (*servers)[0]->port());
+  if (!caller.ok() ||
+      !(*caller)->Cover(CoverRequest{summary.query_id, 7, (*workload)[0]})
+           .ok()) {
+    std::fprintf(stderr, "rpc call probe: cannot open a session\n");
+    return 1;
+  }
+  const double rpc_call_us = MedianMicros(
+      kPings, [&] { return (*caller)->PublishSummary(summary).ok(); });
+  (*caller)->EndQuery(summary.query_id);
+  if (loopback_rtt_us < 0 || rpc_call_us < 0) {
+    std::fprintf(stderr, "rpc roof probe failed\n");
+    return 1;
+  }
+
   const bool bytes_match = real_bytes == charged_bytes;
   const bool bit_identical = identical == workload->size();
   std::printf(
@@ -130,7 +214,9 @@ int Run(int argc, char** argv) {
       "  loopback TCP %8.2f ms  (%.2f ms/query)\n"
       "  charged bytes %10llu\n"
       "  real bytes    %10llu  (%s; handshake %llu excluded)\n"
-      "  bit-identical estimates: %zu/%zu\n",
+      "  bit-identical estimates: %zu/%zu\n"
+      "  loopback rtt p50 %8.1f us  (raw framed ping-pong, %zu rounds)\n"
+      "  rpc call p50     %8.1f us  (PublishSummary via RemoteEndpoint)\n",
       providers, workload->size(), local_seconds * 1e3,
       local_seconds * 1e3 / workload->size(), wire_seconds * 1e3,
       wire_seconds * 1e3 / workload->size(),
@@ -138,7 +224,7 @@ int Run(int argc, char** argv) {
       static_cast<unsigned long long>(real_bytes),
       bytes_match ? "MATCH" : "MISMATCH",
       static_cast<unsigned long long>(handshake_bytes), identical,
-      workload->size());
+      workload->size(), loopback_rtt_us, kPings, rpc_call_us);
 
   bench::BenchJson json("rpc_loopback");
   json.Set("rows", rows);
@@ -155,6 +241,8 @@ int Run(int argc, char** argv) {
   json.Set("handshake_bytes", handshake_bytes);
   json.Set("bytes_match", bytes_match ? 1 : 0);
   json.Set("bit_identical", bit_identical ? 1 : 0);
+  json.Set("loopback_rtt_us_p50", loopback_rtt_us);
+  json.Set("rpc_call_us_p50", rpc_call_us);
   json.Write();
 
   // Fail loudly if the wire diverged from the simulation: CI runs this.

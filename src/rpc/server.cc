@@ -5,9 +5,8 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <deque>
+#include <string>
 #include <utility>
 
 #include "common/rng.h"
@@ -17,41 +16,32 @@
 
 namespace fedaqp {
 
-/// Ownership table:
-///   loop thread only ..... conn (socket IO), inbuf, last_activity,
-///                          armed_events, dead
-///   under m .............. inbox, processing, closing, outbuf, out_off
-///   worker (exclusive) ... live_sessions while processing is true; the
-///                          loop reads it only after observing
-///                          !processing under m (teardown), so the mutex
-///                          hand-off orders the accesses.
-struct RpcProviderServer::EventConnection {
-  EventConnection(TcpConnection connection, uint64_t conn_id)
-      : conn(std::move(connection)), id(conn_id) {}
+/// Everything here is guarded by `m`. A thread holds `m` for the whole
+/// time it serves the connection: normally the one thread its
+/// EPOLLONESHOT event went to, occasionally the idle sweep (which only
+/// try-locks, so it never waits on a busy connection). Teardown happens
+/// under `m` too, and sets `closed` for any thread that still holds a
+/// shared_ptr to the struct.
+struct RpcProviderServer::Connection {
+  Connection(TcpConnection connection, uint64_t conn_id)
+      : id(conn_id), conn(std::move(connection)) {}
 
-  TcpConnection conn;
   const uint64_t id;
+  std::mutex m;
+  TcpConnection conn;
   /// Raw received bytes not yet split into frames.
   std::vector<uint8_t> inbuf;
-  std::chrono::steady_clock::time_point last_activity =
-      std::chrono::steady_clock::now();
-  /// Events currently registered with epoll (avoids redundant MODs).
-  uint32_t armed_events = 0;
-  /// Transport failure: destroy without flushing.
-  bool dead = false;
-
-  std::mutex m;
-  /// Complete frames awaiting a worker, in arrival order.
-  std::deque<RpcFrame> inbox;
-  /// True while a worker is draining the inbox (at most one at a time,
-  /// which is what keeps one connection's requests in order).
-  bool processing = false;
-  /// No more reads; finish processing + flushing, then destroy.
-  bool closing = false;
   /// Encoded reply bytes not yet accepted by the socket.
   std::vector<uint8_t> outbuf;
   size_t out_off = 0;
-
+  std::chrono::steady_clock::time_point last_activity =
+      std::chrono::steady_clock::now();
+  /// No more reads; flush what is buffered, then tear down.
+  bool closing = false;
+  /// Transport failure: tear down without flushing.
+  bool dead = false;
+  /// Torn down: the socket is closed and the sessions are released.
+  bool closed = false;
   /// This connection's open sessions, in namespaced (rewritten) ids.
   std::unordered_set<uint64_t> live_sessions;
 };
@@ -92,6 +82,27 @@ const char* RpcMethodName(RpcMethod method) {
   return "?";
 }
 
+constexpr uint64_t kListenerTag = 0;
+constexpr uint64_t kStopTag = 1;
+
+/// How often the idle sweep runs while idle_timeout_seconds is set.
+constexpr std::chrono::seconds kSweepInterval{1};
+
+/// Registers (EPOLL_CTL_ADD) or re-arms (EPOLL_CTL_MOD) `fd` for one
+/// readiness event on `events`.
+bool ArmOneShot(int epoll_fd, int op, int fd, uint64_t tag, uint32_t events) {
+  struct epoll_event ev;
+  std::memset(&ev, 0, sizeof(ev));
+  ev.events = events | EPOLLONESHOT;
+  ev.data.u64 = tag;
+  return ::epoll_ctl(epoll_fd, op, fd, &ev) == 0;
+}
+
+Status EpollError(const char* what) {
+  return Status::Internal(std::string("rpc server: ") + what +
+                          " failed: " + std::strerror(errno));
+}
+
 obs::Counter& ServerFramesCounter() {
   static obs::Counter* c =
       obs::MetricRegistry::Global().GetCounter("server.frames");
@@ -108,6 +119,14 @@ bool AppendError(ByteWriter* out, const Status& status) {
                     out);
   out->PutRaw(payload.bytes().data(), payload.size());
   return true;
+}
+
+/// Appends a kError frame carrying `status` to a connection's unsent
+/// output.
+void QueueError(std::vector<uint8_t>* outbuf, const Status& status) {
+  ByteWriter out;
+  AppendError(&out, status);
+  outbuf->insert(outbuf->end(), out.bytes().begin(), out.bytes().end());
 }
 
 /// Appends a complete reply frame for `result`: its value encoded with
@@ -141,9 +160,7 @@ RpcProviderServer::RpcProviderServer(DataProvider* provider,
                                        ? options.max_sessions_per_connection
                                        : 1),
       idle_timeout_seconds_(options.idle_timeout_seconds),
-      send_buffer_bytes_(options.send_buffer_bytes),
-      workers_(std::make_unique<ThreadPool>(
-          options.num_workers > 0 ? options.num_workers : 1)) {}
+      send_buffer_bytes_(options.send_buffer_bytes) {}
 
 Result<std::unique_ptr<RpcProviderServer>> RpcProviderServer::Start(
     DataProvider* provider, const RpcServerOptions& options) {
@@ -156,196 +173,135 @@ Result<std::unique_ptr<RpcProviderServer>> RpcProviderServer::Start(
   std::unique_ptr<RpcProviderServer> server(
       new RpcProviderServer(provider, std::move(listener), options));
   server->epoll_fd_ = ::epoll_create1(0);
-  if (server->epoll_fd_ < 0) {
-    return Status::Internal(std::string("rpc server: epoll_create1 failed: ") +
-                            std::strerror(errno));
-  }
-  server->wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
-  if (server->wake_fd_ < 0) {
-    return Status::Internal(std::string("rpc server: eventfd failed: ") +
-                            std::strerror(errno));
-  }
+  if (server->epoll_fd_ < 0) return EpollError("epoll_create1");
+  server->stop_fd_ = ::eventfd(0, EFD_NONBLOCK);
+  if (server->stop_fd_ < 0) return EpollError("eventfd");
   server->listener_.SetNonBlocking();
+  if (!ArmOneShot(server->epoll_fd_, EPOLL_CTL_ADD, server->listener_.fd(),
+                  kListenerTag, EPOLLIN)) {
+    return EpollError("epoll_ctl");
+  }
+  // Level-triggered and never drained: once Stop() writes it, every
+  // epoll_wait returns at once.
   struct epoll_event ev;
   std::memset(&ev, 0, sizeof(ev));
   ev.events = EPOLLIN;
-  ev.data.u64 = 0;  // Listener tag.
-  if (::epoll_ctl(server->epoll_fd_, EPOLL_CTL_ADD, server->listener_.fd(),
-                  &ev) != 0) {
-    return Status::Internal(std::string("rpc server: epoll_ctl failed: ") +
-                            std::strerror(errno));
-  }
-  ev.data.u64 = 1;  // Doorbell tag.
-  if (::epoll_ctl(server->epoll_fd_, EPOLL_CTL_ADD, server->wake_fd_, &ev) !=
+  ev.data.u64 = kStopTag;
+  if (::epoll_ctl(server->epoll_fd_, EPOLL_CTL_ADD, server->stop_fd_, &ev) !=
       0) {
-    return Status::Internal(std::string("rpc server: epoll_ctl failed: ") +
-                            std::strerror(errno));
+    return EpollError("epoll_ctl");
   }
-  server->loop_thread_ = std::thread([s = server.get()] { s->EventLoop(); });
+  const size_t threads = options.num_workers > 0 ? options.num_workers : 1;
+  for (size_t i = 0; i < threads; ++i) {
+    server->workers_.emplace_back([s = server.get()] { s->WorkerLoop(); });
+  }
   return server;
 }
 
-void RpcProviderServer::NotifyDirty(uint64_t conn_id) {
-  {
-    std::lock_guard<std::mutex> lock(dirty_mutex_);
-    dirty_.push_back(conn_id);
-  }
-  uint64_t one = 1;
-  // A full eventfd counter (EAGAIN) still wakes the loop; best-effort.
-  ssize_t ignored = ::write(wake_fd_, &one, sizeof(one));
-  (void)ignored;
-}
-
-void RpcProviderServer::EventLoop() {
-  std::vector<struct epoll_event> events(64);
+void RpcProviderServer::WorkerLoop() {
+  // Wake at least once per sweep interval when idle connections must be
+  // found; otherwise readiness and Stop() are the only wakers.
+  const int timeout_ms =
+      idle_timeout_seconds_ > 0
+          ? static_cast<int>(
+                std::chrono::milliseconds(kSweepInterval).count())
+          : -1;
   while (!stopping_.load(std::memory_order_acquire)) {
-    // Bounded wait only when an idle sweep needs to run periodically;
-    // otherwise the doorbell and socket readiness are the only wakers.
-    const int timeout_ms = idle_timeout_seconds_ > 0 ? 1000 : -1;
-    int n = ::epoll_wait(epoll_fd_, events.data(),
-                         static_cast<int>(events.size()), timeout_ms);
+    // One event per wait: a ready connection goes to whichever thread is
+    // free instead of queueing behind others in one thread's batch.
+    struct epoll_event ev;
+    const int n = ::epoll_wait(epoll_fd_, &ev, 1, timeout_ms);
     if (n < 0) {
       if (errno == EINTR) continue;
       return;  // Fatal epoll failure: Stop() still cleans everything up.
     }
     if (stopping_.load(std::memory_order_acquire)) return;
-    for (int i = 0; i < n; ++i) {
-      const uint64_t tag = events[i].data.u64;
-      if (tag == 0) {
-        AcceptReady();
-        continue;
-      }
-      if (tag == 1) {
-        uint64_t drained;
-        while (::read(wake_fd_, &drained, sizeof(drained)) > 0) {
-        }
-        std::vector<uint64_t> dirty;
-        {
-          std::lock_guard<std::mutex> lock(dirty_mutex_);
-          dirty.swap(dirty_);
-        }
-        for (uint64_t id : dirty) {
-          auto it = connections_.find(id);
-          if (it == connections_.end()) continue;
-          FlushAndRearm(it->second);
-          MaybeDestroy(id);
-        }
-        continue;
-      }
-      auto it = connections_.find(tag);
-      if (it == connections_.end()) continue;
-      std::shared_ptr<EventConnection> c = it->second;
-      if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0) {
-        MarkDead(c.get());
-        MaybeDestroy(tag);
-        continue;
-      }
-      if ((events[i].events & EPOLLIN) != 0) ReadReady(c);
-      if ((events[i].events & EPOLLOUT) != 0) FlushAndRearm(c);
-      MaybeDestroy(tag);
+    if (n == 1 && ev.data.u64 == kListenerTag) {
+      AcceptReady();
+    } else if (n == 1 && ev.data.u64 != kStopTag) {
+      ServeReady(ev.data.u64, ev.events);
     }
-    if (idle_timeout_seconds_ > 0) {
-      const auto now = std::chrono::steady_clock::now();
-      std::vector<uint64_t> expired;
-      for (auto& kv : connections_) {
-        EventConnection* c = kv.second.get();
-        const double idle =
-            std::chrono::duration<double>(now - c->last_activity).count();
-        if (idle < idle_timeout_seconds_) continue;
-        std::lock_guard<std::mutex> lock(c->m);
-        if (c->closing) continue;
-        // Same surface the blocking server's SO_RCVTIMEO produced: the
-        // peer gets a timeout error, then the connection goes away.
-        ByteWriter out;
-        AppendError(&out, Status::Internal("rpc: receive timed out"));
-        c->outbuf.insert(c->outbuf.end(), out.bytes().begin(),
-                         out.bytes().end());
-        c->closing = true;
-        expired.push_back(kv.first);
-      }
-      for (uint64_t id : expired) {
-        auto it = connections_.find(id);
-        if (it == connections_.end()) continue;
-        FlushAndRearm(it->second);
-        MaybeDestroy(id);
-      }
-    }
+    if (idle_timeout_seconds_ > 0) MaybeSweepIdle();
   }
 }
 
 void RpcProviderServer::AcceptReady() {
   for (;;) {
     Result<TcpConnection> accepted = listener_.TryAccept();
-    if (!accepted.ok()) return;  // Backlog empty (or listener dying).
+    if (!accepted.ok()) break;  // Backlog empty (or listener dying).
     accepted->SetNonBlocking();
     if (send_buffer_bytes_ > 0) {
       accepted->SetSendBufferBytes(send_buffer_bytes_);
     }
-    const uint64_t id = next_conn_id_++;
-    auto c = std::make_shared<EventConnection>(std::move(accepted).value(), id);
-    struct epoll_event ev;
-    std::memset(&ev, 0, sizeof(ev));
-    ev.events = EPOLLIN;
-    ev.data.u64 = id;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, c->conn.fd(), &ev) != 0) {
-      continue;  // Connection dropped; its destructor closes the socket.
+    const int fd = accepted->fd();
+    uint64_t id = 0;
+    std::shared_ptr<Connection> c;
+    {
+      std::lock_guard<std::mutex> lock(connections_mutex_);
+      id = next_conn_id_++;
+      c = std::make_shared<Connection>(std::move(accepted).value(), id);
+      connections_.emplace(id, c);
     }
-    c->armed_events = EPOLLIN;
-    connections_.emplace(id, std::move(c));
+    // Registered only once the map holds it; from here on the first event
+    // may hand the connection to another thread, so `c` is not touched.
+    if (!ArmOneShot(epoll_fd_, EPOLL_CTL_ADD, fd, id, EPOLLIN)) {
+      std::lock_guard<std::mutex> lock(connections_mutex_);
+      connections_.erase(id);  // `c` closes the socket on return.
+    }
   }
+  ArmOneShot(epoll_fd_, EPOLL_CTL_MOD, listener_.fd(), kListenerTag, EPOLLIN);
 }
 
-void RpcProviderServer::ReadReady(const std::shared_ptr<EventConnection>& c) {
-  bool closing;
+void RpcProviderServer::ServeReady(uint64_t conn_id, uint32_t events) {
+  std::shared_ptr<Connection> c;
   {
-    std::lock_guard<std::mutex> lock(c->m);
-    closing = c->closing;
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    auto it = connections_.find(conn_id);
+    if (it == connections_.end()) return;
+    c = it->second;
   }
-  if (closing) {
-    // Draining writes only; reads are over. Still rearm so a stale
-    // EPOLLIN interest gets dropped instead of spinning.
-    FlushAndRearm(c);
-    return;
-  }
-  bool eof = false;
-  for (;;) {
-    Result<size_t> n = c->conn.ReadAvailable(&c->inbuf, &eof);
-    if (!n.ok()) {
-      MarkDead(c.get());
-      return;
-    }
-    if (*n == 0) break;  // Would block, or orderly shutdown (eof set).
-    c->last_activity = std::chrono::steady_clock::now();
-  }
-  ParseFrames(c);
-  if (eof) {
-    std::lock_guard<std::mutex> lock(c->m);
-    if (!c->closing) {
-      if (!c->inbuf.empty()) {
-        // Peer closed mid-frame: same error the blocking reader raised.
-        ByteWriter out;
-        AppendError(&out,
-                    Status::OutOfRange("rpc: connection closed mid-frame"));
-        c->outbuf.insert(c->outbuf.end(), out.bytes().begin(),
-                         out.bytes().end());
+  std::lock_guard<std::mutex> lock(c->m);
+  if (c->closed) return;
+  if ((events & (EPOLLERR | EPOLLHUP)) != 0) {
+    c->dead = true;
+  } else if ((events & EPOLLIN) != 0 && !c->closing) {
+    bool eof = false;
+    for (;;) {
+      Result<size_t> n = c->conn.ReadAvailable(&c->inbuf, &eof);
+      if (!n.ok()) {
+        c->dead = true;
+        break;
       }
-      c->closing = true;
+      if (*n == 0) break;  // Would block, or orderly shutdown (eof set).
+      c->last_activity = std::chrono::steady_clock::now();
+    }
+    if (!c->dead) {
+      HandleFrames(c.get());
+      if (eof && !c->closing) {
+        if (!c->inbuf.empty()) {
+          // Peer closed mid-frame: same error the blocking reader raised.
+          QueueError(&c->outbuf,
+                     Status::OutOfRange("rpc: connection closed mid-frame"));
+        }
+        c->closing = true;
+      }
     }
   }
-  FlushAndRearm(c);
+  Flush(c.get());
+  Finish(c.get());
 }
 
-void RpcProviderServer::ParseFrames(const std::shared_ptr<EventConnection>& c) {
+void RpcProviderServer::HandleFrames(Connection* c) {
+  ByteWriter out;
   size_t consumed = 0;
-  std::vector<RpcFrame> frames;
-  Status parse_error = Status::OK();
-  while (c->inbuf.size() - consumed >= kFrameHeaderBytes) {
+  while (!c->closing && c->inbuf.size() - consumed >= kFrameHeaderBytes) {
     ByteReader header_reader(c->inbuf.data() + consumed, kFrameHeaderBytes);
     Result<FrameHeader> header = DecodeFrameHeader(&header_reader);
     if (!header.ok()) {
       // Bad magic / version / oversized length: the stream position is
       // untrusted from here on — best-effort report and drop the link.
-      parse_error = header.status();
+      AppendError(&out, header.status());
+      c->closing = true;
       break;
     }
     if (c->inbuf.size() - consumed - kFrameHeaderBytes < header->payload_size) {
@@ -355,140 +311,90 @@ void RpcProviderServer::ParseFrames(const std::shared_ptr<EventConnection>& c) {
     frame.method = header->method;
     const uint8_t* payload = c->inbuf.data() + consumed + kFrameHeaderBytes;
     frame.payload.assign(payload, payload + header->payload_size);
-    frames.push_back(std::move(frame));
     consumed += kFrameHeaderBytes + header->payload_size;
+    // A false return means the stream is confused: later frames are
+    // dropped.
+    if (!HandleFrame(frame, c->id, &c->live_sessions, &out)) c->closing = true;
   }
-  if (consumed > 0) {
+  if (c->closing) {
+    c->inbuf.clear();
+  } else if (consumed > 0) {
     c->inbuf.erase(c->inbuf.begin(),
                    c->inbuf.begin() + static_cast<ptrdiff_t>(consumed));
   }
-  if (frames.empty() && parse_error.ok()) return;
-  bool dispatch = false;
-  {
-    std::lock_guard<std::mutex> lock(c->m);
-    for (RpcFrame& f : frames) c->inbox.push_back(std::move(f));
-    if (!parse_error.ok()) {
-      ByteWriter out;
-      AppendError(&out, parse_error);
-      c->outbuf.insert(c->outbuf.end(), out.bytes().begin(), out.bytes().end());
-      c->closing = true;
-      c->inbuf.clear();
-    }
-    if (!c->processing && !c->inbox.empty()) {
-      c->processing = true;
-      dispatch = true;
-    }
-  }
-  if (dispatch) {
-    workers_->Submit([this, c] { ProcessInbox(c); });
-  }
+  c->outbuf.insert(c->outbuf.end(), out.bytes().begin(), out.bytes().end());
 }
 
-void RpcProviderServer::ProcessInbox(std::shared_ptr<EventConnection> c) {
-  for (;;) {
-    RpcFrame frame;
-    {
-      std::lock_guard<std::mutex> lock(c->m);
-      if (c->inbox.empty()) {
-        // Empty-check and flag-clear are one atomic step: a reader that
-        // queues a frame either sees processing==true (we will loop) or
-        // observes the cleared flag and dispatches a fresh worker.
-        c->processing = false;
-        break;
-      }
-      frame = std::move(c->inbox.front());
-      c->inbox.pop_front();
-    }
-    ByteWriter out;
-    const bool keep = HandleFrame(frame, c->id, &c->live_sessions, &out);
-    {
-      std::lock_guard<std::mutex> lock(c->m);
-      if (out.size() > 0) {
-        c->outbuf.insert(c->outbuf.end(), out.bytes().begin(),
-                         out.bytes().end());
-      }
-      if (!keep) {
-        c->closing = true;
-        c->inbox.clear();  // The stream is confused; drop queued frames.
-      }
-    }
-    NotifyDirty(c->id);
-  }
-  // Final ring after processing flipped off, so the loop re-evaluates
-  // the teardown condition even if no frame produced output.
-  NotifyDirty(c->id);
-}
-
-void RpcProviderServer::MarkDead(EventConnection* c) {
-  c->dead = true;
-  std::lock_guard<std::mutex> lock(c->m);
-  c->closing = true;
-  c->inbox.clear();
-}
-
-void RpcProviderServer::FlushAndRearm(
-    const std::shared_ptr<EventConnection>& c) {
+void RpcProviderServer::Flush(Connection* c) {
   if (c->dead) return;
-  bool pending;
-  bool closing;
-  {
-    std::lock_guard<std::mutex> lock(c->m);
-    while (c->out_off < c->outbuf.size()) {
-      Result<size_t> n = c->conn.WriteSome(c->outbuf.data() + c->out_off,
-                                           c->outbuf.size() - c->out_off);
-      if (!n.ok()) {
-        c->dead = true;
-        c->closing = true;
-        c->inbox.clear();
-        return;
-      }
-      if (*n == 0) break;  // Peer's receive window is full.
-      c->out_off += *n;
+  while (c->out_off < c->outbuf.size()) {
+    Result<size_t> n = c->conn.WriteSome(c->outbuf.data() + c->out_off,
+                                         c->outbuf.size() - c->out_off);
+    if (!n.ok()) {
+      c->dead = true;
+      return;
     }
-    if (c->out_off == c->outbuf.size()) {
-      c->outbuf.clear();
-      c->out_off = 0;
-    }
-    pending = c->out_off < c->outbuf.size();
-    closing = c->closing;
+    if (*n == 0) break;  // Peer's receive window is full.
+    c->out_off += *n;
   }
-  const uint32_t want = (closing ? 0u : static_cast<uint32_t>(EPOLLIN)) |
-                        (pending ? static_cast<uint32_t>(EPOLLOUT) : 0u);
-  if (want != c->armed_events) {
-    struct epoll_event ev;
-    std::memset(&ev, 0, sizeof(ev));
-    ev.events = want;
-    ev.data.u64 = c->id;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c->conn.fd(), &ev) == 0) {
-      c->armed_events = want;
-    }
+  if (c->out_off == c->outbuf.size()) {
+    c->outbuf.clear();
+    c->out_off = 0;
   }
 }
 
-void RpcProviderServer::MaybeDestroy(uint64_t conn_id) {
-  auto it = connections_.find(conn_id);
-  if (it == connections_.end()) return;
-  EventConnection* c = it->second.get();
-  bool finished;
-  {
-    std::lock_guard<std::mutex> lock(c->m);
-    // !processing even when dead: a worker mid-dispatch still owns
-    // live_sessions; it finishes (MarkDead emptied the inbox), flips the
-    // flag, and rings the doorbell, which re-runs this check.
-    finished = !c->processing &&
-               (c->dead || (c->closing && c->inbox.empty() &&
-                            c->out_off == c->outbuf.size()));
+void RpcProviderServer::Finish(Connection* c) {
+  const bool pending = c->out_off < c->outbuf.size();
+  if (!c->dead && (!c->closing || pending)) {
+    const uint32_t want = (c->closing ? 0u : static_cast<uint32_t>(EPOLLIN)) |
+                          (pending ? static_cast<uint32_t>(EPOLLOUT) : 0u);
+    if (ArmOneShot(epoll_fd_, EPOLL_CTL_MOD, c->conn.fd(), c->id, want)) {
+      return;
+    }
+    // Cannot be re-armed, so it can never be served again: tear down.
   }
-  if (!finished) return;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, c->conn.fd(), nullptr);
   // Sessions are connection-scoped: whatever the peer left open (it
   // crashed, or never sent EndQuery) is released with the connection, so
-  // dead coordinators cannot leak provider memory. Safe without c->m: a
-  // finished connection has no worker (observed !processing above).
+  // dead coordinators cannot leak provider memory.
   for (uint64_t session : c->live_sessions) endpoint_.EndQuery(session);
-  connections_.erase(it);  // Destructor closes the socket. Workers'
-                           // shared_ptr copies (if any, for a dead
-                           // connection) keep the struct alive.
+  c->live_sessions.clear();
+  c->conn.Close();
+  c->closed = true;
+  std::lock_guard<std::mutex> lock(connections_mutex_);
+  connections_.erase(c->id);  // The caller's shared_ptr keeps `c` alive.
+}
+
+void RpcProviderServer::MaybeSweepIdle() {
+  const auto now = std::chrono::steady_clock::now();
+  int64_t due = next_sweep_.load(std::memory_order_relaxed);
+  if (now.time_since_epoch().count() < due) return;
+  const int64_t next = (now + kSweepInterval).time_since_epoch().count();
+  // One thread per interval runs the sweep; the others move on.
+  if (!next_sweep_.compare_exchange_strong(due, next)) return;
+  std::vector<std::shared_ptr<Connection>> snapshot;
+  {
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    snapshot.reserve(connections_.size());
+    for (auto& kv : connections_) snapshot.push_back(kv.second);
+  }
+  for (const std::shared_ptr<Connection>& c : snapshot) {
+    // A connection some thread is serving right now is not idle.
+    std::unique_lock<std::mutex> lock(c->m, std::try_to_lock);
+    if (!lock.owns_lock() || c->closed || c->closing) continue;
+    const double idle =
+        std::chrono::duration<double>(now - c->last_activity).count();
+    if (idle < idle_timeout_seconds_) continue;
+    // Same surface the blocking server's SO_RCVTIMEO produced: the peer
+    // gets a timeout error, then the connection goes away.
+    QueueError(&c->outbuf, Status::Internal("rpc: receive timed out"));
+    c->closing = true;
+    Flush(c.get());
+    // May re-arm a registration whose event another thread already
+    // holds; that thread then finds the connection closing (or closed)
+    // under `m` and does the same flush-or-teardown.
+    Finish(c.get());
+  }
 }
 
 bool RpcProviderServer::HandleFrame(const RpcFrame& frame, uint64_t conn_id,
@@ -661,14 +567,14 @@ void RpcProviderServer::Stop() {
   if (stopped_) return;
   stopped_ = true;
   stopping_.store(true, std::memory_order_release);
-  uint64_t one = 1;
-  ssize_t ignored = ::write(wake_fd_, &one, sizeof(one));
-  (void)ignored;
-  if (loop_thread_.joinable()) loop_thread_.join();
-  // Drain the workers BEFORE touching connection state: ThreadPool's
-  // destructor runs queued ProcessInbox tasks to completion (they only
-  // buffer output and ring the now-ignored doorbell).
-  workers_.reset();
+  if (stop_fd_ >= 0) {
+    uint64_t one = 1;
+    ssize_t ignored = ::write(stop_fd_, &one, sizeof(one));
+    (void)ignored;
+  }
+  for (std::thread& t : workers_) t.join();
+  workers_.clear();
+  // No thread serves anything now.
   for (auto& kv : connections_) {
     for (uint64_t session : kv.second->live_sessions) {
       endpoint_.EndQuery(session);
@@ -680,9 +586,9 @@ void RpcProviderServer::Stop() {
     ::close(epoll_fd_);
     epoll_fd_ = -1;
   }
-  if (wake_fd_ >= 0) {
-    ::close(wake_fd_);
-    wake_fd_ = -1;
+  if (stop_fd_ >= 0) {
+    ::close(stop_fd_);
+    stop_fd_ = -1;
   }
 }
 

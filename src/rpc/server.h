@@ -2,6 +2,7 @@
 #define FEDAQP_RPC_SERVER_H_
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -10,7 +11,6 @@
 #include <vector>
 
 #include "exec/in_process_endpoint.h"
-#include "exec/thread_pool.h"
 #include "rpc/transport.h"
 
 namespace fedaqp {
@@ -18,10 +18,10 @@ namespace fedaqp {
 struct RpcServerOptions {
   /// TCP port to listen on; 0 binds an ephemeral port (see port()).
   uint16_t port = 0;
-  /// Request-handler workers on the server's ThreadPool. Unlike the old
-  /// worker-per-connection design, a worker is occupied only while it is
-  /// actually dispatching a request body into the provider — socket
-  /// readiness is multiplexed on the event loop — so a few workers serve
+  /// The server's threads — its total thread count. Every one waits on
+  /// the same epoll set and serves whichever connection turns ready, so
+  /// a thread is occupied only while it moves one connection's bytes
+  /// and dispatches its requests into the provider; a few threads serve
   /// hundreds of idle or slow connections.
   size_t num_workers = 4;
   /// Cap on concurrently open query sessions per connection: an
@@ -30,9 +30,9 @@ struct RpcServerOptions {
   /// any real coordinator's in-flight batch size.
   size_t max_sessions_per_connection = 1024;
   /// Disconnect a connection whose next request does not arrive within
-  /// this many seconds (<= 0 disables). Idle sockets no longer pin a
-  /// worker, but they still hold a fd and session state; coordinators
-  /// idling longer than this must reconnect.
+  /// this many seconds (<= 0 disables). Idle sockets pin no thread, but
+  /// they still hold a fd and session state; coordinators idling longer
+  /// than this must reconnect.
   double idle_timeout_seconds = 300.0;
   /// Test knob: shrink each accepted socket's kernel send buffer
   /// (SO_SNDBUF) so partial-write (slow peer) paths become reachable at
@@ -40,23 +40,23 @@ struct RpcServerOptions {
   int send_buffer_bytes = 0;
 };
 
-/// Hosts one DataProvider behind the wire protocol with a nonblocking
-/// epoll event loop: one readiness thread owns ALL socket IO (accept,
-/// reads, writes), and a small ThreadPool dispatches decoded request
-/// frames into an InProcessEndpoint wrapped around the provider — the
-/// exact adapter the in-process engine uses, so session semantics, RNG
-/// keying, and answers are identical over the wire by construction.
+/// Hosts one DataProvider behind the wire protocol. Request frames are
+/// dispatched into an InProcessEndpoint wrapped around the provider —
+/// the exact adapter the in-process engine uses, so session semantics,
+/// RNG keying, and answers are identical over the wire by construction.
 ///
-/// Event-loop architecture: the loop thread epolls the listener, an
-/// eventfd doorbell, and every live connection. Readable bytes are
-/// appended to a per-connection input buffer and split into frames;
-/// complete frames go to the connection's inbox and a pool worker is
-/// dispatched (at most one per connection at a time, so one connection's
-/// requests stay in order). The worker appends encoded reply frames to
-/// the connection's output buffer and rings the eventfd; only the loop
-/// thread flushes output buffers to sockets, arming EPOLLOUT while a
-/// peer's receive window is full. A slow or stalled reader therefore
-/// never blocks a worker or any other connection. kBatch frames
+/// Threading: num_workers threads all block in epoll_wait on one epoll
+/// set holding the listener, an eventfd used only by Stop(), and every
+/// live connection. Connections (and the listener) are registered
+/// EPOLLONESHOT, so a readiness event hands a connection to exactly one
+/// thread, which owns it until it re-arms the registration: it reads
+/// what the socket has, runs every complete frame through HandleFrame in
+/// arrival order, writes the replies itself without blocking, and
+/// re-arms (EPOLLIN, plus EPOLLOUT only while unsent output remains).
+/// There is no hand-off between threads on the request path, and one
+/// connection's requests are answered in order because only its owner
+/// touches it. A peer that stops reading only grows its own output
+/// buffer; it never blocks a thread or another connection. kBatch frames
 /// (doorbell-coalesced clients) are unpacked, dispatched sub-frame by
 /// sub-frame in order, and answered with a single kBatch reply carrying
 /// the sub-replies in request order.
@@ -74,8 +74,8 @@ struct RpcServerOptions {
 /// (provider seed, session nonce), never by arrival time or session id).
 ///
 /// The provider must outlive the server. Stop() (idempotent, also run by
-/// the destructor) wakes and joins the event loop, drains the worker
-/// pool, releases every leftover session, and closes all sockets.
+/// the destructor) wakes and joins every thread, releases every leftover
+/// session, and closes all sockets.
 class RpcProviderServer {
  public:
   static Result<std::unique_ptr<RpcProviderServer>> Start(
@@ -97,37 +97,32 @@ class RpcProviderServer {
   size_t num_open_sessions() const { return endpoint_.num_open_sessions(); }
 
  private:
-  /// Per-connection event-loop state. The loop thread owns the socket,
-  /// the input buffer, and the epoll registration; `m` guards the
-  /// worker-visible half (inbox, output buffer, processing/closing
-  /// flags). See server.cc for the full ownership table.
-  struct EventConnection;
+  /// Per-connection state, guarded by its own mutex, which the owning
+  /// thread holds for the whole time it serves the connection. See
+  /// server.cc.
+  struct Connection;
 
   RpcProviderServer(DataProvider* provider, TcpListener listener,
                     const RpcServerOptions& options);
 
-  void EventLoop();
+  void WorkerLoop();
+  /// Accepts every pending connection, then re-arms the listener.
   void AcceptReady();
-  void ReadReady(const std::shared_ptr<EventConnection>& c);
-  /// Splits c->inbuf into complete frames, queues them, and dispatches a
-  /// worker if none is active for this connection.
-  void ParseFrames(const std::shared_ptr<EventConnection>& c);
-  /// Flushes as much buffered output as the socket accepts and re-arms
-  /// the epoll interest set (EPOLLOUT only while output is pending).
-  void FlushAndRearm(const std::shared_ptr<EventConnection>& c);
-  /// Transport failure: no more reads, writes, or processing for this
-  /// connection. Drops queued frames so an active worker stops at its
-  /// next inbox check. Loop thread only.
-  void MarkDead(EventConnection* c);
-  /// Destroys the connection if it is finished — dead or closing, with
-  /// no worker active and (unless dead) nothing left to process or
-  /// flush. Releases its sessions.
-  void MaybeDestroy(uint64_t conn_id);
-  /// Worker-side: drains the connection's inbox one frame at a time,
-  /// appending replies to its output buffer and ringing the doorbell.
-  void ProcessInbox(std::shared_ptr<EventConnection> c);
-  /// Marks the connection dirty and wakes the event loop (worker side).
-  void NotifyDirty(uint64_t conn_id);
+  /// Serves one readiness event for the connection tagged `conn_id`.
+  void ServeReady(uint64_t conn_id, uint32_t events);
+  /// Runs every complete frame in c->inbuf through HandleFrame, in
+  /// order, appending replies to c->outbuf. Caller holds c->m.
+  void HandleFrames(Connection* c);
+  /// Writes as much of c->outbuf as the socket accepts without
+  /// blocking. Caller holds c->m.
+  void Flush(Connection* c);
+  /// Re-arms the connection's EPOLLONESHOT registration, or tears the
+  /// connection down once it is dead, or closing with nothing left to
+  /// flush. Caller holds c->m.
+  void Finish(Connection* c);
+  /// Disconnects connections idle past the timeout, at most once per
+  /// sweep interval, from whichever thread notices the interval passed.
+  void MaybeSweepIdle();
 
   /// Handles one request frame, appending the complete reply frame(s) to
   /// `out`; returns false when the connection must close (stream
@@ -144,26 +139,26 @@ class RpcProviderServer {
   size_t max_sessions_per_connection_ = 1024;
   double idle_timeout_seconds_ = 300.0;
   int send_buffer_bytes_ = 0;
-  std::unique_ptr<ThreadPool> workers_;
-  std::thread loop_thread_;
 
   int epoll_fd_ = -1;
-  /// Worker -> loop doorbell (eventfd): rung after replies are buffered
-  /// so the loop flushes them promptly, and by Stop().
-  int wake_fd_ = -1;
+  /// Written only by Stop(): level-triggered and never drained, so it
+  /// wakes every thread blocked in epoll_wait.
+  int stop_fd_ = -1;
   std::atomic<bool> stopping_{false};
   bool stopped_ = false;
 
-  /// Live connections, keyed by their epoll tag. Touched ONLY by the
-  /// loop thread (and by Stop after joining it); workers hold shared_ptr
-  /// copies captured at dispatch, never the map.
-  std::unordered_map<uint64_t, std::shared_ptr<EventConnection>> connections_;
-  uint64_t next_conn_id_ = 2;  // 0 = listener, 1 = wake eventfd.
+  /// Live connections, keyed by their epoll tag. A thread looks its
+  /// event's connection up here and keeps the shared_ptr while serving
+  /// it; teardown erases the entry.
+  std::mutex connections_mutex_;
+  std::unordered_map<uint64_t, std::shared_ptr<Connection>> connections_;
+  uint64_t next_conn_id_ = 2;  // 0 = listener, 1 = stop eventfd.
 
-  /// Connections with freshly buffered output or finished processing;
-  /// drained by the loop on each doorbell ring.
-  std::mutex dirty_mutex_;
-  std::vector<uint64_t> dirty_;
+  /// steady_clock ticks at which the next idle sweep is due.
+  std::atomic<int64_t> next_sweep_{0};
+
+  /// Declared last: the threads use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace fedaqp

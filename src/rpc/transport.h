@@ -15,10 +15,11 @@ namespace fedaqp {
 /// SIGPIPE-suppressed), so a frame either transfers completely or the
 /// call reports a transport error.
 ///
-/// Thread-safety: none — callers serialize access (RemoteEndpoint holds a
-/// mutex; the server runs one handler per connection). The only member
-/// safe to call concurrently with a blocked Send/Receive is
-/// ShutdownBoth(), which is how the server unblocks handlers at stop.
+/// Thread-safety: none — callers serialize access (RemoteEndpoint and the
+/// provider server hold a per-connection mutex; the ledger service runs
+/// one handler thread per connection). The only member safe to call
+/// concurrently with a blocked Send/Receive is ShutdownBoth(), which is
+/// how the ledger service unblocks its handlers at stop.
 class TcpConnection {
  public:
   /// An invalid (closed) connection.
@@ -58,7 +59,7 @@ class TcpConnection {
 
   void Close();
 
-  /// --- Nonblocking mode, for event-loop owners (rpc/server.cc). After
+  /// --- Nonblocking mode, for epoll owners (rpc/server.cc). After
   /// SetNonBlocking the blocking Send/ReceiveFrame pair must not be used;
   /// the owner moves bytes with ReadAvailable/WriteSome and does its own
   /// framing. Byte odometers keep counting either way.
@@ -80,7 +81,7 @@ class TcpConnection {
   /// partial-write (slow peer) paths reachable at tiny payload sizes.
   void SetSendBufferBytes(int bytes);
 
-  /// The raw fd, for event-loop registration (epoll). The connection
+  /// The raw fd, for epoll registration. The connection
   /// still owns it.
   int fd() const { return fd_; }
 
@@ -121,7 +122,7 @@ class TcpListener {
 
   Result<TcpConnection> Accept();
 
-  /// Switches the listening socket to O_NONBLOCK (event-loop owners).
+  /// Switches the listening socket to O_NONBLOCK (epoll owners).
   void SetNonBlocking();
 
   /// Nonblocking accept (after SetNonBlocking): NotFound("no pending
@@ -129,7 +130,7 @@ class TcpListener {
   /// aborts are retried internally like Accept.
   Result<TcpConnection> TryAccept();
 
-  /// The raw fd, for event-loop registration. The listener owns it.
+  /// The raw fd, for epoll registration. The listener owns it.
   int fd() const { return fd_; }
 
   /// Wakes a concurrently blocked Accept (it returns an error) without

@@ -54,19 +54,29 @@ void LedgerService::Stop() {
   listener_.Interrupt();
   if (acceptor_.joinable()) acceptor_.join();
   listener_.Shutdown();
-  std::vector<std::thread> handlers;
+  std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(conn_mutex_);
     // ShutdownBoth is the one member safe against a concurrently blocked
     // read: every handler's ReceiveFrame unblocks with an error.
-    for (auto& conn : conns_) conn->ShutdownBoth();
-    handlers.swap(handlers_);
+    for (auto& kv : handlers_) {
+      kv.second.conn->ShutdownBoth();
+      threads.push_back(std::move(kv.second.thread));
+    }
+    for (std::thread& t : finished_) threads.push_back(std::move(t));
   }
-  for (std::thread& t : handlers) {
+  // A handler returning from here on finds its thread already moved out,
+  // so its Reap only drops the connection.
+  for (std::thread& t : threads) {
     if (t.joinable()) t.join();
   }
   std::lock_guard<std::mutex> lock(conn_mutex_);
-  conns_.clear();
+  finished_.clear();
+}
+
+size_t LedgerService::num_connections() const {
+  std::lock_guard<std::mutex> lock(conn_mutex_);
+  return handlers_.size();
 }
 
 Status LedgerService::Register(const std::string& analyst, double xi,
@@ -83,11 +93,31 @@ void LedgerService::AcceptLoop() {
       continue;  // transient accept failure
     }
     auto conn = std::make_shared<TcpConnection>(std::move(accepted).value());
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    if (stopping_.load(std::memory_order_acquire)) return;  // raced Stop
-    conns_.push_back(conn);
-    handlers_.emplace_back([this, conn] { Serve(conn); });
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(conn_mutex_);
+      if (stopping_.load(std::memory_order_acquire)) return;  // raced Stop
+      finished.swap(finished_);
+      const uint64_t id = next_handler_id_++;
+      Handler& handler = handlers_[id];
+      handler.conn = conn;
+      // Started under conn_mutex_, so the handler's Reap cannot run
+      // before its thread is stored.
+      handler.thread = std::thread([this, id, conn]() mutable {
+        Serve(std::move(conn));
+        Reap(id);
+      });
+    }
+    for (std::thread& t : finished) t.join();
   }
+}
+
+void LedgerService::Reap(uint64_t handler_id) {
+  std::lock_guard<std::mutex> lock(conn_mutex_);
+  auto it = handlers_.find(handler_id);
+  if (it == handlers_.end()) return;
+  finished_.push_back(std::move(it->second.thread));
+  handlers_.erase(it);  // Drops the last reference: the socket closes.
 }
 
 void LedgerService::Serve(std::shared_ptr<TcpConnection> conn) {
@@ -229,6 +259,8 @@ Status RemoteLedger::Reconnect() {
   if (!fresh.ok()) return fresh.status();
   conn_ = std::move(fresh).value();
   broken_ = false;
+  // Perhaps a restarted service that has forgotten every registration.
+  known_.clear();
   return Status::OK();
 }
 
@@ -286,6 +318,7 @@ Status RemoteLedger::MutateOp(RpcMethod method, const std::string& analyst,
     broken_ = true;
     return Status::Internal("remote ledger: non-empty mutation ack");
   }
+  if (method == RpcMethod::kLedgerRegister) known_.insert(analyst);
   return Status::OK();
 }
 
@@ -304,6 +337,7 @@ Result<LedgerQueryReply> RemoteLedger::QueryOp(
     broken_ = true;
     return Status::Internal("remote ledger: malformed query reply");
   }
+  if (decoded->registered != 0) known_.insert(analyst);
   return decoded;
 }
 
@@ -313,6 +347,10 @@ Status RemoteLedger::Register(const std::string& analyst, double xi,
 }
 
 Result<bool> RemoteLedger::Knows(const std::string& analyst) const {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!broken_ && known_.count(analyst) != 0) return true;
+  }
   FEDAQP_ASSIGN_OR_RETURN(LedgerQueryReply reply, QueryOp(analyst));
   return reply.registered != 0;
 }

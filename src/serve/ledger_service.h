@@ -9,6 +9,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -46,10 +47,12 @@ namespace serve {
 /// Concurrency: one acceptor thread plus one handler thread per
 /// connection — ledger traffic is a few tiny frames per query, so the
 /// epoll machinery of the provider server would be over-engineering
-/// here. All mutations serialize on one service mutex (dedupe check +
-/// apply + outcome record are atomic), which is also what makes
-/// concurrent hammering from many coordinators unable to over-spend a
-/// grant.
+/// here. A handler that returns (its peer disconnected) reaps its own
+/// connection: the socket closes at once and the acceptor joins the
+/// finished thread on its next accept. All mutations serialize on one
+/// service mutex (dedupe check + apply + outcome record are atomic),
+/// which is also what makes concurrent hammering from many coordinators
+/// unable to over-spend a grant.
 class LedgerService {
  public:
   struct Options {
@@ -71,6 +74,10 @@ class LedgerService {
 
   uint16_t port() const { return port_; }
 
+  /// Connections whose handler is still running (diagnostic: drops back
+  /// once a disconnected peer's handler has noticed and returned).
+  size_t num_connections() const;
+
   /// Local pre-registration (same join-idempotent semantics as the
   /// remote op).
   Status Register(const std::string& analyst, double xi, double psi);
@@ -85,8 +92,17 @@ class LedgerService {
  private:
   LedgerService() { ledger_.AttachAuditLog(&audit_); }
 
+  /// A live connection and the thread serving it.
+  struct Handler {
+    std::shared_ptr<TcpConnection> conn;
+    std::thread thread;
+  };
+
   void AcceptLoop();
   void Serve(std::shared_ptr<TcpConnection> conn);
+  /// Run by a handler as it returns: drops its connection and hands its
+  /// own thread to finished_ for someone else to join.
+  void Reap(uint64_t handler_id);
   /// One frame in, one reply frame out (echo ack, query reply, or
   /// kError). Transport errors surface as the returned status.
   Status HandleFrame(TcpConnection& conn, const RpcFrame& frame);
@@ -106,10 +122,12 @@ class LedgerService {
   std::thread acceptor_;
   std::atomic<bool> stopping_{false};
 
-  /// Guards conns_ and handlers_ (threads register themselves).
-  std::mutex conn_mutex_;
-  std::vector<std::shared_ptr<TcpConnection>> conns_;
-  std::vector<std::thread> handlers_;
+  /// Guards handlers_, finished_ and next_handler_id_.
+  mutable std::mutex conn_mutex_;
+  std::map<uint64_t, Handler> handlers_;
+  /// Threads of handlers that have returned, awaiting a join.
+  std::vector<std::thread> finished_;
+  uint64_t next_handler_id_ = 0;
 
   /// Serializes dedupe-check + ledger apply + outcome record.
   std::mutex op_mutex_;
@@ -130,6 +148,15 @@ class LedgerService {
 /// Reconnect() heals the connection explicitly; thanks to the service's
 /// (coordinator, seq) dedupe, retrying the op that was in flight when
 /// the wire died is safe — it lands at most once.
+///
+/// Identity cache: the analysts the service has confirmed — a
+/// successful Register or a true Knows — are remembered, so admission's
+/// Knows costs no round trip after the first. Registration is
+/// irrevocable, so a positive answer cannot go stale while the
+/// connection lives; the only way to lose it is a service restart, which
+/// breaks the connection, and Reconnect() clears the cache. Negative
+/// answers are never cached, and a poisoned connection fails Knows fast
+/// like every other op.
 class RemoteLedger final : public LedgerBackend {
  public:
   /// Dials the service. `coordinator_id` must be nonzero and unique per
@@ -171,10 +198,13 @@ class RemoteLedger final : public LedgerBackend {
   Result<RpcFrame> ExchangeLocked(RpcMethod method,
                                   const ByteWriter& payload) const;
 
-  /// Guards conn_ and broken_ (mutable: reads are logically const).
+  /// Guards conn_, broken_ and known_ (mutable: reads are logically
+  /// const).
   mutable std::mutex mutex_;
   mutable TcpConnection conn_;
   mutable bool broken_ = false;
+  /// Analysts the service confirmed on this connection.
+  mutable std::unordered_set<std::string> known_;
   std::string host_;
   uint16_t port_ = 0;
   uint32_t coordinator_ = 0;

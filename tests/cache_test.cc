@@ -20,6 +20,7 @@
 #include "cache/budget_planner.h"
 #include "exec/federation_client.h"
 #include "exec/in_process_endpoint.h"
+#include "gate_endpoint.h"
 #include "rpc/remote_endpoint.h"
 #include "rpc/server.h"
 #include "workload/datagen.h"
@@ -520,74 +521,15 @@ TEST(CacheClientTest, PartialCompositionChargesExactlyTheRemainder) {
   EXPECT_EQ(plan->predicted_hits, 1u);
 }
 
-/// Endpoint wrapper that, when armed, parks the next Cover call until
-/// released — pins a query at kSummaryPublished for cancellation tests.
-class ArmableGateEndpoint : public ProviderEndpoint {
- public:
-  explicit ArmableGateEndpoint(std::shared_ptr<ProviderEndpoint> inner)
-      : inner_(std::move(inner)) {}
-
-  const EndpointInfo& info() const override { return inner_->info(); }
-
-  Result<CoverReply> Cover(const CoverRequest& request) override {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (armed_) {
-        armed_ = false;
-        entered_ = true;
-        cv_.notify_all();
-        cv_.wait(lock, [&] { return released_; });
-      }
-    }
-    return inner_->Cover(request);
-  }
-  Result<SummaryReply> PublishSummary(const SummaryRequest& r) override {
-    return inner_->PublishSummary(r);
-  }
-  Result<EstimateReply> Approximate(const ApproximateRequest& r) override {
-    return inner_->Approximate(r);
-  }
-  Result<EstimateReply> ExactAnswer(const ExactAnswerRequest& r) override {
-    return inner_->ExactAnswer(r);
-  }
-  Result<ExactScanReply> ExactFullScan(const ExactScanRequest& r) override {
-    return inner_->ExactFullScan(r);
-  }
-  void EndQuery(uint64_t id) override { inner_->EndQuery(id); }
-
-  void Arm() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    armed_ = true;
-    entered_ = false;
-    released_ = false;
-  }
-  void WaitEntered() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return entered_; });
-  }
-  void Release() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    released_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  std::shared_ptr<ProviderEndpoint> inner_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool armed_ = false;
-  bool entered_ = false;
-  bool released_ = false;
-};
-
 TEST(CacheClientTest, CancelledRemainderLeavesCacheConsistent) {
   auto providers = MakeFederation(2);
   Result<std::vector<std::shared_ptr<ProviderEndpoint>>> inner =
       MakeInProcessEndpoints(Ptrs(providers));
   ASSERT_TRUE(inner.ok());
-  auto gate = std::make_shared<ArmableGateEndpoint>((*inner)[0]);
-  std::vector<std::shared_ptr<ProviderEndpoint>> endpoints = {gate,
-                                                              (*inner)[1]};
+  // Closed only around the doomed query, whose Cover on provider 0 waits.
+  auto gate = std::make_shared<CoverGate>();
+  std::vector<std::shared_ptr<ProviderEndpoint>> endpoints = {
+      std::make_shared<GatedEndpoint>((*inner)[0], gate), (*inner)[1]};
   FederationClient::Options copts;
   copts.protocol = BaseConfig(2, BatchScheduler::kTaskGraph);
   copts.analysts = {{"alice", 1e6, 1e3}};
@@ -609,7 +551,7 @@ TEST(CacheClientTest, CancelledRemainderLeavesCacheConsistent) {
   // Cancel [10,149] while its remainder purchase [100,149] is mid-query:
   // the sampling/estimate shares refund and the poisoned purchase must
   // not serve anyone later.
-  gate->Arm();
+  gate->Close();
   QueryTicket doomed = submit(Dim0(10, 149));
   gate->WaitEntered();
   EXPECT_TRUE(doomed.Cancel());

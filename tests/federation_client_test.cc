@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -28,6 +27,7 @@
 #include "exec/thread_pool.h"
 #include "federation/orchestrator.h"
 #include "federation/progressive.h"
+#include "gate_endpoint.h"
 #include "rpc/remote_endpoint.h"
 #include "rpc/server.h"
 #include "workload/datagen.h"
@@ -361,56 +361,6 @@ TEST(FederationClientCancelTest, CancelAfterCompletionIsANoop) {
   EXPECT_EQ(spent->epsilon, 1.0);  // the full per-query eps stays spent
 }
 
-/// Endpoint wrapper that parks the first Cover call until released, so a
-/// test can cancel a query at a known composition stage.
-class GateEndpoint : public ProviderEndpoint {
- public:
-  explicit GateEndpoint(std::shared_ptr<ProviderEndpoint> inner)
-      : inner_(std::move(inner)) {}
-
-  const EndpointInfo& info() const override { return inner_->info(); }
-
-  Result<CoverReply> Cover(const CoverRequest& request) override {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      entered_ = true;
-      cv_.notify_all();
-      cv_.wait(lock, [&] { return released_; });
-    }
-    return inner_->Cover(request);
-  }
-  Result<SummaryReply> PublishSummary(const SummaryRequest& r) override {
-    return inner_->PublishSummary(r);
-  }
-  Result<EstimateReply> Approximate(const ApproximateRequest& r) override {
-    return inner_->Approximate(r);
-  }
-  Result<EstimateReply> ExactAnswer(const ExactAnswerRequest& r) override {
-    return inner_->ExactAnswer(r);
-  }
-  Result<ExactScanReply> ExactFullScan(const ExactScanRequest& r) override {
-    return inner_->ExactFullScan(r);
-  }
-  void EndQuery(uint64_t id) override { inner_->EndQuery(id); }
-
-  void WaitEntered() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return entered_; });
-  }
-  void Release() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    released_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  std::shared_ptr<ProviderEndpoint> inner_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool entered_ = false;
-  bool released_ = false;
-};
-
 // A query cancelled after its summary phase began (eps_O spent) but
 // before any estimate release gets the sampling + estimate shares — and
 // the full delta — refunded: the paper's composition accounting, stage
@@ -420,9 +370,11 @@ TEST(FederationClientCancelTest, MidQueryCancelRefundsUnexercisedShares) {
   Result<std::vector<std::shared_ptr<ProviderEndpoint>>> inner =
       MakeInProcessEndpoints(Ptrs(providers));
   ASSERT_TRUE(inner.ok());
-  auto gate = std::make_shared<GateEndpoint>((*inner)[0]);
-  std::vector<std::shared_ptr<ProviderEndpoint>> endpoints = {gate,
-                                                              (*inner)[1]};
+  // Every Cover on provider 0 waits until the gate is released.
+  auto gate = std::make_shared<CoverGate>();
+  gate->Close();
+  std::vector<std::shared_ptr<ProviderEndpoint>> endpoints = {
+      std::make_shared<GatedEndpoint>((*inner)[0], gate), (*inner)[1]};
   FederationClient::Options copts;
   copts.protocol = BaseConfig(2, BatchScheduler::kTaskGraph);
   copts.analysts = {{"alice", 1e6, 1e3}};

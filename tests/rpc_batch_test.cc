@@ -1,15 +1,16 @@
-// Doorbell batching and event-loop server tests: coalesced calls must be
+// Doorbell batching and epoll server tests: coalesced calls must be
 // invisible except in the byte odometers — answers bit-identical to the
 // unbatched protocol, real wire bytes equal to SimNetwork's charges plus
 // exactly the counted outer-header overhead — and one epoll server must
-// multiplex many concurrent connections, slow readers included, on a
-// handful of workers.
+// multiplex many concurrent connections, slow readers and pipelining
+// peers included, on a handful of threads.
 
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -58,10 +59,10 @@ class RpcBatchTest : public ::testing::Test {
  protected:
   void SetUp() override { StartServer({}); }
 
-  void StartServer(RpcServerOptions options) {
+  void StartServer(RpcServerOptions options, size_t num_workers = 2) {
     servers_.clear();
     provider_ = MakeProvider(20000, 3);
-    options.num_workers = 2;
+    options.num_workers = num_workers;
     Result<std::unique_ptr<RpcProviderServer>> server =
         RpcProviderServer::Start(provider_.get(), options);
     ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -249,7 +250,7 @@ TEST_F(RpcBatchTest, MalformedBatchesAreRejectedAndRecoverable) {
   EXPECT_EQ(reply->method, RpcMethod::kInfo);
 }
 
-// 64+ concurrent connections against one epoll loop and 2 workers: every
+// 64+ concurrent connections against one server of 2 threads: every
 // connection handshakes and gets correct scan answers, and the server
 // leaks no sessions.
 TEST_F(RpcBatchTest, SixtyFourConnectionSoak) {
@@ -284,7 +285,7 @@ TEST_F(RpcBatchTest, SixtyFourConnectionSoak) {
   }
   EXPECT_EQ(failures.load(), 0);
   endpoints.clear();  // Disconnect everything.
-  // The loop processes the disconnects asynchronously; sessions (all
+  // The server processes the disconnects asynchronously; sessions (all
   // scan-only here, so none were ever open) must read zero.
   EXPECT_EQ(servers_[0]->num_open_sessions(), 0u);
 }
@@ -327,6 +328,114 @@ TEST_F(RpcBatchTest, SlowPeerPartialWritesDoNotBlockOthers) {
     ASSERT_TRUE(info.ok()) << "reply " << i;
     EXPECT_EQ(info->name, provider_->name());
   }
+}
+
+/// The request stream of the pipelining test: for sessions 1..200, Cover
+/// then PublishSummary, and EndQuery for the first 100 only, so the
+/// other 100 are still open when the peer disconnects. 500 plain frames.
+std::vector<std::pair<RpcMethod, ByteWriter>> SessionStream() {
+  std::vector<std::pair<RpcMethod, ByteWriter>> stream;
+  for (uint64_t s = 1; s <= 200; ++s) {
+    ByteWriter cover;
+    EncodeCoverRequest(
+        CoverRequest{s, s * 7 + 3,
+                     ScanQuery(static_cast<uint32_t>(s % 50),
+                               static_cast<uint32_t>(120 + s % 60))},
+        &cover);
+    stream.emplace_back(RpcMethod::kCover, std::move(cover));
+    ByteWriter summary;
+    EncodeSummaryRequest(SummaryRequest{s, 0.5}, &summary);
+    stream.emplace_back(RpcMethod::kPublishSummary, std::move(summary));
+    if (s <= 100) {
+      ByteWriter end;
+      EncodeEndQueryRequest(EndQueryRequest{s}, &end);
+      stream.emplace_back(RpcMethod::kEndQuery, std::move(end));
+    }
+  }
+  return stream;
+}
+
+/// The timing-free content of a reply: compute_seconds varies from run to
+/// run, everything else is a function of the request stream.
+std::vector<double> ReplyContent(const RpcFrame& frame) {
+  ByteReader reader(frame.payload);
+  if (frame.method == RpcMethod::kCover) {
+    Result<CoverReply> r = DecodeCoverReply(&reader);
+    EXPECT_TRUE(r.ok());
+    if (!r.ok()) return {};
+    return {static_cast<double>(r->num_covering_clusters),
+            r->should_approximate ? 1.0 : 0.0,
+            static_cast<double>(r->work.clusters_scanned),
+            static_cast<double>(r->work.rows_scanned),
+            static_cast<double>(r->work.metadata_lookups)};
+  }
+  if (frame.method == RpcMethod::kPublishSummary) {
+    Result<SummaryReply> r = DecodeSummaryReply(&reader);
+    EXPECT_TRUE(r.ok());
+    if (!r.ok()) return {};
+    return {r->summary.noisy_avg_r, r->summary.noisy_n_q,
+            r->summary.epsilon_spent};
+  }
+  return {static_cast<double>(frame.payload.size())};
+}
+
+// One thread owns a ready connection at a time, so 500 pipelined plain
+// frames come back in request order even with four server threads: the
+// replies equal the same stream sent one request at a time (noise is
+// keyed by session nonce, not by connection or timing). While
+// those replies sit unread another connection is served, and the
+// sessions the pipelining peer left open are released when it leaves.
+TEST_F(RpcBatchTest, PipelinedFramesOnOneConnectionAnswerInOrder) {
+  StartServer({}, /*num_workers=*/4);
+  const std::vector<std::pair<RpcMethod, ByteWriter>> stream = SessionStream();
+  ASSERT_EQ(stream.size(), 500u);
+
+  std::vector<RpcFrame> reference;
+  {
+    Result<TcpConnection> serial = TcpConnection::Connect("127.0.0.1", port());
+    ASSERT_TRUE(serial.ok());
+    for (const auto& request : stream) {
+      ASSERT_TRUE(serial->SendFrame(request.first, request.second).ok());
+      Result<RpcFrame> reply = serial->ReceiveFrame();
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      reference.push_back(std::move(reply).value());
+    }
+  }
+  EXPECT_EQ(reference[0].method, RpcMethod::kCover);
+  EXPECT_EQ(reference[1].method, RpcMethod::kPublishSummary);
+  EXPECT_EQ(reference[2].method, RpcMethod::kEndQuery);
+
+  Result<TcpConnection> pipelined =
+      TcpConnection::Connect("127.0.0.1", port());
+  ASSERT_TRUE(pipelined.ok());
+  for (const auto& request : stream) {
+    ASSERT_TRUE(pipelined->SendFrame(request.first, request.second).ok());
+  }
+  {
+    Result<std::shared_ptr<RemoteEndpoint>> other = Connect();
+    ASSERT_TRUE(other.ok());
+    Result<ExactScanReply> scan =
+        (*other)->ExactFullScan(ExactScanRequest{ScanQuery(10, 150)});
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  }
+  for (size_t i = 0; i < stream.size(); ++i) {
+    Result<RpcFrame> reply = pipelined->ReceiveFrame();
+    ASSERT_TRUE(reply.ok()) << "reply " << i << ": "
+                            << reply.status().ToString();
+    ASSERT_EQ(reply->method, reference[i].method) << "reply " << i;
+    ASSERT_EQ(ReplyContent(*reply), ReplyContent(reference[i]))
+        << "reply " << i;
+  }
+
+  pipelined->Close();
+  // A server thread releases the sessions once it sees the close.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (servers_[0]->num_open_sessions() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(servers_[0]->num_open_sessions(), 0u);
 }
 
 // Fault-injected pin for mid-batch transport failure: when the peer dies

@@ -20,7 +20,10 @@
 
 #include "dp/accountant.h"
 #include "exec/federation_client.h"
+#include "exec/in_process_endpoint.h"
+#include "gate_endpoint.h"
 #include "obs/audit_log.h"
+#include "obs/metrics.h"
 #include "serve/fair_queue.h"
 #include "serve/ledger_service.h"
 #include "serve/loadgen.h"
@@ -270,25 +273,31 @@ TEST(FairAdmissionTest, HeavyBacklogDoesNotStarveLightAnalyst) {
 // kDeadlineExceeded with stats.evicted set, and the audit log still
 // replays to the live ledger bit-exactly.
 TEST(DeadlineEvictionTest, EvictedQueriesRefundFullyAndAuditReplays) {
-  // Bigger providers than the other tests: the flood below must keep one
-  // worker busy for many times the eviction deadline.
-  std::vector<std::unique_ptr<DataProvider>> providers;
-  providers.push_back(MakeProvider(12000, 901));
-  providers.push_back(MakeProvider(12000, 914));
-  providers.push_back(MakeProvider(12000, 927));
+  auto providers = MakeFederation(3);
+  Result<std::vector<std::shared_ptr<ProviderEndpoint>>> inner =
+      MakeInProcessEndpoints(Ptrs(providers));
+  ASSERT_TRUE(inner.ok());
+  // One gate shared by every provider decides when any query can start.
+  auto gate = std::make_shared<CoverGate>();
+  gate->Close();
+  std::vector<std::shared_ptr<ProviderEndpoint>> endpoints;
+  for (auto& e : *inner) {
+    endpoints.push_back(std::make_shared<GatedEndpoint>(e, gate));
+  }
   FederationClient::Options copts;
   copts.protocol = BaseConfig(1, BatchScheduler::kTaskGraph);
   copts.analysts = {{"alice", 1e6, 1e3}};
   copts.evict_expired = true;
   copts.start_paused = true;
   Result<std::unique_ptr<FederationClient>> client =
-      FederationClient::Create(Ptrs(providers), copts);
+      FederationClient::Create(endpoints, copts);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   // One single-threaded round: a flood of deadline-less high-priority
-  // queries monopolizes the worker (the ready queue drains high before
-  // low), so the low-priority tail's first stage claims happen only
-  // after the flood — far past the tail's short deadlines. The watcher
-  // must evict the (admitted, charged) tail before it starts.
+  // queries takes every thread that drains the round (the ready queue
+  // drains high before low), and each of those threads waits in a
+  // gated Cover, so the low-priority tail cannot start before the
+  // gate opens. The gate opens long after the tail's deadline, so the
+  // watcher must have evicted the (admitted, charged) tail by then.
   std::vector<QuerySpec> specs;
   for (size_t i = 0; i < 200; ++i) {
     QuerySpec spec;
@@ -297,16 +306,22 @@ TEST(DeadlineEvictionTest, EvictedQueriesRefundFullyAndAuditReplays) {
     spec.priority = QueryPriority::kHigh;
     specs.push_back(std::move(spec));
   }
+  // Long enough that admission always charges the tail before it
+  // expires: an expired-at-admission query is refused, not evicted.
+  constexpr double kTailDeadlineSeconds = 0.2;
   for (size_t i = 0; i < 10; ++i) {
     QuerySpec spec;
     spec.analyst = "alice";
     spec.query = WideQuery(static_cast<int>(i % 7));
     spec.priority = QueryPriority::kLow;
-    spec.deadline_seconds = 0.003;
+    spec.deadline_seconds = kTailDeadlineSeconds;
     specs.push_back(std::move(spec));
   }
   std::vector<QueryTicket> burst = (*client)->SubmitAll(std::move(specs));
   (*client)->Resume();
+  std::this_thread::sleep_for(
+      std::chrono::duration<double>(kTailDeadlineSeconds + 1.0));
+  gate->Release();
   (*client)->WaitIdle();
   size_t evicted = 0;
   for (QueryTicket& t : burst) {
@@ -321,8 +336,8 @@ TEST(DeadlineEvictionTest, EvictedQueriesRefundFullyAndAuditReplays) {
       EXPECT_EQ(stats.refunded.delta, copts.protocol.per_query_budget.delta);
     }
   }
-  // The 3 ms deadline is far shorter than 200 high-priority queries on
-  // one thread; at least part of the low tail must have been evicted.
+  // No tail query can start before the gate opens, a second past its
+  // deadline: the watcher must have evicted the tail.
   EXPECT_GT(evicted, 0u);
   // Replay the audit log (charges + eviction refunds) into a fresh
   // ledger: spent must match the live ledger bit-exactly.
@@ -515,6 +530,100 @@ TEST(LedgerServiceTest, ServiceDeathFailsAdmissionsWithoutHangingOrLeaking) {
   s3.analyst = "alice";
   s3.query = WideQuery(2);
   EXPECT_TRUE((*client)->Submit(s3).Wait().ok());
+}
+
+// A coordinator that disconnects leaves nothing behind on the service:
+// its handler returns, closes the socket and is reaped.
+TEST(LedgerServiceTest, DroppedConnectionsAreReaped) {
+  Result<std::unique_ptr<serve::LedgerService>> service =
+      serve::LedgerService::Start({});
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  for (uint32_t i = 1; i <= 100; ++i) {
+    Result<std::shared_ptr<serve::RemoteLedger>> remote =
+        serve::RemoteLedger::Connect("127.0.0.1", (*service)->port(), i);
+    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+    Result<bool> knows = (*remote)->Knows("alice");
+    ASSERT_TRUE(knows.ok());
+  }
+  // Each handler notices its peer's close on its own thread.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while ((*service)->num_connections() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ((*service)->num_connections(), 0u);
+}
+
+uint64_t LedgerServiceOps() {
+  return obs::MetricRegistry::Global()
+      .GetCounter("ledger_service.ops")
+      ->Value();
+}
+
+// The RemoteLedger remembers analysts the service confirmed, so after
+// registration an admission costs one round trip (the charge), not two.
+TEST(LedgerServiceTest, AdmissionAfterRegisterCostsOneOp) {
+  Result<std::unique_ptr<serve::LedgerService>> service =
+      serve::LedgerService::Start({});
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  auto providers = MakeFederation(2);
+  Result<std::shared_ptr<serve::RemoteLedger>> remote =
+      serve::RemoteLedger::Connect("127.0.0.1", (*service)->port(), 4);
+  ASSERT_TRUE(remote.ok());
+  FederationClient::Options copts;
+  copts.protocol = BaseConfig(2, BatchScheduler::kTaskGraph);
+  copts.analysts = {{"alice", 1e6, 1e3}};
+  copts.shared_ledger = *remote;
+  Result<std::unique_ptr<FederationClient>> client =
+      FederationClient::Create(Ptrs(providers), copts);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  constexpr uint64_t kQueries = 8;
+  const uint64_t before = LedgerServiceOps();
+  for (uint64_t i = 0; i < kQueries; ++i) {
+    QuerySpec spec;
+    spec.analyst = "alice";
+    spec.query = WideQuery(static_cast<int>(i % 7));
+    ASSERT_TRUE((*client)->Submit(spec).Wait().ok());
+  }
+  EXPECT_EQ(LedgerServiceOps() - before, kQueries);
+}
+
+// A restarted service has forgotten every registration: after Reconnect
+// the RemoteLedger asks the wire again instead of trusting what the old
+// service confirmed. Negative answers are never remembered.
+TEST(LedgerServiceTest, ReconnectForgetsConfirmedAnalysts) {
+  Result<std::unique_ptr<serve::LedgerService>> service =
+      serve::LedgerService::Start({});
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  const uint16_t port = (*service)->port();
+  Result<std::shared_ptr<serve::RemoteLedger>> remote =
+      serve::RemoteLedger::Connect("127.0.0.1", port, 5);
+  ASSERT_TRUE(remote.ok());
+  ASSERT_TRUE((*remote)->Register("alice", 10.0, 1.0).ok());
+  uint64_t before = LedgerServiceOps();
+  Result<bool> knows = (*remote)->Knows("alice");
+  ASSERT_TRUE(knows.ok());
+  EXPECT_TRUE(*knows);
+  EXPECT_EQ(LedgerServiceOps(), before);  // Answered from the cache.
+  Result<bool> unknown = (*remote)->Knows("bob");
+  ASSERT_TRUE(unknown.ok());
+  EXPECT_FALSE(*unknown);
+  EXPECT_EQ(LedgerServiceOps(), before + 1);
+
+  (*service)->Stop();
+  service->reset();
+  serve::LedgerService::Options ropts;
+  ropts.port = port;
+  Result<std::unique_ptr<serve::LedgerService>> revived =
+      serve::LedgerService::Start(ropts);
+  ASSERT_TRUE(revived.ok()) << revived.status().ToString();
+  ASSERT_TRUE((*remote)->Reconnect().ok());
+  before = LedgerServiceOps();
+  knows = (*remote)->Knows("alice");
+  ASSERT_TRUE(knows.ok());
+  EXPECT_FALSE(*knows);
+  EXPECT_EQ(LedgerServiceOps(), before + 1);
 }
 
 // ------------------------------------------------------- open-loop harness --
