@@ -1,11 +1,11 @@
 // Client-concurrency bench: the async FederationClient under multiple
-// submitter threads, against the synchronous ExecuteBatch path.
+// submitter threads, against a synchronous replay of the same sequence.
 //
 // Three experiments over one federation:
 //   1. async:  N submitter threads push the workload through
 //      FederationClient::Submit; wall time from burst start to idle.
 //   2. sync:   the same admission sequence (the one the async run
-//      actually produced) replayed through QueryEngine::ExecuteBatch on
+//      actually produced) replayed as one SubmitAll on a fresh client over
 //      an identically rebuilt federation — the determinism gate: every
 //      estimate and every analyst ledger must match the async run
 //      bit-for-bit, or the bench exits non-zero.
@@ -33,7 +33,6 @@
 #include "bench/bench_util.h"
 #include "common/stopwatch.h"
 #include "exec/federation_client.h"
-#include "exec/query_engine.h"
 
 namespace fedaqp {
 namespace {
@@ -138,7 +137,7 @@ int Run(int argc, char** argv) {
             [](const QueryTicket& a, const QueryTicket& b) {
               return a.id() < b.id();
             });
-  std::vector<AnalystQuery> sequence;
+  std::vector<QuerySpec> sequence;
   std::vector<double> async_estimates;
   for (QueryTicket& ticket : tickets) {
     Result<QueryResponse> resp = ticket.Wait();
@@ -154,23 +153,26 @@ int Run(int argc, char** argv) {
   // ---- 2. sync replay: one batch, one thread --------------------------
   std::unique_ptr<Federation> fed_sync = open_federation();
   if (!fed_sync) return 1;
-  QueryEngineOptions eopts;
-  eopts.protocol = protocol;
-  eopts.analysts = copts.analysts;
-  Result<std::unique_ptr<QueryEngine>> engine =
-      QueryEngine::Create(fed_sync->provider_ptrs(), eopts);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "engine: %s\n", engine.status().ToString().c_str());
+  FederationClient::Options sync_opts;
+  sync_opts.protocol = protocol;
+  sync_opts.analysts = copts.analysts;
+  Result<std::unique_ptr<FederationClient>> sync_client =
+      FederationClient::Create(fed_sync->provider_ptrs(), sync_opts);
+  if (!sync_client.ok()) {
+    std::fprintf(stderr, "sync client: %s\n",
+                 sync_client.status().ToString().c_str());
     return 1;
   }
   Stopwatch sync_timer;
-  std::vector<BatchOutcome> outcomes = (*engine)->ExecuteBatch(sequence);
+  std::vector<QueryTicket> replayed = (*sync_client)->SubmitAll(sequence);
+  std::vector<Result<QueryResponse>> outcomes;
+  outcomes.reserve(replayed.size());
+  for (QueryTicket& ticket : replayed) outcomes.push_back(ticket.Wait());
   const double sync_wall = sync_timer.ElapsedSeconds();
 
   bool identical = outcomes.size() == async_estimates.size();
   for (size_t i = 0; identical && i < outcomes.size(); ++i) {
-    if (!outcomes[i].ok() ||
-        outcomes[i].response.estimate != async_estimates[i]) {
+    if (!outcomes[i].ok() || outcomes[i]->estimate != async_estimates[i]) {
       identical = false;
     }
   }
@@ -178,7 +180,7 @@ int Run(int argc, char** argv) {
   for (size_t s = 0; s < submitters; ++s) {
     const std::string analyst = "a" + std::to_string(s);
     Result<PrivacyBudget> a = async_client->ledger().Spent(analyst);
-    Result<PrivacyBudget> b = (*engine)->ledger().Spent(analyst);
+    Result<PrivacyBudget> b = (*sync_client)->ledger().Spent(analyst);
     if (!a.ok() || !b.ok() || a->epsilon != b->epsilon ||
         a->delta != b->delta) {
       ledgers_match = false;
@@ -235,7 +237,7 @@ int Run(int argc, char** argv) {
   std::printf(
       "client concurrency: %zu queries, %zu submitters, %zu pool threads\n"
       "  async submit->idle  %9.2f ms  (%.0f q/s)\n"
-      "  sync ExecuteBatch   %9.2f ms  (%.0f q/s)\n"
+      "  sync replay         %9.2f ms  (%.0f q/s)\n"
       "  answers %s, ledgers %s\n"
       "  mixed burst p50: high-prio %.3f ms (fifo placement %.3f ms), "
       "low-prio %.3f ms\n",

@@ -1,7 +1,8 @@
-// Micro-bench for the parallel execution engine: the same query batch runs
-// through a single-threaded engine and a thread-pooled engine over the same
-// federation, verifying bit-identical answers and reporting the wall-clock
-// speedup, per-query latency, and network traffic. Results also land in
+// Micro-bench for the parallel execution engine: the same query batch is
+// submitted (one SubmitAll, then Wait on every ticket) to a single-threaded
+// and a thread-pooled FederationClient over the same federation, verifying
+// bit-identical answers and reporting the wall-clock speedup, per-query
+// latency, and network traffic. Results also land in
 // BENCH_engine_speedup.json for the cross-PR perf trajectory.
 //
 //   --rows=N --providers=P --queries=M --threads=T --seed=S --full
@@ -24,19 +25,23 @@ struct RunStats {
   std::vector<double> estimates;
 };
 
-RunStats RunBatch(QueryEngine* engine, const std::vector<AnalystQuery>& batch) {
+RunStats RunBatch(FederationClient* client, std::vector<QuerySpec> batch) {
   RunStats stats;
   Stopwatch timer;
-  std::vector<BatchOutcome> outcomes = engine->ExecuteBatch(batch);
+  std::vector<QueryTicket> tickets = client->SubmitAll(std::move(batch));
+  std::vector<Result<QueryResponse>> outcomes;
+  outcomes.reserve(tickets.size());
+  for (QueryTicket& ticket : tickets) outcomes.push_back(ticket.Wait());
   stats.seconds = timer.ElapsedSeconds();
   for (const auto& out : outcomes) {
     if (!out.ok()) {
-      std::fprintf(stderr, "query failed: %s\n", out.status.ToString().c_str());
+      std::fprintf(stderr, "query failed: %s\n",
+                   out.status().ToString().c_str());
       continue;
     }
-    stats.simulated_seconds += out.response.breakdown.TotalSeconds();
-    stats.network_bytes += out.response.breakdown.network_bytes;
-    stats.estimates.push_back(out.response.estimate);
+    stats.simulated_seconds += out->breakdown.TotalSeconds();
+    stats.network_bytes += out->breakdown.network_bytes;
+    stats.estimates.push_back(out->estimate);
   }
   return stats;
 }
@@ -65,28 +70,28 @@ int Run(int argc, char** argv) {
                  workload.status().ToString().c_str());
     return 1;
   }
-  std::vector<AnalystQuery> batch;
+  std::vector<QuerySpec> batch;
   for (const auto& q : *workload) batch.push_back({"bench", q});
 
-  auto make_engine = [&](size_t num_threads) {
-    QueryEngineOptions opts;
+  auto make_client = [&](size_t num_threads) {
+    FederationClient::Options opts;
     opts.protocol = protocol;
     opts.protocol.total_xi = 1e18;
     opts.protocol.total_psi = 1e9;
     opts.protocol.network.latency_seconds = 1e-5;
     opts.protocol.num_threads = num_threads;
     opts.analysts = {{"bench", 1e18, 1e9}};
-    return QueryEngine::Create(fed->provider_ptrs(), opts);
+    return FederationClient::Create(fed->provider_ptrs(), opts);
   };
 
-  Result<std::unique_ptr<QueryEngine>> sequential = make_engine(1);
-  Result<std::unique_ptr<QueryEngine>> pooled = make_engine(threads);
+  Result<std::unique_ptr<FederationClient>> sequential = make_client(1);
+  Result<std::unique_ptr<FederationClient>> pooled = make_client(threads);
   if (!sequential.ok() || !pooled.ok()) {
-    std::fprintf(stderr, "engine creation failed\n");
+    std::fprintf(stderr, "client creation failed\n");
     return 1;
   }
 
-  // Pooled first, then sequential: both engines assign the same query-ids,
+  // Pooled first, then sequential: both clients assign the same query-ids,
   // so per-session RNG streams (and therefore answers) must coincide.
   RunStats par = RunBatch(pooled->get(), batch);
   RunStats seq = RunBatch(sequential->get(), batch);

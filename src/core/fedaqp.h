@@ -13,8 +13,8 @@
 #include "dp/budget.h"                     // IWYU pragma: export
 #include "dp/composition.h"                // IWYU pragma: export
 #include "exec/endpoint.h"                 // IWYU pragma: export
+#include "exec/federation_client.h"        // IWYU pragma: export
 #include "exec/in_process_endpoint.h"      // IWYU pragma: export
-#include "exec/query_engine.h"             // IWYU pragma: export
 #include "exec/thread_pool.h"              // IWYU pragma: export
 #include "storage/range_query.h"           // IWYU pragma: export
 #include "storage/table.h"                 // IWYU pragma: export

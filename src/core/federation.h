@@ -71,7 +71,7 @@ class Federation {
   /// charged) in order against the shared accountant, and the admitted set
   /// runs with provider work pipelined across the orchestrator's pool
   /// (FederationOptions::protocol.num_threads). Outcomes align with
-  /// `queries`. For per-analyst grants, build a QueryEngine over
+  /// `queries`. For per-analyst grants, build a FederationClient over
   /// MakeEndpoints() instead.
   std::vector<BatchOutcome> QueryBatch(const std::vector<RangeQuery>& queries);
 
@@ -79,8 +79,8 @@ class Federation {
   Result<QueryResponse> QueryExact(const RangeQuery& query);
 
   /// Message-interface views of this federation's providers, for wiring a
-  /// QueryEngine (or a custom orchestrator) over the same offline state.
-  /// The federation must outlive the returned endpoints.
+  /// FederationClient (or a custom orchestrator) over the same offline
+  /// state. The federation must outlive the returned endpoints.
   std::vector<std::shared_ptr<ProviderEndpoint>> MakeEndpoints();
 
   /// Serves each provider over the wire protocol on base_port,

@@ -67,7 +67,7 @@ class PrivacyAccountant {
   size_t num_cache_served_ = 0;
 };
 
-/// Multi-analyst budget enforcement for the session layer (QueryEngine):
+/// Multi-analyst budget enforcement for the session layer (FederationClient):
 /// each named analyst holds an independent (xi, psi) grant tracked by its
 /// own PrivacyAccountant. Unlike PrivacyAccountant this class is
 /// thread-safe — concurrent batch execution may consult it from worker

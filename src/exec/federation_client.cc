@@ -536,11 +536,10 @@ void FederationClient::RunGroup(
   }
   for (const auto& ticket : group) {
     TicketState* t = ticket.get();
-    // Admission, strictly in arrival order. Refusals mirror the
-    // synchronous driver: cancellation and deadline first (nothing
-    // charged), then identity before validation (unknown callers learn
-    // nothing about the schema), then validity before budget (malformed
-    // queries never consume budget).
+    // Admission, strictly in arrival order. Refusals: cancellation and
+    // deadline first (nothing charged), then identity before validation
+    // (unknown callers learn nothing about the schema), then validity
+    // before budget (malformed queries never consume budget).
     if (t->cancel->cancelled()) {
       Deliver(t, Status::Cancelled("client: cancelled before execution"),
               kNoResponse);

@@ -208,9 +208,9 @@ class QueryTicket {
 /// with the same admission sequence produce bit-identical answers and
 /// ledgers regardless of submitter threading, pool size, scheduler,
 /// priority mix, or how the sequence happened to split into admission
-/// rounds — including the fully synchronous equivalent
-/// (QueryEngine::ExecuteBatch of the same sequence). Priorities and
-/// deadlines reorder *scheduling* within a round, never admission.
+/// rounds — including a single-threaded phase-barrier client fed the
+/// same sequence through one SubmitAll. Priorities and deadlines reorder
+/// *scheduling* within a round, never admission.
 ///
 /// Cancellation refunds the unspent budget shares per the paper's
 /// composition accounting (see QueryTicket::Cancel). Destruction drains:
@@ -289,8 +289,8 @@ class FederationClient {
   QueryTicket Submit(QuerySpec spec);
 
   /// Atomically enqueues several specs with contiguous arrival sequence
-  /// numbers — the multi-query submission primitive the synchronous shim
-  /// (QueryEngine::ExecuteBatch) is built on.
+  /// numbers, so a batch is one uninterrupted slice of the admission
+  /// sequence (what a synchronous replay submits and then waits on).
   std::vector<QueryTicket> SubmitAll(std::vector<QuerySpec> specs);
 
   /// Runs `job` on the admission thread, serialized into the arrival

@@ -12,7 +12,7 @@ namespace fedaqp {
 /// ProviderEndpoint adapter over an in-process DataProvider. A mutex
 /// serializes every call: the underlying provider mutates its private RNG
 /// stream and is not itself thread-safe, while endpoints may be shared
-/// between an orchestrator and a QueryEngine running on a pool.
+/// between an orchestrator and a FederationClient running on a pool.
 class InProcessEndpoint : public ProviderEndpoint {
  public:
   /// Wraps `provider` (not owned; must outlive the endpoint).

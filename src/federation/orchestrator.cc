@@ -504,13 +504,6 @@ void RunBatchTaskGraph(const BatchContext& ctx, ThreadPool* pool,
   graph.Run();
   stats->critical_path_seconds = graph.CriticalPathSeconds();
   stats->num_tasks = graph.num_tasks();
-  const SchedulerStats sched = graph.scheduler_stats();
-  stats->sched_steals = sched.steals;
-  stats->sched_local_pops = sched.local_pops;
-  stats->sched_urgent_pops = sched.urgent_pops;
-  stats->sched_backlog_pops = sched.backlog_pops;
-  stats->sched_parked_peak = sched.parked_peak;
-  stats->sched_sharded = sched.sharded;
 }
 
 }  // namespace
@@ -579,9 +572,8 @@ Result<QueryOrchestrator> QueryOrchestrator::CreateFromEndpoints(
 
 Result<QueryResponse> QueryOrchestrator::Execute(const RangeQuery& query) {
   // Sec. 5.4: every answered query charges its full (eps, delta) against
-  // the analyst's (xi, psi) grant, refused once exhausted; the shared
-  // admission driver validates first so malformed input never consumes
-  // budget.
+  // the analyst's (xi, psi) grant, refused once exhausted; ExecuteBatch
+  // validates first so malformed input never consumes budget.
   std::vector<BatchOutcome> outcomes = ExecuteBatch({query});
   if (!outcomes[0].status.ok()) return outcomes[0].status;
   return std::move(outcomes[0].response);
@@ -589,57 +581,31 @@ Result<QueryResponse> QueryOrchestrator::Execute(const RangeQuery& query) {
 
 std::vector<BatchOutcome> QueryOrchestrator::ExecuteBatch(
     const std::vector<RangeQuery>& queries) {
-  return ExecuteBatchWithAdmission(
-      queries, nullptr,
-      [this](size_t) { return accountant_.Charge(config_.per_query_budget); });
-}
-
-std::vector<BatchOutcome> QueryOrchestrator::ExecuteBatchWithAdmission(
-    const std::vector<RangeQuery>& queries,
-    const std::function<Status(size_t)>& precheck,
-    const std::function<Status(size_t)>& charge) {
   // Admission in submission order: validation before charging, so a
   // malformed query never consumes budget, and a refused charge never
   // reaches the providers.
   std::vector<BatchOutcome> outcomes(queries.size());
   std::vector<size_t> admitted;
-  std::vector<RangeQuery> to_run;
+  std::vector<QueryExecSpec> specs;
   admitted.reserve(queries.size());
-  to_run.reserve(queries.size());
+  specs.reserve(queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
-    if (precheck) {
-      Status pre = precheck(q);
-      if (!pre.ok()) {
-        outcomes[q].status = pre;
-        continue;
-      }
-    }
-    Status valid = queries[q].Validate(schema());
-    if (!valid.ok()) {
-      outcomes[q].status = valid;
-      continue;
-    }
-    Status charged = charge(q);
-    if (!charged.ok()) {
-      outcomes[q].status = charged;
+    Status status = queries[q].Validate(schema());
+    if (status.ok()) status = accountant_.Charge(config_.per_query_budget);
+    if (!status.ok()) {
+      outcomes[q].status = status;
       continue;
     }
     admitted.push_back(q);
-    to_run.push_back(queries[q]);
+    specs.emplace_back();
+    specs.back().query = queries[q];
   }
 
-  std::vector<BatchOutcome> ran = ExecuteBatchUncharged(to_run);
+  std::vector<BatchOutcome> ran = ExecuteBatchSpecs(specs);
   for (size_t i = 0; i < admitted.size(); ++i) {
     outcomes[admitted[i]] = std::move(ran[i]);
   }
   return outcomes;
-}
-
-std::vector<BatchOutcome> QueryOrchestrator::ExecuteBatchUncharged(
-    const std::vector<RangeQuery>& queries) {
-  std::vector<QueryExecSpec> specs(queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) specs[q].query = queries[q];
-  return ExecuteBatchSpecs(specs);
 }
 
 std::vector<BatchOutcome> QueryOrchestrator::ExecuteBatchSpecs(
@@ -655,11 +621,11 @@ std::vector<BatchOutcome> QueryOrchestrator::ExecuteBatchSpecs(
 
   // Admission (coordinator, in submission order — deterministic). The
   // re-validation is defense-in-depth for direct callers; queries routed
-  // through ExecuteBatchWithAdmission or the FederationClient arrive
-  // already validated. Session ids come from the submission sequence
-  // alone (exact specs draw from their own tagged namespace), so the
-  // same admission sequence yields the same noise streams regardless of
-  // how it was split into batches.
+  // through ExecuteBatch or the FederationClient arrive already
+  // validated. Session ids come from the submission sequence alone
+  // (exact specs draw from their own tagged namespace), so the same
+  // admission sequence yields the same noise streams regardless of how
+  // it was split into batches.
   std::vector<QueryState> states(num_queries);
   for (size_t q = 0; q < num_queries; ++q) {
     QueryState& st = states[q];
@@ -683,7 +649,6 @@ std::vector<BatchOutcome> QueryOrchestrator::ExecuteBatchSpecs(
       // Nothing is scheduled and nothing is charged to the network.
       st.reserved = true;
       st.id = next_query_id_++;
-      accountant_.RecordSaving(st.budget);
       continue;
     }
     st.active = true;

@@ -122,27 +122,16 @@ struct QueryResponse {
   std::vector<size_t> allocation;
 };
 
-/// Wall-clock profile of the most recent ExecuteBatch* call, for benches
-/// comparing schedulers. `critical_path_seconds` is the longest
-/// dependency chain weighted by measured per-task seconds — the latency
-/// floor no parallelism can beat; under the barrier scheduler (which has
-/// no task graph to walk) it equals the measured wall time.
+/// Wall-clock profile of the most recent batch, for benches comparing
+/// schedulers. `critical_path_seconds` is the longest dependency chain
+/// weighted by measured per-task seconds — the latency floor no
+/// parallelism can beat; under the barrier scheduler (which has no task
+/// graph to walk) it equals the measured wall time. The task graph's
+/// ready-queue profile lives in the metric registry (`scheduler.*`).
 struct BatchRunStats {
   double wall_seconds = 0.0;
   double critical_path_seconds = 0.0;
   size_t num_tasks = 0;
-  /// Ready-queue profile of the task-graph run (all zero under the
-  /// barrier scheduler): cross-shard steals, own-shard (cache-hot) pops,
-  /// central urgent/backlog heap pops, and the peak number of nodes
-  /// simultaneously parked behind endpoint admission gates.
-  uint64_t sched_steals = 0;
-  uint64_t sched_local_pops = 0;
-  uint64_t sched_urgent_pops = 0;
-  uint64_t sched_backlog_pops = 0;
-  uint64_t sched_parked_peak = 0;
-  /// True when the sharded work-stealing ready queue was active (2+
-  /// pool workers); false for the centralized strict-total-order drain.
-  bool sched_sharded = false;
 };
 
 /// One query's result inside a batch: either a response or the status that
@@ -203,11 +192,14 @@ struct QueryExecSpec {
 /// simulated network per message. Batch execution builds a (query,
 /// provider, phase, shard) task graph drained by a fixed-size thread pool
 /// when `FederationConfig::num_threads` > 1 (`scheduler` selects the
-/// legacy phase-barrier path instead; answers are identical either way).
+/// reference phase-barrier path instead; answers are identical either
+/// way). Execute, ExecuteBatch, ExecuteExact and the FederationClient all
+/// run through ExecuteBatchSpecs.
 ///
 /// Concurrency: one orchestrator parallelizes *across providers* but its
-/// public methods are not themselves thread-safe; callers (QueryEngine)
-/// issue queries from a single coordinating thread.
+/// public methods are not themselves thread-safe; callers (the
+/// FederationClient's admission thread) issue queries from a single
+/// coordinating thread.
 class QueryOrchestrator {
  public:
   /// In-process convenience: wraps each DataProvider in an
@@ -238,35 +230,16 @@ class QueryOrchestrator {
 
   /// Batch variant of Execute: validates and charges each query in
   /// submission order against this orchestrator's own accountant (refused
-  /// queries get a per-outcome status), then runs the admitted ones with
-  /// providers pipelined across the pool.
+  /// queries get a per-outcome status), then runs the admitted ones as
+  /// one ExecuteBatchSpecs batch. Outcomes align with `queries`.
   std::vector<BatchOutcome> ExecuteBatch(const std::vector<RangeQuery>& queries);
 
-  /// Shared admission driver used by ExecuteBatch and the session layer.
-  /// Per query, in submission order: `precheck(i)` (identity refusals —
-  /// run before validation so unknown callers learn nothing about the
-  /// schema; pass nullptr to skip), then schema validation, then
-  /// `charge(i)` (budget; only reached by valid queries). Refused entries
-  /// carry their status; the admitted remainder runs as one batch, with
-  /// outcomes scattered back positionally.
-  std::vector<BatchOutcome> ExecuteBatchWithAdmission(
-      const std::vector<RangeQuery>& queries,
-      const std::function<Status(size_t)>& precheck,
-      const std::function<Status(size_t)>& charge);
-
-  /// Executes `queries` as one batch, overlapping different queries'
-  /// provider work across the pool (endpoint i can be on query q+1's
-  /// cover while endpoint j still runs query q's estimate — under the
-  /// task-graph scheduler there is no barrier between phases at all).
-  /// Does NOT charge the orchestrator's own accountant — the session
-  /// layer (QueryEngine) performs per-analyst admission before calling
-  /// this. Outcomes are positionally aligned with `queries`.
-  std::vector<BatchOutcome> ExecuteBatchUncharged(
-      const std::vector<RangeQuery>& queries);
-
-  /// Spec-level batch execution: the full surface the async session layer
-  /// drives. Like ExecuteBatchUncharged (no orchestrator-side budget
-  /// charging; the caller admits), but each entry carries its own
+  /// The batch executor: runs `specs` as one batch, overlapping different
+  /// queries' provider work across the pool (endpoint i can be on query
+  /// q+1's cover while endpoint j still runs query q's estimate — under
+  /// the task-graph scheduler there is no barrier between phases at all).
+  /// Charges nothing: the caller (ExecuteBatch, or the FederationClient's
+  /// per-analyst ledger) admits. Each entry carries its own
   /// exact/approximate flavor, scheduling urgency, cancellation token,
   /// and completion callback. Under the task-graph scheduler, session
   /// cleanup (EndQuery) is pipelined as per-endpoint kRelease nodes of

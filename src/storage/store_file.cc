@@ -13,13 +13,12 @@
 #include "common/bytes.h"
 #include "obs/metrics.h"
 #include "storage/cluster_store.h"
-#include "storage/persistence.h"
 
 namespace fedaqp {
 
 namespace {
 
-constexpr uint32_t kMappedMagic = kMappedStoreMagic;
+constexpr uint32_t kMappedMagic = 0xFEDA0003;
 constexpr uint32_t kMappedVersion = 1;
 /// Upper bound on rows per cluster accepted from a file: a directory is
 /// attacker-shaped until validated, and a width-0 (constant) column would
@@ -38,6 +37,25 @@ void AddMappedBytes(int64_t delta) {
   static obs::Gauge* gauge =
       obs::MetricRegistry::Global().GetGauge("storage.bytes_mapped");
   gauge->Set(static_cast<double>(now));
+}
+
+void SerializeSchema(const Schema& schema, ByteWriter* w) {
+  w->PutU32(static_cast<uint32_t>(schema.num_dims()));
+  for (const auto& d : schema.dims()) {
+    w->PutString(d.name);
+    w->PutI64(d.domain_size);
+  }
+}
+
+Result<Schema> DeserializeSchema(ByteReader* r) {
+  FEDAQP_ASSIGN_OR_RETURN(uint32_t n, r->GetU32());
+  Schema schema;
+  for (uint32_t i = 0; i < n; ++i) {
+    FEDAQP_ASSIGN_OR_RETURN(std::string name, r->GetString());
+    FEDAQP_ASSIGN_OR_RETURN(int64_t domain, r->GetI64());
+    FEDAQP_RETURN_IF_ERROR(schema.AddDimension(name, domain));
+  }
+  return schema;
 }
 
 uint8_t BytesForUnsigned(uint64_t max_value) {

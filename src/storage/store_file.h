@@ -27,10 +27,6 @@ class ClusterStore;
 ///           uniform).
 enum class ColumnEncoding : uint8_t { kFor = 0, kDelta = 1 };
 
-/// Magic tag of the mapped store format (persistence.cc sniffs it so
-/// LoadClusterStore can route either store format transparently).
-constexpr uint32_t kMappedStoreMagic = 0xFEDA0003;
-
 /// A read-only, mmap-backed cluster store file:
 ///
 ///   [u32 magic][u32 version]

@@ -377,7 +377,9 @@ RunOutcome RunCacheWorkload(bool enable_cache, size_t threads,
     // Sequential mode: every query is its own round, so hits always link
     // to terminal entries. Same-round mode batches everything into one
     // round, exercising the deferred (pending same-round purchase) path.
-    if (!same_round) EXPECT_TRUE(tickets.back().Wait().ok());
+    if (!same_round) {
+      EXPECT_TRUE(tickets.back().Wait().ok());
+    }
   }
   if (same_round) client->Resume();
   client->WaitIdle();

@@ -12,7 +12,6 @@
 
 #include "common/math.h"
 #include "common/rng.h"
-#include "dp/geometric.h"
 #include "dp/sensitivity.h"
 #include "dp/snapping.h"
 #include "federation/provider.h"
@@ -131,26 +130,6 @@ TEST(DpCalibrationTest, ApproximatePathNoiseTracksReportedSensitivity) {
   EXPECT_NEAR(noised.mean(), clean.mean(),
               4.0 * std::sqrt(expected_total_var / 4000.0) +
                   0.01 * std::abs(clean.mean()));
-}
-
-TEST(DpCalibrationTest, GeometricScaleTracksEpsilon) {
-  // stddev of the two-sided geometric ~ sqrt(2 alpha)/(1-alpha),
-  // alpha = exp(-eps). Check the eps ordering across a sweep.
-  Rng rng(3);
-  double prev_sd = 1e18;
-  for (double eps : {0.2, 0.5, 1.0, 2.0}) {
-    Result<GeometricMechanism> m = GeometricMechanism::Create(eps, 1.0);
-    ASSERT_TRUE(m.ok());
-    RunningStats st;
-    for (int i = 0; i < 40000; ++i) {
-      st.Add(static_cast<double>(m->AddNoise(0, &rng)));
-    }
-    double alpha = std::exp(-eps);
-    double expected_sd = std::sqrt(2.0 * alpha) / (1.0 - alpha);
-    EXPECT_NEAR(st.stddev(), expected_sd, expected_sd * 0.1) << eps;
-    EXPECT_LT(st.stddev(), prev_sd);
-    prev_sd = st.stddev();
-  }
 }
 
 TEST(DpCalibrationTest, SnappingScaleTracksEpsilon) {

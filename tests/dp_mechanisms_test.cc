@@ -1,6 +1,6 @@
-// Unit tests for the DP mechanisms: Laplace, geometric, snapping and the
-// Exponential Mechanism, including statistical checks of their noise
-// distributions under fixed seeds.
+// Unit tests for the DP mechanisms: Laplace, snapping and the Exponential
+// Mechanism, including statistical checks of their noise distributions
+// under fixed seeds.
 
 #include <cmath>
 #include <vector>
@@ -10,7 +10,6 @@
 #include "common/math.h"
 #include "common/rng.h"
 #include "dp/exponential.h"
-#include "dp/geometric.h"
 #include "dp/laplace.h"
 #include "dp/snapping.h"
 
@@ -73,40 +72,6 @@ TEST(LaplaceTest, TailDecaysExponentially) {
   }
   EXPECT_NEAR(beyond2 / static_cast<double>(n), std::exp(-2.0), 0.01);
   EXPECT_NEAR(beyond4 / static_cast<double>(n), std::exp(-4.0), 0.005);
-}
-
-// ------------------------------------------------------------- Geometric --
-
-TEST(GeometricTest, CreateValidatesInputs) {
-  EXPECT_TRUE(GeometricMechanism::Create(1.0, 1.0).ok());
-  EXPECT_FALSE(GeometricMechanism::Create(0.0, 1.0).ok());
-  EXPECT_FALSE(GeometricMechanism::Create(1.0, -1.0).ok());
-}
-
-TEST(GeometricTest, NoiseIsIntegerAndZeroMean) {
-  Rng rng(113);
-  Result<GeometricMechanism> m = GeometricMechanism::Create(0.5, 1.0);
-  ASSERT_TRUE(m.ok());
-  RunningStats st;
-  for (int i = 0; i < 100000; ++i) {
-    int64_t v = m->AddNoise(10, &rng);
-    st.Add(static_cast<double>(v));
-  }
-  EXPECT_NEAR(st.mean(), 10.0, 0.1);
-}
-
-TEST(GeometricTest, LargerEpsilonMeansLessNoise) {
-  Rng rng(127);
-  Result<GeometricMechanism> loose = GeometricMechanism::Create(0.1, 1.0);
-  Result<GeometricMechanism> tight = GeometricMechanism::Create(2.0, 1.0);
-  ASSERT_TRUE(loose.ok());
-  ASSERT_TRUE(tight.ok());
-  RunningStats sl, st;
-  for (int i = 0; i < 50000; ++i) {
-    sl.Add(static_cast<double>(loose->AddNoise(0, &rng)));
-    st.Add(static_cast<double>(tight->AddNoise(0, &rng)));
-  }
-  EXPECT_GT(sl.stddev(), st.stddev() * 5.0);
 }
 
 // -------------------------------------------------------------- Snapping --

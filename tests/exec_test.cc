@@ -1,6 +1,6 @@
 // Tests for the execution layer: thread pool, provider endpoints, the
 // parallel orchestrator phases (determinism + cost aggregation), and the
-// multi-analyst QueryEngine session layer.
+// multi-analyst FederationClient session layer driven synchronously.
 
 #include <atomic>
 #include <chrono>
@@ -19,8 +19,8 @@
 
 #include "core/federation.h"
 #include "dp/accountant.h"
+#include "exec/federation_client.h"
 #include "exec/in_process_endpoint.h"
-#include "exec/query_engine.h"
 #include "exec/thread_pool.h"
 #include "federation/orchestrator.h"
 #include "federation/progressive.h"
@@ -274,6 +274,23 @@ FederationConfig BaseConfig(size_t num_threads) {
 
 RangeQuery WideQuery() {
   return RangeQueryBuilder(Aggregation::kSum).Where(0, 20, 180).Build();
+}
+
+/// Submits `specs` as one contiguous slice of the client's admission
+/// sequence and waits for every ticket; outcomes align with `specs`.
+std::vector<BatchOutcome> SubmitAndWait(FederationClient* client,
+                                        std::vector<QuerySpec> specs) {
+  std::vector<QueryTicket> tickets = client->SubmitAll(std::move(specs));
+  std::vector<BatchOutcome> outcomes(tickets.size());
+  for (size_t i = 0; i < tickets.size(); ++i) {
+    Result<QueryResponse> result = tickets[i].Wait();
+    if (result.ok()) {
+      outcomes[i].response = std::move(result).value();
+    } else {
+      outcomes[i].status = result.status();
+    }
+  }
+  return outcomes;
 }
 
 // --------------------------------------------------------- InProcessEndpoint --
@@ -549,7 +566,7 @@ TEST(ParallelDeterminismTest, EngineBatchIdenticalAcrossPoolSizes) {
   // A mixed batch from two analysts, including an over-budget entry whose
   // refusal must also be stable.
   auto make_batch = [] {
-    std::vector<AnalystQuery> batch;
+    std::vector<QuerySpec> batch;
     for (int i = 0; i < 3; ++i) {
       batch.push_back({"alice",
                        RangeQueryBuilder(Aggregation::kSum)
@@ -567,13 +584,14 @@ TEST(ParallelDeterminismTest, EngineBatchIdenticalAcrossPoolSizes) {
   std::vector<std::vector<bool>> admitted_by_pool;
   for (size_t threads : pool_sizes) {
     auto providers = MakeFederation(kProviders);
-    QueryEngineOptions opts;
+    FederationClient::Options opts;
     opts.protocol = BaseConfig(threads);
     opts.analysts = {{"alice", 1e6, 1e3}, {"bob", 2.5, 1.0}};
-    Result<std::unique_ptr<QueryEngine>> engine =
-        QueryEngine::Create(Ptrs(providers), opts);
-    ASSERT_TRUE(engine.ok());
-    std::vector<BatchOutcome> outcomes = (*engine)->ExecuteBatch(make_batch());
+    Result<std::unique_ptr<FederationClient>> client =
+        FederationClient::Create(Ptrs(providers), opts);
+    ASSERT_TRUE(client.ok());
+    std::vector<BatchOutcome> outcomes =
+        SubmitAndWait(client->get(), make_batch());
     std::vector<double> estimates;
     std::vector<bool> admitted;
     for (const auto& out : outcomes) {
@@ -766,88 +784,88 @@ TEST(ParallelDeterminismTest, BatchMatchesSequentialExecution) {
   }
 }
 
-// -------------------------------------------------------------- QueryEngine --
+// ------------------------------------------------ FederationClient sessions --
 
-TEST(QueryEngineTest, UnknownAnalystIsRefusedWithoutProviderWork) {
+TEST(ClientSessionTest, UnknownAnalystIsRefusedWithoutProviderWork) {
   auto providers = MakeFederation(2);
-  QueryEngineOptions opts;
+  FederationClient::Options opts;
   opts.protocol = BaseConfig(1);
   opts.analysts = {{"alice", 10.0, 1.0}};
-  Result<std::unique_ptr<QueryEngine>> engine =
-      QueryEngine::Create(Ptrs(providers), opts);
-  ASSERT_TRUE(engine.ok());
-  Result<QueryResponse> resp = (*engine)->Execute("mallory", WideQuery());
+  Result<std::unique_ptr<FederationClient>> client =
+      FederationClient::Create(Ptrs(providers), opts);
+  ASSERT_TRUE(client.ok());
+  Result<QueryResponse> resp =
+      (*client)->Submit({"mallory", WideQuery()}).Wait();
   EXPECT_EQ(resp.status().code(), StatusCode::kNotFound);
 }
 
-TEST(QueryEngineTest, InvalidQuerySpendsNoBudget) {
+TEST(ClientSessionTest, InvalidQuerySpendsNoBudget) {
   auto providers = MakeFederation(2);
-  QueryEngineOptions opts;
+  FederationClient::Options opts;
   opts.protocol = BaseConfig(1);
   opts.analysts = {{"alice", 10.0, 1.0}};
-  Result<std::unique_ptr<QueryEngine>> engine =
-      QueryEngine::Create(Ptrs(providers), opts);
-  ASSERT_TRUE(engine.ok());
+  Result<std::unique_ptr<FederationClient>> client =
+      FederationClient::Create(Ptrs(providers), opts);
+  ASSERT_TRUE(client.ok());
   RangeQuery bad = RangeQueryBuilder(Aggregation::kCount).Where(99, 0, 1).Build();
-  EXPECT_FALSE((*engine)->Execute("alice", bad).ok());
-  Result<PrivacyBudget> spent = (*engine)->ledger().Spent("alice");
+  EXPECT_FALSE((*client)->Submit({"alice", bad}).Wait().ok());
+  Result<PrivacyBudget> spent = (*client)->ledger().Spent("alice");
   ASSERT_TRUE(spent.ok());
   EXPECT_DOUBLE_EQ(spent->epsilon, 0.0);
 }
 
-TEST(QueryEngineTest, PerAnalystBudgetsEnforcedWithinOneBatch) {
+TEST(ClientSessionTest, PerAnalystBudgetsEnforcedWithinOneBatch) {
   auto providers = MakeFederation(2);
-  QueryEngineOptions opts;
+  FederationClient::Options opts;
   opts.protocol = BaseConfig(2);
   opts.analysts = {{"alice", 1.5, 1.0}, {"bob", 1e6, 1e3}};
-  Result<std::unique_ptr<QueryEngine>> engine =
-      QueryEngine::Create(Ptrs(providers), opts);
-  ASSERT_TRUE(engine.ok());
+  Result<std::unique_ptr<FederationClient>> client =
+      FederationClient::Create(Ptrs(providers), opts);
+  ASSERT_TRUE(client.ok());
 
-  std::vector<AnalystQuery> batch = {
+  std::vector<QuerySpec> batch = {
       {"alice", WideQuery()},  // admitted (1.0 of 1.5)
       {"bob", WideQuery()},    // admitted
       {"alice", WideQuery()},  // refused: would exceed alice's xi
       {"bob", WideQuery()},    // admitted: bob unaffected
   };
-  std::vector<BatchOutcome> outcomes = (*engine)->ExecuteBatch(batch);
+  std::vector<BatchOutcome> outcomes = SubmitAndWait(client->get(), batch);
   ASSERT_EQ(outcomes.size(), 4u);
   EXPECT_TRUE(outcomes[0].ok());
   EXPECT_TRUE(outcomes[1].ok());
   EXPECT_EQ(outcomes[2].status.code(), StatusCode::kBudgetExhausted);
   EXPECT_TRUE(outcomes[3].ok());
 
-  Result<PrivacyBudget> alice = (*engine)->ledger().Spent("alice");
+  Result<PrivacyBudget> alice = (*client)->ledger().Spent("alice");
   ASSERT_TRUE(alice.ok());
   EXPECT_DOUBLE_EQ(alice->epsilon, 1.0);
-  Result<PrivacyBudget> bob = (*engine)->ledger().Spent("bob");
+  Result<PrivacyBudget> bob = (*client)->ledger().Spent("bob");
   ASSERT_TRUE(bob.ok());
   EXPECT_DOUBLE_EQ(bob->epsilon, 2.0);
 }
 
-TEST(QueryEngineTest, LateRegistrationAdmitsNewAnalyst) {
+TEST(ClientSessionTest, LateRegistrationAdmitsNewAnalyst) {
   auto providers = MakeFederation(2);
-  QueryEngineOptions opts;
+  FederationClient::Options opts;
   opts.protocol = BaseConfig(1);
-  Result<std::unique_ptr<QueryEngine>> engine =
-      QueryEngine::Create(Ptrs(providers), opts);
-  ASSERT_TRUE(engine.ok());
-  EXPECT_FALSE((*engine)->Execute("carol", WideQuery()).ok());
-  ASSERT_TRUE((*engine)->RegisterAnalyst("carol", 10.0, 1.0).ok());
-  EXPECT_TRUE((*engine)->Execute("carol", WideQuery()).ok());
+  Result<std::unique_ptr<FederationClient>> client =
+      FederationClient::Create(Ptrs(providers), opts);
+  ASSERT_TRUE(client.ok());
+  EXPECT_FALSE((*client)->Submit({"carol", WideQuery()}).Wait().ok());
+  ASSERT_TRUE((*client)->RegisterAnalyst("carol", 10.0, 1.0).ok());
+  EXPECT_TRUE((*client)->Submit({"carol", WideQuery()}).Wait().ok());
 }
 
-TEST(QueryEngineTest, BatchResponsesCarryBreakdowns) {
+TEST(ClientSessionTest, BatchResponsesCarryBreakdowns) {
   auto providers = MakeFederation(3);
-  QueryEngineOptions opts;
+  FederationClient::Options opts;
   opts.protocol = BaseConfig(2);
   opts.analysts = {{"alice", 1e6, 1e3}};
-  Result<std::unique_ptr<QueryEngine>> engine =
-      QueryEngine::Create(Ptrs(providers), opts);
-  ASSERT_TRUE(engine.ok());
-  std::vector<AnalystQuery> batch = {{"alice", WideQuery()},
-                                     {"alice", WideQuery()}};
-  std::vector<BatchOutcome> outcomes = (*engine)->ExecuteBatch(batch);
+  Result<std::unique_ptr<FederationClient>> client =
+      FederationClient::Create(Ptrs(providers), opts);
+  ASSERT_TRUE(client.ok());
+  std::vector<BatchOutcome> outcomes = SubmitAndWait(
+      client->get(), {{"alice", WideQuery()}, {"alice", WideQuery()}});
   for (const auto& out : outcomes) {
     ASSERT_TRUE(out.ok());
     EXPECT_GT(out.response.breakdown.network_messages, 0u);

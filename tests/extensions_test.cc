@@ -1,72 +1,18 @@
-// Tests for the extension substrates: Gaussian mechanism, Shamir threshold
-// sharing, stratified sampling and storage persistence.
+// Tests for the extension substrates: Shamir threshold sharing and
+// stratified sampling.
 
-#include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <set>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/math.h"
 #include "common/rng.h"
-#include "dp/gaussian.h"
-#include "dp/laplace.h"
 #include "sampling/stratified.h"
 #include "smc/shamir.h"
-#include "storage/persistence.h"
-#include "workload/datagen.h"
 
 namespace fedaqp {
 namespace {
-
-// ---------------------------------------------------------------- Gaussian
-
-TEST(GaussianTest, CreateValidatesInputs) {
-  EXPECT_TRUE(GaussianMechanism::Create(0.5, 1e-5, 1.0).ok());
-  EXPECT_FALSE(GaussianMechanism::Create(0.0, 1e-5, 1.0).ok());
-  EXPECT_FALSE(GaussianMechanism::Create(1.5, 1e-5, 1.0).ok());  // eps >= 1
-  EXPECT_FALSE(GaussianMechanism::Create(0.5, 0.0, 1.0).ok());
-  EXPECT_FALSE(GaussianMechanism::Create(0.5, 1e-5, 0.0).ok());
-}
-
-TEST(GaussianTest, SigmaMatchesClassicCalibration) {
-  Result<GaussianMechanism> m = GaussianMechanism::Create(0.5, 1e-5, 2.0);
-  ASSERT_TRUE(m.ok());
-  EXPECT_NEAR(m->sigma(), std::sqrt(2.0 * std::log(1.25 / 1e-5)) * 2.0 / 0.5,
-              1e-12);
-}
-
-TEST(GaussianTest, EmpiricalMomentsMatchSigma) {
-  Result<GaussianMechanism> m = GaussianMechanism::Create(0.9, 1e-4, 1.0);
-  ASSERT_TRUE(m.ok());
-  Rng rng(11);
-  RunningStats st;
-  for (int i = 0; i < 60000; ++i) st.Add(m->AddNoise(100.0, &rng));
-  EXPECT_NEAR(st.mean(), 100.0, 0.1);
-  EXPECT_NEAR(st.stddev(), m->sigma(), m->sigma() * 0.03);
-}
-
-TEST(GaussianTest, LighterTailsThanLaplaceAtMatchedScale) {
-  // At matched standard deviation, Gaussian exceeds 4 sd far less often
-  // than Laplace — the practical argument for it on small answers.
-  Rng rng(13);
-  Result<GaussianMechanism> g = GaussianMechanism::Create(0.5, 1e-4, 1.0);
-  ASSERT_TRUE(g.ok());
-  double sd = g->sigma();
-  double laplace_scale = sd / std::sqrt(2.0);
-  int gauss_tail = 0, laplace_tail = 0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) {
-    if (std::abs(g->AddNoise(0.0, &rng)) > 4.0 * sd) ++gauss_tail;
-    if (std::abs(SampleLaplace(laplace_scale, &rng)) > 4.0 * sd) {
-      ++laplace_tail;
-    }
-  }
-  EXPECT_LT(gauss_tail * 10, laplace_tail + 10);
-}
 
 // ------------------------------------------------------------------ Shamir
 
@@ -187,7 +133,9 @@ TEST(StratifiedTest, EveryNonEmptyStratumGetsADraw) {
   Result<StratifiedPlan> plan = BuildStratifiedPlan(props, 3, 3);
   ASSERT_TRUE(plan.ok());
   for (size_t h = 0; h < plan->members.size(); ++h) {
-    if (!plan->members[h].empty()) EXPECT_GE(plan->allocation[h], 1u);
+    if (!plan->members[h].empty()) {
+      EXPECT_GE(plan->allocation[h], 1u);
+    }
   }
 }
 
@@ -214,101 +162,6 @@ TEST(StratifiedTest, EstimatorIsUnbiasedOnKnownPopulation) {
     means.Add(est);
   }
   EXPECT_NEAR(means.mean(), truth, truth * 0.02);
-}
-
-// ------------------------------------------------------------- Persistence
-
-class PersistenceTest : public ::testing::Test {
- protected:
-  std::string Path(const std::string& name) {
-    return testing::TempDir() + "/fedaqp_" + name;
-  }
-
-  Table MakeTable() {
-    SyntheticConfig cfg;
-    cfg.rows = 500;
-    cfg.seed = 41;
-    cfg.dims = {{"x", 30, DistributionKind::kZipf, 1.3},
-                {"y", 20, DistributionKind::kUniform, 0.0}};
-    Result<Table> t = GenerateSynthetic(cfg);
-    EXPECT_TRUE(t.ok());
-    Result<Table> tensor = t->BuildCountTensor({0, 1});
-    EXPECT_TRUE(tensor.ok());
-    return std::move(tensor).value();
-  }
-};
-
-TEST_F(PersistenceTest, TableRoundTrip) {
-  Table t = MakeTable();
-  std::string path = Path("table.bin");
-  ASSERT_TRUE(SaveTable(t, path).ok());
-  Result<Table> back = LoadTable(path);
-  ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(back->schema() == t.schema());
-  ASSERT_EQ(back->num_rows(), t.num_rows());
-  for (size_t i = 0; i < t.num_rows(); ++i) {
-    EXPECT_EQ(back->row(i).values, t.row(i).values);
-    EXPECT_EQ(back->row(i).measure, t.row(i).measure);
-  }
-  std::remove(path.c_str());
-}
-
-TEST_F(PersistenceTest, ClusterStoreRoundTripPreservesContent) {
-  Table t = MakeTable();
-  ClusterStoreOptions opts;
-  opts.cluster_capacity = 64;
-  opts.layout = ClusterLayout::kShuffled;
-  opts.shuffle_seed = 5;
-  Result<ClusterStore> store = ClusterStore::Build(t, opts);
-  ASSERT_TRUE(store.ok());
-  std::string path = Path("store.bin");
-  ASSERT_TRUE(SaveClusterStore(*store, path).ok());
-  Result<ClusterStore> back = LoadClusterStore(path);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->num_clusters(), store->num_clusters());
-  EXPECT_EQ(back->TotalRows(), store->TotalRows());
-  EXPECT_EQ(back->options().cluster_capacity, 64u);
-  // Content-identical clusters: same rows in the same physical order, so
-  // query results and min/max boxes agree exactly.
-  RangeQuery q = RangeQueryBuilder(Aggregation::kSum).Where(0, 3, 20).Build();
-  EXPECT_EQ(back->EvaluateExact(q), store->EvaluateExact(q));
-  for (size_t c = 0; c < store->num_clusters(); ++c) {
-    EXPECT_EQ(back->cluster(c).num_rows(), store->cluster(c).num_rows());
-    EXPECT_EQ(back->cluster(c).MinValue(0), store->cluster(c).MinValue(0));
-    EXPECT_EQ(back->cluster(c).MaxValue(1), store->cluster(c).MaxValue(1));
-  }
-  std::remove(path.c_str());
-}
-
-TEST_F(PersistenceTest, LoadRejectsMissingAndCorruptFiles) {
-  EXPECT_EQ(LoadTable(Path("nope.bin")).status().code(), StatusCode::kNotFound);
-
-  // Wrong magic.
-  Table t = MakeTable();
-  std::string path = Path("corrupt.bin");
-  ASSERT_TRUE(SaveClusterStore(
-                  *ClusterStore::Build(t, ClusterStoreOptions{}), path)
-                  .ok());
-  EXPECT_FALSE(LoadTable(path).ok());  // store magic != table magic
-
-  // Truncation.
-  {
-    Result<std::vector<Table>> unused = t.PartitionHorizontally(1);
-    (void)unused;
-    std::string table_path = Path("trunc.bin");
-    ASSERT_TRUE(SaveTable(t, table_path).ok());
-    // Rewrite with only the first 16 bytes.
-    std::ifstream in(table_path, std::ios::binary);
-    char buf[16];
-    in.read(buf, sizeof(buf));
-    in.close();
-    std::ofstream out(table_path, std::ios::binary | std::ios::trunc);
-    out.write(buf, sizeof(buf));
-    out.close();
-    EXPECT_FALSE(LoadTable(table_path).ok());
-    std::remove(table_path.c_str());
-  }
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -22,7 +22,6 @@
 
 #include "exec/federation_client.h"
 #include "exec/in_process_endpoint.h"
-#include "exec/query_engine.h"
 #include "exec/task_graph.h"
 #include "exec/thread_pool.h"
 #include "federation/orchestrator.h"
@@ -91,8 +90,9 @@ RangeQuery WideQuery(int shift = 0) {
 
 // ------------------------------------------------- determinism vs sync path --
 
-// One submitter, one spec at a time: the async client's answers and
-// ledger must equal the synchronous engine's for the same sequence.
+// One submitter, one spec at a time: the pooled task-graph client's
+// answers must equal a single-threaded phase-barrier client's for the same
+// sequence.
 TEST(FederationClientTest, SubmitWaitMatchesSynchronousEngine) {
   std::vector<RangeQuery> queries = {WideQuery(0), WideQuery(2), WideQuery(5)};
 
@@ -114,14 +114,14 @@ TEST(FederationClientTest, SubmitWaitMatchesSynchronousEngine) {
   }
 
   auto sync_providers = MakeFederation(3);
-  QueryEngineOptions eopts;
-  eopts.protocol = BaseConfig(1, BatchScheduler::kPhaseBarrier);
-  eopts.analysts = {{"alice", 1e6, 1e3}};
-  Result<std::unique_ptr<QueryEngine>> engine =
-      QueryEngine::Create(Ptrs(sync_providers), eopts);
-  ASSERT_TRUE(engine.ok());
+  FederationClient::Options sync_opts;
+  sync_opts.protocol = BaseConfig(1, BatchScheduler::kPhaseBarrier);
+  sync_opts.analysts = {{"alice", 1e6, 1e3}};
+  Result<std::unique_ptr<FederationClient>> sync =
+      FederationClient::Create(Ptrs(sync_providers), sync_opts);
+  ASSERT_TRUE(sync.ok());
   for (size_t i = 0; i < queries.size(); ++i) {
-    Result<QueryResponse> resp = (*engine)->Execute("alice", queries[i]);
+    Result<QueryResponse> resp = (*sync)->Submit({"alice", queries[i]}).Wait();
     ASSERT_TRUE(resp.ok());
     EXPECT_EQ(resp->estimate, async_estimates[i]) << "query " << i;
   }
@@ -201,7 +201,7 @@ void RunSubmitterStress(size_t pool_threads, BatchScheduler scheduler,
             [](const QueryTicket& a, const QueryTicket& b) {
               return a.id() < b.id();
             });
-  std::vector<AnalystQuery> sequence;
+  std::vector<QuerySpec> sequence;
   std::vector<double> async_estimates;
   for (QueryTicket& ticket : tickets) {
     Result<QueryResponse> resp = ticket.Wait();
@@ -210,25 +210,27 @@ void RunSubmitterStress(size_t pool_threads, BatchScheduler scheduler,
     async_estimates.push_back(resp->estimate);
   }
 
-  // Synchronous replay of that sequence on an identical federation.
+  // Synchronous replay of that sequence on an identical federation: one
+  // SubmitAll on a single-threaded phase-barrier client.
   auto replay_providers = MakeFederation(3);
-  QueryEngineOptions eopts;
-  eopts.protocol = BaseConfig(1, BatchScheduler::kPhaseBarrier);
-  eopts.analysts = copts.analysts;
-  Result<std::unique_ptr<QueryEngine>> engine =
-      QueryEngine::Create(Ptrs(replay_providers), eopts);
-  ASSERT_TRUE(engine.ok());
-  std::vector<BatchOutcome> outcomes = (*engine)->ExecuteBatch(sequence);
-  ASSERT_EQ(outcomes.size(), async_estimates.size());
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    ASSERT_TRUE(outcomes[i].ok());
-    EXPECT_EQ(outcomes[i].response.estimate, async_estimates[i])
+  FederationClient::Options ropts;
+  ropts.protocol = BaseConfig(1, BatchScheduler::kPhaseBarrier);
+  ropts.analysts = copts.analysts;
+  Result<std::unique_ptr<FederationClient>> replay =
+      FederationClient::Create(Ptrs(replay_providers), ropts);
+  ASSERT_TRUE(replay.ok());
+  std::vector<QueryTicket> replayed = (*replay)->SubmitAll(std::move(sequence));
+  ASSERT_EQ(replayed.size(), async_estimates.size());
+  for (size_t i = 0; i < replayed.size(); ++i) {
+    Result<QueryResponse> resp = replayed[i].Wait();
+    ASSERT_TRUE(resp.ok());
+    EXPECT_EQ(resp->estimate, async_estimates[i])
         << "admission position " << i;
   }
   for (size_t s = 0; s < kSubmitters; ++s) {
     const std::string analyst = "a" + std::to_string(s);
     Result<PrivacyBudget> async_spent = client->ledger().Spent(analyst);
-    Result<PrivacyBudget> replay_spent = (*engine)->ledger().Spent(analyst);
+    Result<PrivacyBudget> replay_spent = (*replay)->ledger().Spent(analyst);
     ASSERT_TRUE(async_spent.ok());
     ASSERT_TRUE(replay_spent.ok());
     EXPECT_EQ(async_spent->epsilon, replay_spent->epsilon) << analyst;

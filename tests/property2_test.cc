@@ -1,6 +1,6 @@
-// Second parameterized property suite: Shamir sharing sweeps, persistence
-// across layouts/capacities, stratified estimation sweeps, EM determinism
-// and balanced chunking invariants.
+// Second parameterized property suite: Shamir sharing sweeps, mapped-store
+// persistence across layouts/capacities, stratified estimation sweeps, EM
+// determinism and balanced chunking invariants.
 
 #include <cstdio>
 #include <memory>
@@ -15,7 +15,7 @@
 #include "sampling/em_sampler.h"
 #include "sampling/stratified.h"
 #include "smc/shamir.h"
-#include "storage/persistence.h"
+#include "storage/cluster_store.h"
 #include "workload/datagen.h"
 
 namespace fedaqp {
@@ -95,11 +95,13 @@ TEST_P(PersistenceProperty, StoreRoundTripAcrossLayoutsAndCapacities) {
 
   std::string path = testing::TempDir() + "/fedaqp_prop_" +
                      std::to_string(layout) + "_" + std::to_string(capacity);
-  ASSERT_TRUE(SaveClusterStore(*store, path).ok());
-  Result<ClusterStore> back = LoadClusterStore(path);
+  ASSERT_TRUE(store->SaveMapped(path).ok());
+  Result<ClusterStore> back = ClusterStore::OpenMapped(path);
   ASSERT_TRUE(back.ok());
 
   EXPECT_EQ(back->num_clusters(), store->num_clusters());
+  // The shared-S value Federation::OpenMapped takes from each file.
+  EXPECT_EQ(back->options().cluster_capacity, capacity);
   Rng rng(19);
   for (int trial = 0; trial < 5; ++trial) {
     Value lo = rng.UniformInt(0, 30);

@@ -118,7 +118,9 @@ TEST_P(StorageProperty, ProportionsAreWithinUnitInterval) {
     std::vector<double> pps = PpsProbabilities(cover.proportions);
     double total = 0.0;
     for (double p : pps) total += p;
-    if (!pps.empty()) EXPECT_NEAR(total, 1.0, 1e-9);
+    if (!pps.empty()) {
+      EXPECT_NEAR(total, 1.0, 1e-9);
+    }
   }
 }
 

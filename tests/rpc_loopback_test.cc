@@ -12,7 +12,7 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/query_engine.h"
+#include "exec/federation_client.h"
 #include "federation/orchestrator.h"
 #include "rpc/remote_endpoint.h"
 #include "rpc/server.h"
@@ -170,39 +170,40 @@ TEST_F(RpcLoopbackTest, BatchedEnginePathIsBitIdenticalOverLoopback) {
       ConnectRemote();
   ASSERT_TRUE(remote.ok());
 
-  QueryEngineOptions opts;
+  FederationClient::Options opts;
   opts.protocol = BaseConfig();
   opts.protocol.num_threads = 4;  // Pool pipelining must survive the wire.
   opts.analysts = {{"ana", 50.0, 0.5}, {"bob", 2.5, 0.1}};
 
-  Result<std::unique_ptr<QueryEngine>> local_engine =
-      QueryEngine::Create(Ptrs(), opts);
-  Result<std::unique_ptr<QueryEngine>> wire_engine =
-      QueryEngine::Create(std::move(remote).value(), opts);
-  ASSERT_TRUE(local_engine.ok());
-  ASSERT_TRUE(wire_engine.ok()) << wire_engine.status().ToString();
+  Result<std::unique_ptr<FederationClient>> local_client =
+      FederationClient::Create(Ptrs(), opts);
+  Result<std::unique_ptr<FederationClient>> wire_client =
+      FederationClient::Create(std::move(remote).value(), opts);
+  ASSERT_TRUE(local_client.ok());
+  ASSERT_TRUE(wire_client.ok()) << wire_client.status().ToString();
 
-  std::vector<AnalystQuery> batch;
+  std::vector<QuerySpec> batch;
   for (const RangeQuery& q : Workload()) {
     batch.push_back({"ana", q});
     batch.push_back({"bob", q});
   }
   batch.push_back({"mallory", Workload()[0]});  // unknown analyst
 
-  std::vector<BatchOutcome> a = (*local_engine)->ExecuteBatch(batch);
-  std::vector<BatchOutcome> b = (*wire_engine)->ExecuteBatch(batch);
+  std::vector<QueryTicket> a = (*local_client)->SubmitAll(batch);
+  std::vector<QueryTicket> b = (*wire_client)->SubmitAll(batch);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].status.code(), b[i].status.code()) << "entry " << i;
-    if (a[i].ok() && b[i].ok()) {
-      EXPECT_EQ(a[i].response.estimate, b[i].response.estimate)
-          << "entry " << i;
-      EXPECT_EQ(a[i].response.allocation, b[i].response.allocation);
+    Result<QueryResponse> ra = a[i].Wait();
+    Result<QueryResponse> rb = b[i].Wait();
+    EXPECT_EQ(ra.status().code(), rb.status().code()) << "entry " << i;
+    if (ra.ok() && rb.ok()) {
+      EXPECT_EQ(ra->estimate, rb->estimate) << "entry " << i;
+      EXPECT_EQ(ra->allocation, rb->allocation);
     }
   }
-  for (const std::string& analyst : {"ana", "bob"}) {
-    Result<PrivacyBudget> sa = (*local_engine)->ledger().Spent(analyst);
-    Result<PrivacyBudget> sb = (*wire_engine)->ledger().Spent(analyst);
+  for (const char* analyst : {"ana", "bob"}) {
+    Result<PrivacyBudget> sa = (*local_client)->ledger().Spent(analyst);
+    Result<PrivacyBudget> sb = (*wire_client)->ledger().Spent(analyst);
     ASSERT_TRUE(sa.ok());
     ASSERT_TRUE(sb.ok());
     EXPECT_EQ(sa->epsilon, sb->epsilon);

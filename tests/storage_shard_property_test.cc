@@ -75,7 +75,9 @@ TEST(ShardPartitionTest, CoversDomainContiguouslyAndBalanced) {
         max_size = r.size() > max_size ? r.size() : max_size;
       }
       EXPECT_EQ(next, n);
-      if (!ranges.empty()) EXPECT_LE(max_size - min_size, 1u);
+      if (!ranges.empty()) {
+        EXPECT_LE(max_size - min_size, 1u);
+      }
     }
   }
 }

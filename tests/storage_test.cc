@@ -12,7 +12,6 @@
 #include "common/rng.h"
 #include "exec/thread_pool.h"
 #include "storage/cluster_store.h"
-#include "storage/persistence.h"
 #include "storage/range_query.h"
 #include "storage/store_file.h"
 #include "storage/table.h"
@@ -524,28 +523,6 @@ TEST_F(MappedStoreTest, CompressionShrinksSmallDomains) {
   const size_t file_size = static_cast<size_t>(in.tellg());
   const size_t raw_size = 4000 * 3 * sizeof(int64_t);
   EXPECT_LT(file_size, raw_size / 2);
-}
-
-TEST_F(MappedStoreTest, LoadClusterStoreAutoDetectsMappedFormat) {
-  Table t = WideTable(600, 43);
-  ClusterStoreOptions opts;
-  opts.cluster_capacity = 100;
-  Result<ClusterStore> built = ClusterStore::Build(t, opts);
-  ASSERT_TRUE(built.ok());
-  std::string path = Path("autodetect");
-  ASSERT_TRUE(built->SaveMapped(path).ok());
-  Result<ClusterStore> loaded = LoadClusterStore(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_TRUE(loaded->mapped());
-  RangeQuery q = RangeQueryBuilder(Aggregation::kSum).Where(0, 5, 60).Build();
-  EXPECT_EQ(loaded->EvaluateExact(q), built->EvaluateExact(q));
-  // The legacy resident format still loads through the same entry point.
-  std::string legacy = Path("legacy");
-  ASSERT_TRUE(SaveClusterStore(*built, legacy).ok());
-  Result<ClusterStore> legacy_loaded = LoadClusterStore(legacy);
-  ASSERT_TRUE(legacy_loaded.ok());
-  EXPECT_FALSE(legacy_loaded->mapped());
-  EXPECT_EQ(legacy_loaded->EvaluateExact(q), built->EvaluateExact(q));
 }
 
 TEST_F(MappedStoreTest, RejectsTruncatedFiles) {

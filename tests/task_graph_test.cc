@@ -17,8 +17,8 @@
 #include <gtest/gtest.h>
 
 #include "common/stopwatch.h"
+#include "exec/federation_client.h"
 #include "exec/in_process_endpoint.h"
-#include "exec/query_engine.h"
 #include "exec/task_graph.h"
 #include "exec/thread_pool.h"
 #include "federation/orchestrator.h"
@@ -635,30 +635,31 @@ TEST(TaskGraphDeterminismTest, SmcModeKeepsAggregatorStreamOrder) {
   }
 }
 
-// Per-analyst ledger charges are part of the pinned surface: the engine's
+// Per-analyst ledger charges are part of the pinned surface: the client's
 // admission refusals and spends must not depend on the scheduler.
 TEST(TaskGraphDeterminismTest, EngineLedgersMatchAcrossSchedulers) {
   auto run = [](BatchScheduler scheduler, size_t threads) {
     auto providers = MakeFederation(3);
-    QueryEngineOptions opts;
+    FederationClient::Options opts;
     opts.protocol = BaseConfig(threads, 3, scheduler);
     opts.analysts = {{"alice", 1e6, 1e3}, {"bob", 2.5, 1.0}};
-    Result<std::unique_ptr<QueryEngine>> engine =
-        QueryEngine::Create(Ptrs(providers), opts);
-    EXPECT_TRUE(engine.ok());
-    std::vector<AnalystQuery> batch;
+    Result<std::unique_ptr<FederationClient>> client =
+        FederationClient::Create(Ptrs(providers), opts);
+    EXPECT_TRUE(client.ok());
+    std::vector<QuerySpec> batch;
     for (const RangeQuery& q : MixedWorkload()) {
       batch.push_back({"alice", q});
       batch.push_back({"bob", q});  // bob exhausts after two queries
     }
-    std::vector<BatchOutcome> outcomes = (*engine)->ExecuteBatch(batch);
+    std::vector<QueryTicket> tickets = (*client)->SubmitAll(std::move(batch));
     std::vector<std::pair<int, double>> fingerprint;
-    for (const auto& out : outcomes) {
-      fingerprint.emplace_back(static_cast<int>(out.status.code()),
-                               out.ok() ? out.response.estimate : 0.0);
+    for (QueryTicket& ticket : tickets) {
+      Result<QueryResponse> out = ticket.Wait();
+      fingerprint.emplace_back(static_cast<int>(out.status().code()),
+                               out.ok() ? out->estimate : 0.0);
     }
-    Result<PrivacyBudget> alice = (*engine)->ledger().Spent("alice");
-    Result<PrivacyBudget> bob = (*engine)->ledger().Spent("bob");
+    Result<PrivacyBudget> alice = (*client)->ledger().Spent("alice");
+    Result<PrivacyBudget> bob = (*client)->ledger().Spent("bob");
     EXPECT_TRUE(alice.ok());
     EXPECT_TRUE(bob.ok());
     fingerprint.emplace_back(-1, alice->epsilon);
