@@ -73,12 +73,10 @@ class Flags {
 /// Which of the paper's two datasets a federation models.
 enum class Dataset { kAdult, kAmazon };
 
-/// Builds a federation per the paper's setup: the dataset preset, a count
-/// tensor, equal horizontal partitioning over `providers`, and a cluster
-/// capacity of ~1% (Adult) / ~0.5% (Amazon) of each provider's tensor.
-inline std::unique_ptr<Federation> OpenPaperFederation(
-    Dataset dataset, size_t rows, size_t providers, uint64_t seed,
-    const FederationConfig& protocol) {
+/// The paper's partitions of `dataset`: the dataset preset's count tensor,
+/// split equally over `providers`. Empty (after printing why) on failure.
+inline std::vector<Table> PaperPartitions(Dataset dataset, size_t rows,
+                                          size_t providers, uint64_t seed) {
   SyntheticConfig cfg = dataset == Dataset::kAdult
                             ? AdultConfig(rows, seed)
                             : AmazonConfig(rows, seed);
@@ -89,11 +87,20 @@ inline std::unique_ptr<Federation> OpenPaperFederation(
   if (!parts.ok()) {
     std::fprintf(stderr, "datagen failed: %s\n",
                  parts.status().ToString().c_str());
-    return nullptr;
+    return {};
   }
+  return std::move(parts).value();
+}
+
+/// Opens a federation over `parts` per the paper's setup: a cluster
+/// capacity of ~1% (Adult) / ~0.5% (Amazon) of each provider's tensor.
+inline std::unique_ptr<Federation> OpenPaperFederation(
+    std::vector<Table> parts, uint64_t seed,
+    const FederationConfig& protocol) {
+  if (parts.empty()) return nullptr;
   size_t per_provider_cells = 0;
-  for (const auto& p : *parts) per_provider_cells += p.num_rows();
-  per_provider_cells /= providers;
+  for (const auto& p : parts) per_provider_cells += p.num_rows();
+  per_provider_cells /= parts.size();
   // Cluster capacity: the paper uses 1% (Adult) / 0.5% (Amazon) of each
   // provider's tensor. At reduced bench scale that would leave hundreds of
   // tiny clusters whose fixed noise floor (~17.5 * N^Q / eps^2) dwarfs the
@@ -128,12 +135,21 @@ inline std::unique_ptr<Federation> OpenPaperFederation(
   opts.protocol.network.latency_seconds = 1e-5;
   opts.seed = seed ^ 0xfed;
   Result<std::unique_ptr<Federation>> fed =
-      Federation::Open(std::move(parts).value(), opts);
+      Federation::Open(std::move(parts), opts);
   if (!fed.ok()) {
     std::fprintf(stderr, "open failed: %s\n", fed.status().ToString().c_str());
     return nullptr;
   }
   return std::move(fed).value();
+}
+
+/// Builds a federation per the paper's setup: PaperPartitions, then
+/// OpenPaperFederation over them.
+inline std::unique_ptr<Federation> OpenPaperFederation(
+    Dataset dataset, size_t rows, size_t providers, uint64_t seed,
+    const FederationConfig& protocol) {
+  return OpenPaperFederation(PaperPartitions(dataset, rows, providers, seed),
+                             seed, protocol);
 }
 
 /// Fresh orchestrator over a federation's providers with a tweaked config

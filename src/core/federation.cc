@@ -1,10 +1,50 @@
 #include "core/federation.h"
 
+#include <algorithm>
+#include <functional>
+#include <thread>
+
 #include "common/rng.h"
 #include "exec/in_process_endpoint.h"
+#include "exec/thread_pool.h"
 #include "rpc/server.h"
 
 namespace fedaqp {
+
+namespace {
+
+using ProviderBuilder =
+    std::function<Result<std::unique_ptr<DataProvider>>(size_t)>;
+
+/// The offline phase of every provider at once: build(0) .. build(n - 1)
+/// run on a scoped pool of min(n, cores) threads. Each build owns its
+/// inputs (seeds are drawn before this is called), so the providers are
+/// the ones a sequential loop would build. On failure, returns the error
+/// of the lowest failing index — the one a sequential loop stops at.
+Result<std::vector<std::unique_ptr<DataProvider>>> BuildProviders(
+    size_t n, const ProviderBuilder& build) {
+  std::vector<std::unique_ptr<DataProvider>> providers(n);
+  std::vector<Status> failures(n);
+  {
+    const size_t cores =
+        std::max<size_t>(1, std::thread::hardware_concurrency());
+    ThreadPool pool(std::min(n, cores));
+    ParallelFor(&pool, n, [&](size_t i) {
+      Result<std::unique_ptr<DataProvider>> built = build(i);
+      if (built.ok()) {
+        providers[i] = std::move(built).value();
+      } else {
+        failures[i] = built.status();
+      }
+    });
+  }
+  for (const Status& failure : failures) {
+    if (!failure.ok()) return failure;
+  }
+  return providers;
+}
+
+}  // namespace
 
 Result<std::unique_ptr<Federation>> Federation::Open(
     std::vector<Table> partitions, const FederationOptions& options) {
@@ -12,36 +52,26 @@ Result<std::unique_ptr<Federation>> Federation::Open(
     return Status::InvalidArgument("federation: need at least one partition");
   }
   Rng seeder(options.seed);
-  std::vector<std::unique_ptr<DataProvider>> providers;
-  providers.reserve(partitions.size());
+  std::vector<DataProvider::Options> popts(partitions.size());
   for (size_t i = 0; i < partitions.size(); ++i) {
-    DataProvider::Options popts;
-    popts.storage.cluster_capacity = options.cluster_capacity;
-    popts.storage.layout = options.layout;
-    popts.storage.shuffle_seed = seeder.NextU64();
+    popts[i].storage.cluster_capacity = options.cluster_capacity;
+    popts[i].storage.layout = options.layout;
+    popts[i].storage.shuffle_seed = seeder.NextU64();
     // The federation-level sharding knob becomes each provider's default;
     // every consumer (ShardedScanExecutor's constructor) clamps 0 to 1,
     // and the orchestrator then shares its pool down.
-    popts.storage.num_scan_shards = options.protocol.num_scan_shards;
-    popts.n_min = options.n_min;
-    popts.sum_sensitivity_bound = options.sum_sensitivity_bound;
-    popts.seed = seeder.NextU64();
-    popts.name = "provider-" + std::to_string(i);
-    FEDAQP_ASSIGN_OR_RETURN(std::unique_ptr<DataProvider> provider,
-                            DataProvider::Create(partitions[i], popts));
-    providers.push_back(std::move(provider));
+    popts[i].storage.num_scan_shards = options.protocol.num_scan_shards;
+    popts[i].n_min = options.n_min;
+    popts[i].sum_sensitivity_bound = options.sum_sensitivity_bound;
+    popts[i].seed = seeder.NextU64();
+    popts[i].name = "provider-" + std::to_string(i);
   }
-
-  std::vector<DataProvider*> ptrs;
-  ptrs.reserve(providers.size());
-  for (auto& p : providers) ptrs.push_back(p.get());
-
-  FederationConfig protocol = options.protocol;
-  protocol.seed = seeder.NextU64();
-  FEDAQP_ASSIGN_OR_RETURN(QueryOrchestrator orchestrator,
-                          QueryOrchestrator::Create(ptrs, protocol));
-  return std::unique_ptr<Federation>(
-      new Federation(std::move(providers), std::move(orchestrator)));
+  FEDAQP_ASSIGN_OR_RETURN(
+      std::vector<std::unique_ptr<DataProvider>> providers,
+      BuildProviders(partitions.size(), [&](size_t i) {
+        return DataProvider::Create(partitions[i], popts[i]);
+      }));
+  return Assemble(std::move(providers), options.protocol, seeder.NextU64());
 }
 
 Result<std::unique_ptr<Federation>> Federation::OpenMapped(
@@ -51,35 +81,49 @@ Result<std::unique_ptr<Federation>> Federation::OpenMapped(
     return Status::InvalidArgument("federation: need at least one store file");
   }
   Rng seeder(options.seed);
-  std::vector<std::unique_ptr<DataProvider>> providers;
-  providers.reserve(store_paths.size());
+  std::vector<DataProvider::Options> popts(store_paths.size());
   for (size_t i = 0; i < store_paths.size(); ++i) {
-    FEDAQP_ASSIGN_OR_RETURN(
-        ClusterStore store,
-        ClusterStore::OpenMapped(store_paths[i],
-                                 options.protocol.num_scan_shards));
-    if (i > 0 && !(store.schema() == providers[0]->store().schema())) {
-      return Status::InvalidArgument(
-          "federation: mapped store '" + store_paths[i] +
-          "' schema differs from '" + store_paths[0] + "'");
-    }
-    DataProvider::Options popts;
-    popts.n_min = options.n_min;
-    popts.sum_sensitivity_bound = options.sum_sensitivity_bound;
-    popts.seed = seeder.NextU64();
-    popts.name = "provider-" + std::to_string(i);
-    FEDAQP_ASSIGN_OR_RETURN(
-        std::unique_ptr<DataProvider> provider,
-        DataProvider::CreateFromStore(std::move(store), popts));
-    providers.push_back(std::move(provider));
+    popts[i].n_min = options.n_min;
+    popts[i].sum_sensitivity_bound = options.sum_sensitivity_bound;
+    popts[i].seed = seeder.NextU64();
+    popts[i].name = "provider-" + std::to_string(i);
   }
+  // Store 0's schema is the reference every other store is checked
+  // against, so it is opened (a map and a directory parse) up front.
+  FEDAQP_ASSIGN_OR_RETURN(
+      ClusterStore first,
+      ClusterStore::OpenMapped(store_paths[0],
+                               options.protocol.num_scan_shards));
+  const Schema schema = first.schema();
+  FEDAQP_ASSIGN_OR_RETURN(
+      std::vector<std::unique_ptr<DataProvider>> providers,
+      BuildProviders(
+          store_paths.size(),
+          [&](size_t i) -> Result<std::unique_ptr<DataProvider>> {
+            if (i == 0) {
+              return DataProvider::CreateFromStore(std::move(first), popts[0]);
+            }
+            FEDAQP_ASSIGN_OR_RETURN(
+                ClusterStore store,
+                ClusterStore::OpenMapped(store_paths[i],
+                                         options.protocol.num_scan_shards));
+            if (!(store.schema() == schema)) {
+              return Status::InvalidArgument(
+                  "federation: mapped store '" + store_paths[i] +
+                  "' schema differs from '" + store_paths[0] + "'");
+            }
+            return DataProvider::CreateFromStore(std::move(store), popts[i]);
+          }));
+  return Assemble(std::move(providers), options.protocol, seeder.NextU64());
+}
 
+Result<std::unique_ptr<Federation>> Federation::Assemble(
+    std::vector<std::unique_ptr<DataProvider>> providers,
+    FederationConfig protocol, uint64_t protocol_seed) {
   std::vector<DataProvider*> ptrs;
   ptrs.reserve(providers.size());
   for (auto& p : providers) ptrs.push_back(p.get());
-
-  FederationConfig protocol = options.protocol;
-  protocol.seed = seeder.NextU64();
+  protocol.seed = protocol_seed;
   FEDAQP_ASSIGN_OR_RETURN(QueryOrchestrator orchestrator,
                           QueryOrchestrator::Create(ptrs, protocol));
   return std::unique_ptr<Federation>(

@@ -51,6 +51,10 @@ class Federation {
  public:
   /// Builds one provider per partition (offline phase: clustering +
   /// Algorithm-1 metadata) and wires the online protocol around them.
+  /// The providers build in parallel, on up to one thread per core. Every
+  /// seed is drawn from `options.seed` first, so the result is
+  /// bit-identical to building them one after another, and a failure
+  /// reports the lowest failing partition.
   static Result<std::unique_ptr<Federation>> Open(
       std::vector<Table> partitions, const FederationOptions& options);
 
@@ -59,7 +63,8 @@ class Federation {
   /// per scan, so the offline clustering cost — and the resident copy of
   /// the data — is skipped. All stores must share a schema, and
   /// `options.cluster_capacity`/`layout` are ignored in favor of what each
-  /// file records.
+  /// file records. Providers build in parallel as in Open, and a failure
+  /// (an open error or a schema mismatch) reports the lowest failing path.
   static Result<std::unique_ptr<Federation>> OpenMapped(
       const std::vector<std::string>& store_paths,
       const FederationOptions& options);
@@ -111,6 +116,12 @@ class Federation {
              QueryOrchestrator orchestrator)
       : providers_(std::move(providers)),
         orchestrator_(std::move(orchestrator)) {}
+
+  /// Wires the online protocol (an orchestrator seeded with
+  /// `protocol_seed`) around built providers.
+  static Result<std::unique_ptr<Federation>> Assemble(
+      std::vector<std::unique_ptr<DataProvider>> providers,
+      FederationConfig protocol, uint64_t protocol_seed);
 
   std::vector<std::unique_ptr<DataProvider>> providers_;
   QueryOrchestrator orchestrator_;

@@ -47,10 +47,10 @@ struct CoverRequest {
   RangeQuery query;
 };
 struct CoverReply {
-  /// N^Q — the only cover statistic the coordinator needs (the full cover
-  /// stays in the endpoint's session state).
-  size_t num_covering_clusters = 0;
-  /// Step 4 test, decided provider-side (N^Q >= N_min).
+  /// Step 4 test, decided provider-side (N^Q >= N_min). The cover itself
+  /// stays in the endpoint's session state, and N^Q is not sent: the
+  /// protocol publishes it only Laplace-perturbed, in the summary (Eq. 5).
+  /// (`work.metadata_lookups` still encodes it; see DataProvider::Cover.)
   bool should_approximate = false;
   ProviderWorkStats work;
 };

@@ -41,7 +41,6 @@ Result<CoverReply> InProcessEndpoint::Cover(const CoverRequest& request) {
   std::lock_guard<std::mutex> lock(mutex_);
   CoverReply reply;
   CoverInfo cover = provider_->Cover(request.query, &reply.work, &scan_exec_);
-  reply.num_covering_clusters = cover.NumClusters();
   reply.should_approximate = provider_->ShouldApproximate(cover);
   sessions_.insert_or_assign(
       request.query_id,

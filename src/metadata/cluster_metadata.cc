@@ -5,15 +5,66 @@
 
 namespace fedaqp {
 
+namespace {
+
+/// A cluster whose [min, max] window spans fewer than this many values per
+/// row counts into a dense array; wider windows (sparse values on a wide
+/// domain) keep the ordered map, whose cost follows the row count alone.
+constexpr uint64_t kDenseValuesPerRow = 8;
+
+/// Counts the `rows` values of `col` into one slot per value of the window
+/// [lo, lo + span]. False as soon as a value falls outside the window.
+bool CountWindow(const Value* col, size_t rows, Value lo, uint64_t span,
+                 std::vector<size_t>* counts) {
+  counts->assign(span + 1, 0);
+  for (size_t i = 0; i < rows; ++i) {
+    const uint64_t k =
+        static_cast<uint64_t>(col[i]) - static_cast<uint64_t>(lo);
+    if (k > span) return false;
+    ++(*counts)[k];
+  }
+  return true;
+}
+
+}  // namespace
+
 DimensionMeta DimensionMeta::Build(const Cluster& cluster, size_t dim,
                                    size_t capacity) {
+  DimensionMeta meta;
+  const size_t rows = cluster.num_rows();
+  if (rows == 0) return meta;
+  const Value* col = cluster.column_data(dim);
+  // The window is the cluster's recorded [min, max]. A mapped store's
+  // bounds come from an untrusted file, so CountWindow checks every value
+  // against them, and any value outside sends the cluster to the map path.
+  const Value lo = cluster.MinValue(dim);
+  const uint64_t span = static_cast<uint64_t>(cluster.MaxValue(dim)) -
+                        static_cast<uint64_t>(lo);
+  if (std::vector<size_t> counts;
+      span < kDenseValuesPerRow * rows &&
+      CountWindow(col, rows, lo, span, &counts)) {
+    // Suffix-sum the counts from the top so each entry holds
+    // |rows >= v| / S: the same integer counts and divisions as the map
+    // path below, so the bytes are identical.
+    size_t slot = counts.size() - static_cast<size_t>(std::count(
+                                      counts.begin(), counts.end(), 0));
+    meta.entries_.resize(slot);
+    size_t suffix = 0;
+    for (size_t k = counts.size(); k-- > 0;) {
+      if (counts[k] == 0) continue;
+      suffix += counts[k];
+      meta.entries_[--slot] =
+          Entry{lo + static_cast<Value>(k),
+                static_cast<double>(suffix) / static_cast<double>(capacity)};
+    }
+    return meta;
+  }
   // Count occurrences per distinct value, then suffix-sum from the top so
   // each entry holds |rows >= v| / S.
   std::map<Value, size_t> counts;
   for (size_t i = 0; i < cluster.num_rows(); ++i) {
     counts[cluster.at(i, dim)] += 1;
   }
-  DimensionMeta meta;
   meta.entries_.reserve(counts.size());
   size_t suffix = 0;
   for (auto it = counts.rbegin(); it != counts.rend(); ++it) {

@@ -230,15 +230,12 @@ Result<CoverRequest> DecodeCoverRequest(ByteReader* r) {
 }
 
 void EncodeCoverReply(const CoverReply& v, ByteWriter* w) {
-  w->PutU64(v.num_covering_clusters);
   EncodeBool(v.should_approximate, w);
   EncodeWorkStats(v.work, w);
 }
 
 Result<CoverReply> DecodeCoverReply(ByteReader* r) {
   CoverReply v;
-  FEDAQP_ASSIGN_OR_RETURN(uint64_t n, r->GetU64());
-  v.num_covering_clusters = n;
   FEDAQP_ASSIGN_OR_RETURN(v.should_approximate, DecodeBool(r));
   FEDAQP_ASSIGN_OR_RETURN(v.work, DecodeWorkStats(r));
   return v;

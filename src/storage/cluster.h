@@ -21,10 +21,10 @@ class Cluster {
  public:
   Cluster(uint32_t id, size_t num_dims);
 
-  /// Assembles a cluster directly from decoded column arrays (the mapped
-  /// store's lazy materialization path). `mins`/`maxs` are the per-dim
-  /// observed bounds the on-disk directory already holds; sizes must be
-  /// consistent (columns all measures.size() long, bounds num_dims long).
+  /// Assembles a cluster directly from column arrays (ClusterStore::Build's
+  /// column gather and the mapped store's lazy materialization). `mins`/
+  /// `maxs` are the per-dim observed bounds; sizes must be consistent
+  /// (columns all measures.size() long, bounds num_dims long).
   static Cluster FromColumns(uint32_t id,
                              std::vector<std::vector<Value>> columns,
                              std::vector<int64_t> measures,
@@ -34,8 +34,8 @@ class Cluster {
   size_t num_rows() const { return measures_.size(); }
   size_t num_dims() const { return columns_.size(); }
 
-  /// Appends one row; caller guarantees schema conformity (ClusterStore
-  /// validates on ingest).
+  /// Appends one row; caller guarantees schema conformity (Table
+  /// validates on append).
   void Append(const Row& row);
 
   /// Value of dimension `dim` in row `row`.

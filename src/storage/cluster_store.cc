@@ -59,19 +59,49 @@ Result<ClusterStore> ClusterStore::Build(const Table& table,
       (rows + options.cluster_capacity - 1) / options.cluster_capacity;
   const size_t base = rows / num_clusters;
   const size_t extra = rows % num_clusters;  // first `extra` get base+1
-  size_t next_row = 0;
-  int64_t total_measure = 0;
+  // Cluster c holds the rows order[starts[c]] .. order[starts[c + 1] - 1].
+  std::vector<size_t> starts(num_clusters + 1, 0);
   for (size_t c = 0; c < num_clusters; ++c) {
-    store.clusters_.emplace_back(static_cast<uint32_t>(c), dims);
-    size_t size = base + (c < extra ? 1 : 0);
-    for (size_t i = 0; i < size; ++i) {
-      const Row& row = table.row(order[next_row++]);
-      total_measure += row.measure;
-      store.clusters_.back().Append(row);
+    starts[c + 1] = starts[c] + base + (c < extra ? 1 : 0);
+  }
+
+  // One pass per column (each dimension, then the measure): copy it out of
+  // the rows in table order into `column`, then gather every cluster's
+  // slice through `order`. Only one table-sized column is live at a time.
+  std::vector<std::vector<std::vector<Value>>> columns(
+      num_clusters, std::vector<std::vector<Value>>(dims));
+  std::vector<std::vector<int64_t>> measures(num_clusters);
+  std::vector<std::vector<Value>> mins(num_clusters, std::vector<Value>(dims));
+  std::vector<std::vector<Value>> maxs(num_clusters, std::vector<Value>(dims));
+  std::vector<int64_t> column(rows);
+  for (size_t d = 0; d <= dims; ++d) {
+    for (size_t r = 0; r < rows; ++r) {
+      const Row& row = table.row(r);
+      column[r] = d < dims ? row.values[d] : row.measure;
+    }
+    for (size_t c = 0; c < num_clusters; ++c) {
+      std::vector<int64_t>& out = d < dims ? columns[c][d] : measures[c];
+      out.resize(starts[c + 1] - starts[c]);
+      for (size_t i = 0; i < out.size(); ++i) {
+        out[i] = column[order[starts[c] + i]];
+      }
+      if (d < dims) {
+        const auto bounds = std::minmax_element(out.begin(), out.end());
+        mins[c][d] = *bounds.first;
+        maxs[c][d] = *bounds.second;
+      }
     }
   }
+  // `column` now holds the measures.
+  store.total_measure_ = std::accumulate(column.begin(), column.end(),
+                                         int64_t{0});
   store.total_rows_ = rows;
-  store.total_measure_ = total_measure;
+  store.clusters_.reserve(num_clusters);
+  for (size_t c = 0; c < num_clusters; ++c) {
+    store.clusters_.push_back(Cluster::FromColumns(
+        static_cast<uint32_t>(c), std::move(columns[c]),
+        std::move(measures[c]), std::move(mins[c]), std::move(maxs[c])));
+  }
   return store;
 }
 

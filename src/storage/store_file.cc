@@ -6,9 +6,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <fstream>
+#include <mutex>
 
 #include "common/bytes.h"
 #include "obs/metrics.h"
@@ -26,17 +26,18 @@ constexpr uint32_t kMappedVersion = 1;
 constexpr uint64_t kMaxRowsPerCluster = uint64_t{1} << 28;
 
 /// Process-wide mapped-byte accounting behind the storage.bytes_mapped
-/// gauge (and MappedStoreFile::TotalMappedBytes).
-std::atomic<uint64_t> g_mapped_bytes{0};
+/// gauge (and MappedStoreFile::TotalMappedBytes). The total and the gauge
+/// change under one lock, so concurrent maps and unmaps cannot leave the
+/// gauge on an older total.
+std::mutex g_mapped_mutex;
+uint64_t g_mapped_bytes = 0;  // guarded by g_mapped_mutex
 
 void AddMappedBytes(int64_t delta) {
-  const uint64_t now =
-      g_mapped_bytes.fetch_add(static_cast<uint64_t>(delta),
-                               std::memory_order_relaxed) +
-      static_cast<uint64_t>(delta);
   static obs::Gauge* gauge =
       obs::MetricRegistry::Global().GetGauge("storage.bytes_mapped");
-  gauge->Set(static_cast<double>(now));
+  std::lock_guard<std::mutex> lock(g_mapped_mutex);
+  g_mapped_bytes += static_cast<uint64_t>(delta);
+  gauge->Set(static_cast<double>(g_mapped_bytes));
 }
 
 void SerializeSchema(const Schema& schema, ByteWriter* w) {
@@ -410,7 +411,8 @@ Cluster MappedStoreFile::MaterializeCluster(size_t c) const {
 }
 
 uint64_t MappedStoreFile::TotalMappedBytes() {
-  return g_mapped_bytes.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(g_mapped_mutex);
+  return g_mapped_bytes;
 }
 
 }  // namespace fedaqp

@@ -1,6 +1,9 @@
 // Unit tests for src/metadata: Algorithm 1 tail tables, covering-set
 // identification (Eq. 2) and proportion approximation (Eq. 1).
 
+#include <cstdint>
+#include <cstring>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -49,6 +52,82 @@ TEST(DimensionMetaTest, TailFractionsMatchBruteForce) {
     EXPECT_DOUBLE_EQ(meta.FractionGreaterEqual(v),
                      c.FractionGreaterEqual(0, v, 64))
         << "at v=" << v;
+  }
+}
+
+/// One-dimension cluster holding `values` in order.
+Cluster ClusterOf(const std::vector<Value>& values) {
+  Cluster c(0, 1);
+  for (Value v : values) c.Append(Row{{v}, 1});
+  return c;
+}
+
+/// The table holds exactly the cluster's distinct values, and every
+/// present value and its two neighbours read the brute-force tail count.
+void ExpectTailTableMatchesBruteForce(const Cluster& c, size_t capacity) {
+  DimensionMeta meta = DimensionMeta::Build(c, 0, capacity);
+  std::set<Value> distinct;
+  for (size_t i = 0; i < c.num_rows(); ++i) distinct.insert(c.at(i, 0));
+  ASSERT_EQ(meta.entries().size(), distinct.size());
+  size_t k = 0;
+  for (Value v : distinct) {
+    EXPECT_EQ(meta.entries()[k++].value, v);
+    for (Value probe : {v - 1, v, v + 1}) {
+      EXPECT_EQ(meta.FractionGreaterEqual(probe),
+                c.FractionGreaterEqual(0, probe, capacity))
+          << "at v=" << probe;
+    }
+  }
+  for (Value probe : {Value{-1}, Value{0}, Value{1}}) {
+    EXPECT_EQ(meta.FractionGreaterEqual(probe),
+              c.FractionGreaterEqual(0, probe, capacity));
+  }
+}
+
+// Build counts values in a dense array over the cluster's [min, max]
+// window unless that window is much wider than the row count, where it
+// keeps an ordered map. Both paths must agree with brute force.
+TEST(DimensionMetaTest, CountedAndMapPathsMatchBruteForce) {
+  Rng rng(17);
+  std::vector<Value> narrow(500);
+  for (Value& v : narrow) v = rng.UniformInt(100, 139);
+  std::vector<Value> wide(300);
+  for (Value& v : wide) v = rng.UniformInt(0, 999999999);
+
+  ExpectTailTableMatchesBruteForce(ClusterOf(narrow), 512);  // counted
+  ExpectTailTableMatchesBruteForce(ClusterOf(wide), 512);    // map
+  ExpectTailTableMatchesBruteForce(ClusterOf(std::vector<Value>(64, 42)), 64);
+  Cluster empty(0, 1);
+  ExpectTailTableMatchesBruteForce(empty, 64);
+  EXPECT_TRUE(DimensionMeta::Build(empty, 0, 64).entries().empty());
+}
+
+// A mapped store's recorded bounds come from an untrusted file: values
+// outside them must not be counted out of the window.
+TEST(DimensionMetaTest, ValuesOutsideRecordedBoundsStillMatchBruteForce) {
+  Cluster c = Cluster::FromColumns(0, {{5, 9, 100, 7, 3}}, {1, 1, 1, 1, 1},
+                                   /*mins=*/{5}, /*maxs=*/{9});
+  ExpectTailTableMatchesBruteForce(c, 8);
+}
+
+TEST(DimensionMetaTest, SpreadingValuesKeepsFractionsBitIdentical) {
+  Rng rng(23);
+  std::vector<Value> values(700);
+  for (Value& v : values) v = rng.UniformInt(0, 63);
+  std::vector<Value> spread = values;
+  for (Value& v : spread) v *= 1000000;
+  // The same counts over a window 10^6 times wider: the counted path
+  // before, the map path after.
+  DimensionMeta counted = DimensionMeta::Build(ClusterOf(values), 0, 1024);
+  DimensionMeta mapped = DimensionMeta::Build(ClusterOf(spread), 0, 1024);
+  ASSERT_EQ(counted.entries().size(), mapped.entries().size());
+  for (size_t i = 0; i < counted.entries().size(); ++i) {
+    EXPECT_EQ(mapped.entries()[i].value,
+              counted.entries()[i].value * 1000000);
+    uint64_t a, b;
+    std::memcpy(&a, &counted.entries()[i].fraction_ge, sizeof(a));
+    std::memcpy(&b, &mapped.entries()[i].fraction_ge, sizeof(b));
+    EXPECT_EQ(a, b) << "entry " << i;
   }
 }
 

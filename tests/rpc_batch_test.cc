@@ -363,8 +363,7 @@ std::vector<double> ReplyContent(const RpcFrame& frame) {
     Result<CoverReply> r = DecodeCoverReply(&reader);
     EXPECT_TRUE(r.ok());
     if (!r.ok()) return {};
-    return {static_cast<double>(r->num_covering_clusters),
-            r->should_approximate ? 1.0 : 0.0,
+    return {r->should_approximate ? 1.0 : 0.0,
             static_cast<double>(r->work.clusters_scanned),
             static_cast<double>(r->work.rows_scanned),
             static_cast<double>(r->work.metadata_lookups)};

@@ -83,7 +83,6 @@ TEST(RpcWireTest, RandomizedMessagesRoundTripBitExact) {
     ExpectRoundTrip(cover_req, EncodeCoverRequest, DecodeCoverRequest);
 
     CoverReply cover_reply;
-    cover_reply.num_covering_clusters = rng.NextU64() >> 8;
     cover_reply.should_approximate = rng.Bernoulli(0.5);
     cover_reply.work = RandomWork(&rng);
     ExpectRoundTrip(cover_reply, EncodeCoverReply, DecodeCoverReply);

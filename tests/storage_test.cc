@@ -5,12 +5,14 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "exec/thread_pool.h"
+#include "obs/metrics.h"
 #include "storage/cluster_store.h"
 #include "storage/range_query.h"
 #include "storage/store_file.h"
@@ -625,6 +627,40 @@ TEST_F(MappedStoreTest, BytesMappedAccountingRisesAndFalls) {
               before + mapped->MappedBytes());
   }
   EXPECT_EQ(MappedStoreFile::TotalMappedBytes(), before);
+}
+
+TEST_F(MappedStoreTest, BytesMappedGaugeMatchesTotalUnderConcurrentOpens) {
+  const bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  Table t = WideTable(800, 67);
+  ClusterStoreOptions opts;
+  opts.cluster_capacity = 100;
+  Result<ClusterStore> built = ClusterStore::Build(t, opts);
+  ASSERT_TRUE(built.ok());
+  std::string path = Path("gauge");
+  ASSERT_TRUE(built->SaveMapped(path).ok());
+  const uint64_t before = MappedStoreFile::TotalMappedBytes();
+
+  // Every thread maps and unmaps the file over and over, so maps and
+  // unmaps of different threads interleave.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 200;
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&path] {
+      for (int r = 0; r < kRounds; ++r) {
+        EXPECT_TRUE(ClusterStore::OpenMapped(path).ok());
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  const double gauge = obs::MetricRegistry::Global()
+                           .GetGauge("storage.bytes_mapped")
+                           ->Value();
+  EXPECT_EQ(gauge, static_cast<double>(MappedStoreFile::TotalMappedBytes()));
+  EXPECT_EQ(MappedStoreFile::TotalMappedBytes(), before);
+  obs::SetMetricsEnabled(metrics_were_enabled);
 }
 
 }  // namespace

@@ -365,7 +365,6 @@ class AsyncFakeEndpoint : public ProviderEndpoint {
   Result<CoverReply> Cover(const CoverRequest&) override {
     std::this_thread::sleep_for(delay_);
     CoverReply reply;
-    reply.num_covering_clusters = 10;
     reply.should_approximate = true;
     return reply;
   }
