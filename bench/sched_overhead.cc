@@ -4,7 +4,8 @@
 // fan-out widths, comparing the centralized strict-total-order heap (the
 // pre-overhaul queue, still the 0-1 worker path) against the sharded
 // work-stealing queue. Reports tasks/sec per cell and the steal/local-pop
-// profile of the sharded runs. Emits BENCH_sched_overhead.json.
+// profile of the sharded runs, read as registry deltas over the best
+// metrics-on rep. Emits BENCH_sched_overhead.json.
 //
 // Each cell is measured twice: observability disabled ("off") and with
 // metrics + tracing enabled ("on"). The off column must not trail the on
@@ -46,13 +47,19 @@ struct Cell {
   /// Observability disabled / enabled columns.
   double tasks_per_sec_off = 0.0;
   double tasks_per_sec_on = 0.0;
-  SchedulerStats stats;
+  /// Registry deltas of the best metrics-on rep (off counts nothing).
+  uint64_t steals = 0;
+  uint64_t local_pops = 0;
 };
 
 /// Builds and runs one graph configuration `reps` times (plus an untimed
-/// warmup); returns best-of tasks/sec and that run's counters.
+/// warmup); returns best-of tasks/sec. With `best_cell`, also records that
+/// run's steal and local-pop deltas there.
 double MeasureOnce(size_t pool_size, size_t fanout, ReadyQueueKind queue,
-                   size_t num_queries, int reps, SchedulerStats* best_stats) {
+                   size_t num_queries, int reps, Cell* best_cell) {
+  auto& reg = obs::MetricRegistry::Global();
+  obs::Counter* steals = reg.GetCounter("scheduler.steals");
+  obs::Counter* local_pops = reg.GetCounter("scheduler.local_pops");
   double best = 0.0;
   for (int rep = -1; rep < reps; ++rep) {  // rep -1 = warmup, untimed.
     ThreadPool pool(pool_size);
@@ -70,6 +77,8 @@ double MeasureOnce(size_t pool_size, size_t fanout, ReadyQueueKind queue,
       graph.Add(TaskKey{q, TaskPhase::kGeneric, 2, 0},
                 [] { return Status::OK(); }, children);
     }
+    const uint64_t steals_before = steals->Value();
+    const uint64_t local_before = local_pops->Value();
     Stopwatch timer;
     graph.Run();
     const double wall = timer.ElapsedSeconds();
@@ -78,7 +87,10 @@ double MeasureOnce(size_t pool_size, size_t fanout, ReadyQueueKind queue,
         wall > 0 ? static_cast<double>(graph.num_tasks()) / wall : 0.0;
     if (tps > best) {
       best = tps;
-      if (best_stats != nullptr) *best_stats = graph.scheduler_stats();
+      if (best_cell != nullptr) {
+        best_cell->steals = steals->Value() - steals_before;
+        best_cell->local_pops = local_pops->Value() - local_before;
+      }
     }
   }
   return best;
@@ -94,14 +106,14 @@ Cell RunCell(size_t pool_size, size_t fanout, ReadyQueueKind queue,
   obs::SetMetricsEnabled(false);
   obs::TraceRecorder::Global().SetEnabled(false);
   cell.tasks_per_sec_off =
-      MeasureOnce(pool_size, fanout, queue, num_queries, reps, &cell.stats);
+      MeasureOnce(pool_size, fanout, queue, num_queries, reps, nullptr);
   // On column: full instrumentation (span per task + per-phase histogram).
   // A bounded ring keeps the hundred-thousand-span runs from growing
   // memory; drop-oldest is fine, throughput is what is measured.
   obs::SetMetricsEnabled(true);
   obs::TraceRecorder::Global().SetEnabled(true);
   cell.tasks_per_sec_on =
-      MeasureOnce(pool_size, fanout, queue, num_queries, reps, nullptr);
+      MeasureOnce(pool_size, fanout, queue, num_queries, reps, &cell);
   obs::TraceRecorder::Global().SetEnabled(false);
   obs::TraceRecorder::Global().Clear();
   return cell;
@@ -140,7 +152,7 @@ int Run(int argc, char** argv) {
                 c.tasks_per_sec_off > 0
                     ? 100.0 * c.tasks_per_sec_on / c.tasks_per_sec_off
                     : 0.0,
-                static_cast<unsigned long long>(c.stats.steals));
+                static_cast<unsigned long long>(c.steals));
     if (c.tasks_per_sec_off > 0 && c.tasks_per_sec_on > 0) {
       log_sum_off += std::log(c.tasks_per_sec_off);
       log_sum_on += std::log(c.tasks_per_sec_on);
@@ -175,8 +187,8 @@ int Run(int argc, char** argv) {
     json.Set(key + "_tasks_per_sec", c.tasks_per_sec_off);
     json.Set(key + "_tasks_per_sec_on", c.tasks_per_sec_on);
     if (c.sharded) {
-      json.Set(key + "_steals", c.stats.steals);
-      json.Set(key + "_local_pops", c.stats.local_pops);
+      json.Set(key + "_steals", c.steals);
+      json.Set(key + "_local_pops", c.local_pops);
     }
   }
   json.Set("geomean_tasks_per_sec_off", geomean_off);

@@ -9,34 +9,22 @@ namespace fedaqp {
 
 namespace {
 
-/// Mirrors CacheStats onto the process-wide registry (the per-instance
-/// struct stays authoritative for the cache's own API and tests).
-obs::Counter& CacheCounter(const char* name) {
-  return *obs::MetricRegistry::Global().GetCounter(name);
-}
-obs::Counter& LookupsCounter() {
-  static obs::Counter* c = &CacheCounter("cache.lookups");
-  return *c;
-}
-obs::Counter& ExactHitsCounter() {
-  static obs::Counter* c = &CacheCounter("cache.exact_hits");
-  return *c;
-}
-obs::Counter& PartialCompositionsCounter() {
-  static obs::Counter* c = &CacheCounter("cache.partial_compositions");
-  return *c;
-}
-obs::Counter& FullCompositionsCounter() {
-  static obs::Counter* c = &CacheCounter("cache.full_compositions");
-  return *c;
-}
-obs::Counter& MissesCounter() {
-  static obs::Counter* c = &CacheCounter("cache.misses");
-  return *c;
-}
-obs::Counter& InvalidatedCounter() {
-  static obs::Counter* c = &CacheCounter("cache.invalidated");
-  return *c;
+/// The registry's `cache.*` counters, the cache's only statistics: every
+/// lookup adds to `lookups` and to exactly one of `exact_hits`,
+/// `full_compositions`, `partial_compositions` and `misses`.
+struct CacheCounters {
+  obs::MetricRegistry& reg = obs::MetricRegistry::Global();
+  obs::Counter* lookups = reg.GetCounter("cache.lookups");
+  obs::Counter* exact_hits = reg.GetCounter("cache.exact_hits");
+  obs::Counter* full_compositions = reg.GetCounter("cache.full_compositions");
+  obs::Counter* partial_compositions =
+      reg.GetCounter("cache.partial_compositions");
+  obs::Counter* misses = reg.GetCounter("cache.misses");
+  obs::Counter* invalidated = reg.GetCounter("cache.invalidated");
+};
+const CacheCounters& Counters() {
+  static const CacheCounters counters;
+  return counters;
 }
 
 /// Greedy exact-boundary tiling of [a, b] over an interval index: a chain
@@ -166,12 +154,10 @@ NoisyAnswerCache::Decision NoisyAnswerCache::ResolveLocked(
   const std::string key = norm.KeyString(analyst);
   Decision decision;
 
-  ++stats_.lookups;
-  LookupsCounter().Add();
+  Counters().lookups->Add();
   auto exact = exact_.find(key);
   if (exact != exact_.end() && exact->second->budget.epsilon >= budget.epsilon) {
-    ++stats_.exact_hits;
-    ExactHitsCounter().Add();
+    Counters().exact_hits->Add();
     decision.kind = Decision::Kind::kHit;
     decision.hit = exact->second;
     return decision;
@@ -205,8 +191,7 @@ NoisyAnswerCache::Decision NoisyAnswerCache::ResolveLocked(
                               suffix.end());
         decision.has_remainder = has_rem;
         if (has_rem) {
-          ++stats_.partial_compositions;
-          PartialCompositionsCounter().Add();
+          Counters().partial_compositions->Add();
           decision.remainder_query = RangeQuery(
               norm.agg, {DimRange{want.dim_index, rem_lo, rem_hi}});
           NormalizedQuery rem_norm;
@@ -220,16 +205,14 @@ NoisyAnswerCache::Decision NoisyAnswerCache::ResolveLocked(
           decision.purchase->purchase_seq = seq;
           RegisterLocked(analyst, rem_norm, decision.purchase);
         } else {
-          ++stats_.full_compositions;
-          FullCompositionsCounter().Add();
+          Counters().full_compositions->Add();
         }
         return decision;
       }
     }
   }
 
-  ++stats_.misses;
-  MissesCounter().Add();
+  Counters().misses->Add();
   decision.kind = Decision::Kind::kMiss;
   decision.purchase = std::make_shared<CacheEntry>();
   decision.purchase->ranges = norm.ranges;
@@ -291,8 +274,7 @@ void NoisyAnswerCache::Invalidate(const std::shared_ptr<CacheEntry>& entry,
       if (group->second.empty()) groups_.erase(group);
     }
   }
-  ++stats_.invalidated;
-  InvalidatedCounter().Add();
+  Counters().invalidated->Add();
 }
 
 std::vector<bool> NoisyAnswerCache::PredictChargeable(
@@ -372,13 +354,6 @@ std::vector<bool> NoisyAnswerCache::PredictChargeable(
     }
   }
   return chargeable;
-}
-
-NoisyAnswerCache::CacheStats NoisyAnswerCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  CacheStats snapshot = stats_;
-  snapshot.entries = exact_.size();
-  return snapshot;
 }
 
 }  // namespace fedaqp

@@ -145,17 +145,6 @@ class NoisyAnswerCache {
       const std::string& analyst, const std::vector<RangeQuery>& workload,
       const std::vector<PrivacyBudget>& budgets) const;
 
-  struct CacheStats {
-    uint64_t lookups = 0;
-    uint64_t exact_hits = 0;
-    uint64_t full_compositions = 0;
-    uint64_t partial_compositions = 0;
-    uint64_t misses = 0;
-    uint64_t invalidated = 0;
-    uint64_t entries = 0;
-  };
-  CacheStats stats() const;
-
   const Schema& schema() const { return schema_; }
 
  private:
@@ -188,7 +177,6 @@ class NoisyAnswerCache {
   std::map<std::string, std::shared_ptr<CacheEntry>> exact_;
   /// Sub-range reuse index (single constrained dimension only).
   std::map<GroupKey, IntervalIndex> groups_;
-  CacheStats stats_;
 };
 
 }  // namespace fedaqp

@@ -78,7 +78,6 @@ Status PrivacyAccountant::Refund(const PrivacyBudget& amount) {
 void PrivacyAccountant::RecordSaving(const PrivacyBudget& amount) {
   saved_.epsilon += std::max(0.0, amount.epsilon);
   saved_.delta += std::max(0.0, amount.delta);
-  ++num_cache_served_;
   CacheServedCounter().Add();
 }
 

@@ -54,17 +54,15 @@ class PrivacyAccountant {
   PrivacyBudget Remaining() const;
   /// Number of successful charges.
   size_t num_charges() const { return num_charges_; }
-  /// Budget that cache-served answers avoided charging (RecordSaving).
+  /// Budget that cache-served answers avoided charging (RecordSaving);
+  /// the registry's `accountant.cache_served` counts those answers.
   const PrivacyBudget& saved() const { return saved_; }
-  /// Number of queries answered without a fresh charge.
-  size_t num_cache_served() const { return num_cache_served_; }
 
  private:
   PrivacyBudget total_;
   PrivacyBudget spent_{0.0, 0.0};
   PrivacyBudget saved_{0.0, 0.0};
   size_t num_charges_ = 0;
-  size_t num_cache_served_ = 0;
 };
 
 /// Multi-analyst budget enforcement for the session layer (FederationClient):

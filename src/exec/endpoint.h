@@ -50,7 +50,6 @@ struct CoverReply {
   /// Step 4 test, decided provider-side (N^Q >= N_min). The cover itself
   /// stays in the endpoint's session state, and N^Q is not sent: the
   /// protocol publishes it only Laplace-perturbed, in the summary (Eq. 5).
-  /// (`work.metadata_lookups` still encodes it; see DataProvider::Cover.)
   bool should_approximate = false;
   ProviderWorkStats work;
 };

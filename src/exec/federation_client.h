@@ -331,10 +331,6 @@ class FederationClient {
       const std::string& analyst,
       const std::vector<RangeQuery>& workload) const;
 
-  /// The noisy-answer cache, or nullptr when Options::enable_cache is
-  /// off. Stats reads are safe any time; see NoisyAnswerCache threading.
-  const NoisyAnswerCache* cache() const { return cache_.get(); }
-
   const AnalystLedger& ledger() const { return ledger_; }
   /// Append-only record of every budget mutation the ledger applied, in
   /// apply order — replayable to reproduce the live ledger bit-exactly

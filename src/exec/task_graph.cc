@@ -55,6 +55,22 @@ obs::Counter& CompletedCounter() {
   return *c;
 }
 
+/// The registry's `scheduler.*` metrics, resolved once. They are the only
+/// scheduler counters: pops add where they happen, across every graph.
+struct SchedulerMetrics {
+  obs::MetricRegistry& reg = obs::MetricRegistry::Global();
+  obs::Counter* steals = reg.GetCounter("scheduler.steals");
+  obs::Counter* local_pops = reg.GetCounter("scheduler.local_pops");
+  obs::Counter* urgent_pops = reg.GetCounter("scheduler.urgent_pops");
+  obs::Counter* backlog_pops = reg.GetCounter("scheduler.backlog_pops");
+  obs::Counter* graphs_run = reg.GetCounter("scheduler.graphs_run");
+  obs::Gauge* parked_peak = reg.GetGauge("scheduler.parked_peak");
+};
+const SchedulerMetrics& Sched() {
+  static const SchedulerMetrics metrics;
+  return metrics;
+}
+
 int CompareUrgency(uint8_t priority_a, double deadline_a, const TaskKey& key_a,
                    uint8_t priority_b, double deadline_b,
                    const TaskKey& key_b) {
@@ -253,24 +269,7 @@ void TaskGraph::Run() {
     cv_done_.wait(lock, [&] { return live_helpers_ == 0; });
     running_ = false;
   }
-  if (obs::MetricsEnabled()) {
-    // Graphs are per-batch; fold this run's totals into the process-wide
-    // registry so `stats scheduler.` spans every batch ever run.
-    auto& reg = obs::MetricRegistry::Global();
-    static obs::Counter* steals = reg.GetCounter("scheduler.steals");
-    static obs::Counter* local = reg.GetCounter("scheduler.local_pops");
-    static obs::Counter* urgent = reg.GetCounter("scheduler.urgent_pops");
-    static obs::Counter* backlog = reg.GetCounter("scheduler.backlog_pops");
-    static obs::Counter* graphs = reg.GetCounter("scheduler.graphs_run");
-    static obs::Gauge* parked = reg.GetGauge("scheduler.parked_peak");
-    const SchedulerStats stats = scheduler_stats();
-    steals->Add(stats.steals);
-    local->Add(stats.local_pops);
-    urgent->Add(stats.urgent_pops);
-    backlog->Add(stats.backlog_pops);
-    graphs->Add();
-    parked->SetMax(static_cast<double>(stats.parked_peak));
-  }
+  Sched().graphs_run->Add();
 }
 
 bool TaskGraph::TryPop(size_t slot, ReadyItem* item) {
@@ -283,7 +282,7 @@ bool TaskGraph::TryPop(size_t slot, ReadyItem* item) {
       ready_.pop();
       urgent_count_.fetch_sub(1, std::memory_order_release);
       ready_count_.fetch_sub(1, std::memory_order_release);
-      urgent_pops_.fetch_add(1, std::memory_order_relaxed);
+      Sched().urgent_pops->Add();
       return true;
     }
   }
@@ -296,7 +295,7 @@ bool TaskGraph::TryPop(size_t slot, ReadyItem* item) {
         *item = std::move(shard.dq.front());
         shard.dq.pop_front();
         ready_count_.fetch_sub(1, std::memory_order_release);
-        local_pops_.fetch_add(1, std::memory_order_relaxed);
+        Sched().local_pops->Add();
         return true;
       }
     }
@@ -309,7 +308,7 @@ bool TaskGraph::TryPop(size_t slot, ReadyItem* item) {
         *item = std::move(shard.dq.back());
         shard.dq.pop_back();
         ready_count_.fetch_sub(1, std::memory_order_release);
-        steals_.fetch_add(1, std::memory_order_relaxed);
+        Sched().steals->Add();
         return true;
       }
     }
@@ -322,7 +321,7 @@ bool TaskGraph::TryPop(size_t slot, ReadyItem* item) {
       backlog_.pop();
       backlog_count_.fetch_sub(1, std::memory_order_release);
       ready_count_.fetch_sub(1, std::memory_order_release);
-      backlog_pops_.fetch_add(1, std::memory_order_relaxed);
+      Sched().backlog_pops->Add();
       return true;
     }
   }
@@ -409,7 +408,7 @@ bool TaskGraph::TryAdmitEndpointNode(TaskId id, ProviderEndpoint* endpoint) {
   }
   gate.parked.push_back(id);
   ++parked_count_;
-  if (parked_count_ > parked_peak_) parked_peak_ = parked_count_;
+  Sched().parked_peak->SetMax(static_cast<double>(parked_count_));
   return false;
 }
 
@@ -562,20 +561,6 @@ void TaskGraph::DrainBatch(ChildBatch* batch) {
       cv_done_.notify_all();
     }
   }
-}
-
-SchedulerStats TaskGraph::scheduler_stats() const {
-  SchedulerStats stats;
-  stats.steals = steals_.load(std::memory_order_relaxed);
-  stats.local_pops = local_pops_.load(std::memory_order_relaxed);
-  stats.urgent_pops = urgent_pops_.load(std::memory_order_relaxed);
-  stats.backlog_pops = backlog_pops_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats.parked_peak = parked_peak_;
-  }
-  stats.sharded = sharded_;
-  return stats;
 }
 
 size_t TaskGraph::num_tasks() const {

@@ -96,24 +96,6 @@ struct TaskOptions {
 enum class ReadyQueueKind : uint8_t { kAuto = 0, kCentralized = 1,
                                       kSharded = 2 };
 
-/// Post-Run scheduler counters (see TaskGraph::scheduler_stats).
-struct SchedulerStats {
-  /// Ready items a worker took from another worker's shard (FIFO side).
-  uint64_t steals = 0;
-  /// Ready items a worker popped from its own shard (LIFO side).
-  uint64_t local_pops = 0;
-  /// Pops from the central urgent heap (claim tokens, high-priority and
-  /// deadline-bearing nodes; in centralized mode, everything).
-  uint64_t urgent_pops = 0;
-  /// Pops from the central low-priority backlog heap.
-  uint64_t backlog_pops = 0;
-  /// Peak number of nodes simultaneously parked behind endpoint
-  /// admission gates.
-  uint64_t parked_peak = 0;
-  /// True when the sharded (work-stealing) queue was active.
-  bool sharded = false;
-};
-
 /// Dependency-tracking scheduler over (query, provider, phase, shard) task
 /// nodes: the barrier-free replacement for the orchestrator's lock-step
 /// `ParallelFor` phases. Nodes become ready when every dependency has
@@ -139,7 +121,9 @@ struct SchedulerStats {
 /// PR 5 tests pin — single-threaded drains are bit-for-bit reproducible.
 /// Wakeups are batched: a burst of newly-ready nodes costs one condvar
 /// signal, and sleepers are signalled only when someone is actually
-/// asleep.
+/// asleep. Each pop adds to one of the registry's `scheduler.local_pops`,
+/// `scheduler.steals`, `scheduler.urgent_pops` or `scheduler.backlog_pops`
+/// counters as it happens.
 ///
 /// Error containment: a node body returns Status (exceptions are caught
 /// and converted); failures never cancel other nodes. `FirstError()`
@@ -199,10 +183,6 @@ class TaskGraph {
   /// (async dispatch wait excluded): the latency floor no amount of
   /// parallelism can beat for this batch.
   double CriticalPathSeconds() const;
-
-  /// Scheduler counters of the completed Run (diagnostics; see
-  /// SchedulerStats).
-  SchedulerStats scheduler_stats() const;
 
   /// From inside a running task: runs body(0..n-1) as shard children of
   /// the current node, sharing the graph's ready queue and workers with
@@ -356,13 +336,9 @@ class TaskGraph {
   /// written under mutex_.
   size_t idle_count_ = 0;
 
-  /// Scheduler counters (see SchedulerStats).
-  std::atomic<uint64_t> steals_{0};
-  std::atomic<uint64_t> local_pops_{0};
-  std::atomic<uint64_t> urgent_pops_{0};
-  std::atomic<uint64_t> backlog_pops_{0};
+  /// Nodes parked behind endpoint gates right now; its high-water mark
+  /// is the registry's `scheduler.parked_peak`.
   size_t parked_count_ = 0;
-  size_t parked_peak_ = 0;
 
   /// Per-endpoint admission gate: nodes in flight and nodes parked
   /// waiting for a slot.

@@ -128,7 +128,6 @@ void RunAllocation(const BatchContext& ctx, QueryState& st) {
     phase1_max = std::max(phase1_max, work.compute_seconds);
     st.response.breakdown.clusters_scanned += work.clusters_scanned;
     st.response.breakdown.rows_scanned += work.rows_scanned;
-    st.response.breakdown.metadata_lookups += work.metadata_lookups;
   }
   if (!st.active) return;
   st.response.breakdown.provider_compute_seconds = phase1_max;
@@ -293,7 +292,6 @@ void RunCombine(const BatchContext& ctx, QueryState& st) {
     phase2_max = std::max(phase2_max, work.compute_seconds);
     st.response.breakdown.clusters_scanned += work.clusters_scanned;
     st.response.breakdown.rows_scanned += work.rows_scanned;
-    st.response.breakdown.metadata_lookups += work.metadata_lookups;
     if (!st.estimates[e].exact) st.response.approximated = true;
   }
   if (!st.active) return;

@@ -94,7 +94,6 @@ struct QueryBreakdown {
   /// Deterministic work counters summed across providers.
   size_t clusters_scanned = 0;
   size_t rows_scanned = 0;
-  size_t metadata_lookups = 0;
   uint64_t network_bytes = 0;
   uint64_t network_messages = 0;
 

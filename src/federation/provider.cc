@@ -47,11 +47,6 @@ CoverInfo DataProvider::Cover(const RangeQuery& query, ProviderWorkStats* work,
   ShardScanStats stats;
   CoverInfo cover = metadata_.Cover(query, &ScanExec(exec), &stats);
   if (work != nullptr) {
-    // One bounding-box probe per cluster plus one tail-table lookup pair
-    // per covering cluster per constrained dimension.
-    work->metadata_lookups += metadata_.num_clusters() +
-                              cover.NumClusters() *
-                                  query.num_constrained_dims() * 2;
     // Shards run in parallel in the deployment: charge the slowest shard,
     // not the sum — the intra-provider analogue of the orchestrator's
     // max-across-providers rule.

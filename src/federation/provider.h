@@ -20,13 +20,11 @@ namespace fedaqp {
 struct ProviderWorkStats {
   size_t clusters_scanned = 0;
   size_t rows_scanned = 0;
-  size_t metadata_lookups = 0;
   double compute_seconds = 0.0;
 
   ProviderWorkStats& operator+=(const ProviderWorkStats& o) {
     clusters_scanned += o.clusters_scanned;
     rows_scanned += o.rows_scanned;
-    metadata_lookups += o.metadata_lookups;
     compute_seconds += o.compute_seconds;
     return *this;
   }

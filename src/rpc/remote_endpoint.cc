@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 #include <utility>
 
@@ -13,25 +12,18 @@ namespace fedaqp {
 
 namespace {
 
-obs::Counter& BytesSentCounter() {
-  static obs::Counter* c =
-      obs::MetricRegistry::Global().GetCounter("rpc.client.bytes_sent");
-  return *c;
-}
-obs::Counter& BytesReceivedCounter() {
-  static obs::Counter* c =
-      obs::MetricRegistry::Global().GetCounter("rpc.client.bytes_received");
-  return *c;
-}
-obs::Counter& DoorbellBatchesCounter() {
-  static obs::Counter* c =
-      obs::MetricRegistry::Global().GetCounter("rpc.doorbell_batches");
-  return *c;
-}
-obs::Counter& CoalescedCallsCounter() {
-  static obs::Counter* c =
-      obs::MetricRegistry::Global().GetCounter("rpc.coalesced_calls");
-  return *c;
+/// The registry's transport counters, the only record of doorbell
+/// batches and of the calls coalesced into them.
+struct RpcCounters {
+  obs::MetricRegistry& reg = obs::MetricRegistry::Global();
+  obs::Counter* bytes_sent = reg.GetCounter("rpc.client.bytes_sent");
+  obs::Counter* bytes_received = reg.GetCounter("rpc.client.bytes_received");
+  obs::Counter* doorbell_batches = reg.GetCounter("rpc.doorbell_batches");
+  obs::Counter* coalesced_calls = reg.GetCounter("rpc.coalesced_calls");
+};
+const RpcCounters& Counters() {
+  static const RpcCounters counters;
+  return counters;
 }
 
 /// Decodes a reply payload with `decode`, enforcing full consumption.
@@ -102,20 +94,9 @@ RemoteEndpoint::ConnectAll(const std::vector<std::string>& host_ports) {
   std::vector<std::shared_ptr<ProviderEndpoint>> endpoints;
   endpoints.reserve(host_ports.size());
   for (const std::string& hp : host_ports) {
-    size_t colon = hp.rfind(':');
-    if (colon == std::string::npos || colon == 0 || colon + 1 >= hp.size()) {
-      return Status::InvalidArgument("rpc: expected host:port, got '" + hp +
-                                     "'");
-    }
-    const std::string port_str = hp.substr(colon + 1);
-    char* end = nullptr;
-    unsigned long port = std::strtoul(port_str.c_str(), &end, 10);
-    if (end == port_str.c_str() || *end != '\0' || port == 0 || port > 65535) {
-      return Status::InvalidArgument("rpc: bad port in '" + hp + "'");
-    }
-    FEDAQP_ASSIGN_OR_RETURN(
-        std::shared_ptr<RemoteEndpoint> endpoint,
-        Connect(hp.substr(0, colon), static_cast<uint16_t>(port)));
+    FEDAQP_ASSIGN_OR_RETURN(HostPort addr, ParseHostPort(hp));
+    FEDAQP_ASSIGN_OR_RETURN(std::shared_ptr<RemoteEndpoint> endpoint,
+                            Connect(addr.host, addr.port));
     endpoints.push_back(std::move(endpoint));
   }
   return endpoints;
@@ -152,13 +133,13 @@ Result<RpcFrame> RemoteEndpoint::SingleExchangeLocked(
     broken_ = true;
     return sent;
   }
-  BytesSentCounter().Add(kFrameHeaderBytes + payload.size());
+  Counters().bytes_sent->Add(kFrameHeaderBytes + payload.size());
   Result<RpcFrame> reply = conn_.ReceiveFrame();
   if (!reply.ok()) {
     broken_ = true;
     return reply.status();
   }
-  BytesReceivedCounter().Add(kFrameHeaderBytes + reply->payload.size());
+  Counters().bytes_received->Add(kFrameHeaderBytes + reply->payload.size());
   return UnwrapReplyLocked(std::move(*reply), method);
 }
 
@@ -209,14 +190,14 @@ void RemoteEndpoint::ServeBatchLocked(const std::vector<CallSlot*>& batch) {
     // The outer header is the only sent byte the per-message protocol
     // charges do not already cover.
     batch_overhead_bytes_ += kFrameHeaderBytes;
-    BytesSentCounter().Add(kFrameHeaderBytes + outer.size());
+    Counters().bytes_sent->Add(kFrameHeaderBytes + outer.size());
     Result<RpcFrame> reply = conn_.ReceiveFrame();
     if (!reply.ok()) {
       broken_ = true;
       fail_from(chunk_begin, reply.status());
       return;
     }
-    BytesReceivedCounter().Add(kFrameHeaderBytes + reply->payload.size());
+    Counters().bytes_received->Add(kFrameHeaderBytes + reply->payload.size());
     if (reply->method == RpcMethod::kError) {
       // Whole-batch refusal: the server could not split the batch at all
       // (it never happens against our own encoder, but the stream is
@@ -265,15 +246,8 @@ void RemoteEndpoint::ServeBatchLocked(const std::vector<CallSlot*>& batch) {
           UnwrapReplyLocked(std::move((*subs)[i]), slot->method);
       slot->done.store(true, std::memory_order_release);
     }
-    doorbell_batches_.fetch_add(1, std::memory_order_relaxed);
-    coalesced_calls_.fetch_add(chunk_size, std::memory_order_relaxed);
-    DoorbellBatchesCounter().Add();
-    CoalescedCallsCounter().Add(chunk_size);
-    uint64_t seen = max_coalesced_batch_.load(std::memory_order_relaxed);
-    while (seen < chunk_size &&
-           !max_coalesced_batch_.compare_exchange_weak(
-               seen, chunk_size, std::memory_order_relaxed)) {
-    }
+    Counters().doorbell_batches->Add();
+    Counters().coalesced_calls->Add(chunk_size);
   }
 }
 
@@ -442,18 +416,6 @@ uint64_t RemoteEndpoint::bytes_sent() const {
 uint64_t RemoteEndpoint::bytes_received() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return retired_bytes_received_ + conn_.bytes_received();
-}
-
-uint64_t RemoteEndpoint::doorbell_batches() const {
-  return doorbell_batches_.load(std::memory_order_relaxed);
-}
-
-uint64_t RemoteEndpoint::coalesced_calls() const {
-  return coalesced_calls_.load(std::memory_order_relaxed);
-}
-
-uint64_t RemoteEndpoint::max_coalesced_batch() const {
-  return max_coalesced_batch_.load(std::memory_order_relaxed);
 }
 
 uint64_t RemoteEndpoint::batch_overhead_bytes() const {

@@ -117,15 +117,10 @@ class RemoteEndpoint : public ProviderEndpoint {
   uint64_t bytes_sent() const;
   uint64_t bytes_received() const;
 
-  /// Doorbell diagnostics. A batch is one kBatch exchange coalescing 2+
-  /// calls; coalesced_calls counts the calls inside those batches;
-  /// max_coalesced_batch is the largest batch seen. batch_overhead_bytes
-  /// is the exact wire-byte cost of batching — one outer frame header per
+  /// The exact wire-byte cost of batching: one outer frame header per
   /// batched send plus one per batched reply — the only real bytes the
-  /// per-message protocol charges do not cover.
-  uint64_t doorbell_batches() const;
-  uint64_t coalesced_calls() const;
-  uint64_t max_coalesced_batch() const;
+  /// per-message protocol charges do not cover. (The registry's
+  /// `rpc.doorbell_batches` and `rpc.coalesced_calls` count the batches.)
   uint64_t batch_overhead_bytes() const;
 
  private:
@@ -198,12 +193,8 @@ class RemoteEndpoint : public ProviderEndpoint {
   std::mutex pending_mutex_;
   std::vector<CallSlot*> pending_;
 
-  /// Doorbell counters (see accessors). The overhead counter is written
-  /// under mutex_ together with the odometer-bearing exchange, so
+  /// Written under mutex_ together with the odometer-bearing exchange, so
   /// odometers and overhead snapshot consistently between queries.
-  std::atomic<uint64_t> doorbell_batches_{0};
-  std::atomic<uint64_t> coalesced_calls_{0};
-  std::atomic<uint64_t> max_coalesced_batch_{0};
   uint64_t batch_overhead_bytes_ = 0;
 
   /// Lazily started dispatch pool backing IssueAsync (guarded by

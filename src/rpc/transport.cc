@@ -29,6 +29,23 @@ void DisableNagle(int fd) {
 
 }  // namespace
 
+Result<HostPort> ParseHostPort(const std::string& host_port) {
+  const size_t colon = host_port.rfind(':');
+  if (colon == std::string::npos || colon == 0) {
+    return Status::InvalidArgument("rpc: expected host:port, got '" +
+                                   host_port + "'");
+  }
+  const std::string digits = host_port.substr(colon + 1);
+  const bool numeric = !digits.empty() && digits.size() <= 5 &&
+                       digits.find_first_not_of("0123456789") ==
+                           std::string::npos;
+  const unsigned long port = numeric ? std::stoul(digits) : 0;
+  if (port == 0 || port > 65535) {
+    return Status::InvalidArgument("rpc: bad port in '" + host_port + "'");
+  }
+  return HostPort{host_port.substr(0, colon), static_cast<uint16_t>(port)};
+}
+
 TcpConnection& TcpConnection::operator=(TcpConnection&& o) noexcept {
   if (this != &o) {
     Close();

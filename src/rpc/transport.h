@@ -10,6 +10,17 @@
 
 namespace fedaqp {
 
+/// A peer address as given on a command line.
+struct HostPort {
+  std::string host;
+  uint16_t port = 0;
+};
+
+/// Parses "host:port", splitting at the last ':'. The host must be
+/// non-empty and the port all digits in [1, 65535]; anything else is
+/// InvalidArgument (never a silently truncated port).
+Result<HostPort> ParseHostPort(const std::string& host_port);
+
 /// Blocking, framed TCP connection. Frames are written and read whole
 /// (full-write / full-read loops over POSIX sockets, EINTR-safe,
 /// SIGPIPE-suppressed), so a frame either transfers completely or the

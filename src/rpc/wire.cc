@@ -118,7 +118,6 @@ Status ExpectConsumed(const ByteReader& r) {
 void EncodeWorkStats(const ProviderWorkStats& v, ByteWriter* w) {
   w->PutU64(v.clusters_scanned);
   w->PutU64(v.rows_scanned);
-  w->PutU64(v.metadata_lookups);
   w->PutDouble(v.compute_seconds);
 }
 
@@ -126,10 +125,8 @@ Result<ProviderWorkStats> DecodeWorkStats(ByteReader* r) {
   ProviderWorkStats v;
   FEDAQP_ASSIGN_OR_RETURN(uint64_t clusters, r->GetU64());
   FEDAQP_ASSIGN_OR_RETURN(uint64_t rows, r->GetU64());
-  FEDAQP_ASSIGN_OR_RETURN(uint64_t lookups, r->GetU64());
   v.clusters_scanned = clusters;
   v.rows_scanned = rows;
-  v.metadata_lookups = lookups;
   FEDAQP_ASSIGN_OR_RETURN(v.compute_seconds, r->GetDouble());
   return v;
 }

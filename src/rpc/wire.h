@@ -74,7 +74,7 @@ struct RpcFrame {
 };
 
 constexpr uint32_t kWireMagic = 0xfeda09c1u;
-constexpr uint8_t kWireVersion = 2;
+constexpr uint8_t kWireVersion = 3;
 constexpr size_t kFrameHeaderBytes = 10;
 /// Upper bound on a frame payload. Protocol messages are tiny (a query is
 /// a handful of ranges); the cap exists so a corrupt or hostile length

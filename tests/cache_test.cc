@@ -6,8 +6,9 @@
 // patterns and answers are bit-identical to a no-cache replay of the
 // same admission sequence across pool sizes, both schedulers, and
 // loopback RPC; ledgers charge exactly the uncovered-remainder cost; a
-// cancelled remainder purchase leaves the cache consistent. The file
-// runs in the CI ThreadSanitizer job.
+// cancelled remainder purchase leaves the cache consistent; the
+// registry's cache, client and accountant counters reconcile with ticket
+// outcomes. The file runs in the CI ThreadSanitizer job.
 
 #include <cmath>
 #include <memory>
@@ -21,6 +22,7 @@
 #include "exec/federation_client.h"
 #include "exec/in_process_endpoint.h"
 #include "gate_endpoint.h"
+#include "registry_delta.h"
 #include "rpc/remote_endpoint.h"
 #include "rpc/server.h"
 #include "workload/datagen.h"
@@ -137,13 +139,6 @@ TEST(AnswerCacheTest, TilesPrefixSuffixAndBuysOnlyTheRemainder) {
   // An interval aligned to no cached boundary is a plain miss.
   auto off = cache.Resolve("alice", Dim0(20, 60), kEps1, 6);
   EXPECT_EQ(off.kind, NoisyAnswerCache::Decision::Kind::kMiss);
-
-  NoisyAnswerCache::CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.lookups, 6u);
-  EXPECT_EQ(stats.exact_hits, 0u);
-  EXPECT_EQ(stats.full_compositions, 2u);
-  EXPECT_EQ(stats.partial_compositions, 1u);
-  EXPECT_EQ(stats.misses, 3u);
 }
 
 TEST(AnswerCacheTest, LowEpsilonTilesDoNotServeHighEpsilonRequests) {
@@ -192,7 +187,6 @@ TEST(AnswerCacheTest, InvalidateDropsTheEntryForReuse) {
   cache.Invalidate(miss.purchase, "alice");
   auto again = cache.Resolve("alice", Dim0(10, 99), kEps1, 2);
   EXPECT_EQ(again.kind, NoisyAnswerCache::Decision::Kind::kMiss);
-  EXPECT_EQ(cache.stats().invalidated, 1u);
 }
 
 // ---------------------------------------------------------------- prediction --
@@ -219,8 +213,9 @@ TEST(AnswerCacheTest, PredictChargeableMatchesActualResolution) {
       NoisyAnswerCache::Publish(*d.purchase, Status::OK(), 1.0, 1.0, true);
     }
   }
-  // Prediction mutated nothing.
-  EXPECT_EQ(simulated.stats().entries, 0u);
+  // Prediction mutated nothing: the first query is still a fresh miss.
+  EXPECT_EQ(simulated.Resolve("alice", workload[0], budgets[0], 1).kind,
+            NoisyAnswerCache::Decision::Kind::kMiss);
 }
 
 // ------------------------------------------------------------------- planner --
@@ -524,6 +519,7 @@ TEST(CacheClientTest, PartialCompositionChargesExactlyTheRemainder) {
 }
 
 TEST(CacheClientTest, CancelledRemainderLeavesCacheConsistent) {
+  const RegistryDelta delta;
   auto providers = MakeFederation(2);
   Result<std::vector<std::shared_ptr<ProviderEndpoint>>> inner =
       MakeInProcessEndpoints(Ptrs(providers));
@@ -577,14 +573,77 @@ TEST(CacheClientTest, CancelledRemainderLeavesCacheConsistent) {
   EXPECT_FALSE(retry.Stats().served_from_cache);
   EXPECT_EQ(retry.Stats().cache_sub_answers, 1u);
   (*client)->WaitIdle();
-  ASSERT_NE((*client)->cache(), nullptr);
-  EXPECT_EQ((*client)->cache()->stats().invalidated, 1u);
+  EXPECT_EQ(delta("cache.invalidated"), 1u);
 
   // And now the completed purchase serves repeats for free again.
   QueryTicket served = submit(Dim0(10, 149));
   ASSERT_TRUE(served.Wait().ok());
   EXPECT_TRUE(served.Stats().served_from_cache);
   EXPECT_EQ(served.Wait()->estimate, retried->estimate);
+}
+
+// The registry is the only source of the cache, client and accountant
+// counts, so one paused burst's counter deltas must reconcile with its
+// tickets: each lookup lands on exactly one outcome counter, each ticket
+// is submitted and delivered once, and only tickets that bought an
+// answer charge.
+TEST(CacheClientTest, RegistryCountersReconcileWithTickets) {
+  auto providers = MakeFederation(2);
+  FederationClient::Options copts;
+  copts.protocol = BaseConfig(2, BatchScheduler::kTaskGraph);
+  copts.analysts = {{"alice", 1e6, 1e3}};
+  copts.enable_cache = true;
+  copts.start_paused = true;
+  Result<std::unique_ptr<FederationClient>> client =
+      FederationClient::Create(Ptrs(providers), copts);
+  ASSERT_TRUE(client.ok());
+  const RegistryDelta delta;
+  std::vector<QueryTicket> tickets;
+  auto submit = [&](const RangeQuery& q, QueryKind kind) {
+    QuerySpec spec;
+    spec.analyst = "alice";
+    spec.query = q;
+    spec.kind = kind;
+    tickets.push_back((*client)->Submit(std::move(spec)));
+  };
+  // A miss and its exact repeat, a second miss and the full composition
+  // of both, a partial overlap (buys [100,149]), and one to cancel.
+  for (const RangeQuery& q : {Dim0(10, 49), Dim0(10, 49), Dim0(50, 99),
+                              Dim0(10, 99), Dim0(10, 149), Dim1(30, 80)}) {
+    submit(q, QueryKind::kApproximate);
+  }
+  EXPECT_TRUE(tickets[5].Cancel());
+  submit(Dim0(0, 199), QueryKind::kExact);
+  (*client)->Resume();
+  (*client)->WaitIdle();
+
+  uint64_t hits = 0, full = 0, partial = 0, misses = 0;
+  for (QueryTicket& ticket : tickets) {
+    const TicketStats stats = ticket.Stats();
+    if (!ticket.Wait().ok() || ticket.spec().kind == QueryKind::kExact) {
+      continue;
+    }
+    const bool composed = stats.cache_sub_answers > 0;
+    ++(stats.served_from_cache ? (composed ? full : hits)
+                               : (composed ? partial : misses));
+  }
+  EXPECT_EQ(tickets[5].Wait().status().code(), StatusCode::kCancelled);
+  EXPECT_TRUE(tickets[6].Wait().ok());
+  EXPECT_EQ(std::vector<uint64_t>({hits, full, partial, misses}),
+            std::vector<uint64_t>({1, 1, 1, 2}));
+
+  EXPECT_EQ(delta("cache.exact_hits"), hits);
+  EXPECT_EQ(delta("cache.full_compositions"), full);
+  EXPECT_EQ(delta("cache.partial_compositions"), partial);
+  EXPECT_EQ(delta("cache.misses"), misses);
+  EXPECT_EQ(delta("cache.lookups"),
+            delta("cache.exact_hits") + delta("cache.full_compositions") +
+                delta("cache.partial_compositions") + delta("cache.misses"));
+  EXPECT_EQ(delta("cache.invalidated"), 0u);
+  EXPECT_EQ(delta("client.submitted"), tickets.size());
+  EXPECT_EQ(delta("client.delivered"), tickets.size());
+  EXPECT_EQ(delta("accountant.charges"), partial + misses);
+  EXPECT_EQ(delta("accountant.cache_served"), hits + full);
 }
 
 TEST(CacheClientTest, PlanHorizonKnobStretchesPerQueryCharge) {

@@ -88,7 +88,6 @@ TEST_F(FederationFixture, CoverMatchesMetadataStore) {
   CoverInfo via_provider = providers_[0]->Cover(q, &work);
   CoverInfo direct = providers_[0]->metadata().Cover(q);
   EXPECT_EQ(via_provider.cluster_ids, direct.cluster_ids);
-  EXPECT_GT(work.metadata_lookups, 0u);
   EXPECT_EQ(work.clusters_scanned, 0u) << "cover must not touch clusters";
 }
 

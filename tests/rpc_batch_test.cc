@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "federation/provider.h"
+#include "registry_delta.h"
 #include "rpc/remote_endpoint.h"
 #include "rpc/server.h"
 #include "rpc/transport.h"
@@ -86,6 +87,7 @@ class RpcBatchTest : public ::testing::Test {
 TEST_F(RpcBatchTest, CoalescedCallsMatchSequentialAnswers) {
   Result<std::shared_ptr<RemoteEndpoint>> endpoint = Connect();
   ASSERT_TRUE(endpoint.ok()) << endpoint.status().ToString();
+  const RegistryDelta delta;
 
   // Sequential reference, unbatched by construction (one caller).
   std::vector<RangeQuery> queries;
@@ -97,7 +99,7 @@ TEST_F(RpcBatchTest, CoalescedCallsMatchSequentialAnswers) {
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
     reference.push_back(reply->value);
   }
-  EXPECT_EQ((*endpoint)->doorbell_batches(), 0u)
+  EXPECT_EQ(delta("rpc.doorbell_batches"), 0u)
       << "a sequential caller must never pay for batching";
 
   // The same scans from 8 threads: calls park, coalesce, and must come
@@ -124,11 +126,10 @@ TEST_F(RpcBatchTest, CoalescedCallsMatchSequentialAnswers) {
     ASSERT_EQ(failures.load(), 0);
     EXPECT_EQ(answers, reference);
   }
-  EXPECT_GT((*endpoint)->doorbell_batches(), 0u)
+  EXPECT_GT(delta("rpc.doorbell_batches"), 0u)
       << "8 threads x 4 rounds should have coalesced at least once";
-  EXPECT_GE((*endpoint)->max_coalesced_batch(), 2u);
-  EXPECT_GE((*endpoint)->coalesced_calls(),
-            2 * (*endpoint)->doorbell_batches());
+  // Every batch coalesces 2+ calls (so the largest one did too).
+  EXPECT_GE(delta("rpc.coalesced_calls"), 2 * delta("rpc.doorbell_batches"));
 }
 
 // The byte-accounting invariant under coalescing: real bytes moved ==
@@ -138,6 +139,7 @@ TEST_F(RpcBatchTest, CoalescedCallsMatchSequentialAnswers) {
 TEST_F(RpcBatchTest, CoalescedBytesEqualChargesPlusCountedOverhead) {
   Result<std::shared_ptr<RemoteEndpoint>> endpoint = Connect();
   ASSERT_TRUE(endpoint.ok());
+  const RegistryDelta delta;
 
   const uint64_t base =
       (*endpoint)->bytes_sent() + (*endpoint)->bytes_received();
@@ -169,7 +171,7 @@ TEST_F(RpcBatchTest, CoalescedBytesEqualChargesPlusCountedOverhead) {
       (*endpoint)->bytes_sent() + (*endpoint)->bytes_received() - base;
   EXPECT_EQ(moved, charged.load() + (*endpoint)->batch_overhead_bytes());
   EXPECT_EQ((*endpoint)->batch_overhead_bytes(),
-            2 * kFrameHeaderBytes * (*endpoint)->doorbell_batches());
+            2 * kFrameHeaderBytes * delta("rpc.doorbell_batches"));
 }
 
 // A raw-wire kBatch exchange: sub-replies arrive in request order inside
@@ -365,8 +367,7 @@ std::vector<double> ReplyContent(const RpcFrame& frame) {
     if (!r.ok()) return {};
     return {r->should_approximate ? 1.0 : 0.0,
             static_cast<double>(r->work.clusters_scanned),
-            static_cast<double>(r->work.rows_scanned),
-            static_cast<double>(r->work.metadata_lookups)};
+            static_cast<double>(r->work.rows_scanned)};
   }
   if (frame.method == RpcMethod::kPublishSummary) {
     Result<SummaryReply> r = DecodeSummaryReply(&reader);

@@ -146,7 +146,6 @@ TEST_F(RpcLoopbackTest, LoopbackFederationIsBitIdenticalToInProcess) {
     // compute_seconds is wall time and naturally differs.
     EXPECT_EQ(a->breakdown.clusters_scanned, b->breakdown.clusters_scanned);
     EXPECT_EQ(a->breakdown.rows_scanned, b->breakdown.rows_scanned);
-    EXPECT_EQ(a->breakdown.metadata_lookups, b->breakdown.metadata_lookups);
     EXPECT_EQ(a->breakdown.network_bytes, b->breakdown.network_bytes);
     EXPECT_EQ(a->breakdown.network_messages, b->breakdown.network_messages);
 

@@ -2,17 +2,20 @@
 // protocol messages, adversarial frames (truncated, corrupt, hostile
 // lengths) that must fail with Status instead of crashing or
 // over-reading, and the regression pinning SimNetwork's charged sizes to
-// the codec's framed sizes.
+// the codec's framed sizes. Also the `host:port` parser every dialler
+// (RemoteEndpoint::ConnectAll, the shell's `ledger connect`) shares.
 
 #include <cstring>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "federation/orchestrator.h"
+#include "rpc/transport.h"
 #include "rpc/wire.h"
 #include "workload/datagen.h"
 
@@ -39,7 +42,6 @@ ProviderWorkStats RandomWork(Rng* rng) {
   ProviderWorkStats w;
   w.clusters_scanned = rng->NextU64() >> 16;
   w.rows_scanned = rng->NextU64() >> 16;
-  w.metadata_lookups = rng->NextU64() >> 16;
   w.compute_seconds = rng->UniformDouble() * 1e3;
   return w;
 }
@@ -318,6 +320,28 @@ TEST(RpcWireTest, CorruptSchemaIsRejectedNotConstructed) {
   w.PutI64(5);
   ByteReader r(w.bytes());
   EXPECT_FALSE(DecodeSchema(&r).ok());
+}
+
+TEST(RpcWireTest, HostPortParsesOnlyValidPorts) {
+  // The last ':' splits, so the port is always the final field.
+  for (const auto& [text, host, port] :
+       {std::tuple<std::string, std::string, uint16_t>{"127.0.0.1:4464",
+                                                       "127.0.0.1", 4464},
+        {"a:b:65535", "a:b", 65535}, {"h:1", "h", 1}}) {
+    Result<HostPort> parsed = ParseHostPort(text);
+    ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status().ToString();
+    EXPECT_EQ(parsed->host, host);
+    EXPECT_EQ(parsed->port, port);
+  }
+  // 70000 must not wrap to 70000 mod 65536 = 4464.
+  for (const char* bad :
+       {"127.0.0.1:70000", "127.0.0.1:65536", "127.0.0.1:0", "127.0.0.1:-1",
+        "127.0.0.1:+80", "127.0.0.1: 80", "127.0.0.1:80x", "127.0.0.1:080000",
+        "127.0.0.1:99999999999999999999", "127.0.0.1:", ":80", "localhost",
+        ""}) {
+    EXPECT_EQ(ParseHostPort(bad).status().code(), StatusCode::kInvalidArgument)
+        << "'" << bad << "'";
+  }
 }
 
 // ------------------------------------------- charged sizes == codec sizes --
