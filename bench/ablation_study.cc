@@ -255,7 +255,7 @@ int main(int argc, char** argv) {
     size_t rows_scanned = 0;
     for (const auto& q : *wl) {
       Result<QueryResponse> exact = orch->ExecuteExact(q);
-      Result<QueryResponse> resp = orch->Execute(q);
+      Result<QueryResponse> resp = ExecuteQuery(*orch, q);
       if (!exact.ok() || !resp.ok()) return 1;
       errs.push_back(RelativeError(exact->estimate, resp->estimate));
       rows_scanned += resp->breakdown.rows_scanned;

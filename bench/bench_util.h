@@ -153,13 +153,44 @@ inline std::unique_ptr<Federation> OpenPaperFederation(
 }
 
 /// Fresh orchestrator over a federation's providers with a tweaked config
-/// (parameter sweeps reuse the expensive offline build).
+/// (parameter sweeps reuse the expensive offline build), for benches that
+/// time the executor itself. It charges nothing; see ExecuteQueries.
 inline Result<QueryOrchestrator> Orchestrate(Federation* fed,
                                              FederationConfig config) {
-  config.total_xi = 1e18;
-  config.total_psi = 1e9;
   config.network.latency_seconds = 1e-5;
   return QueryOrchestrator::Create(fed->provider_ptrs(), config);
+}
+
+/// Runs `queries` through the executor as one uncharged ExecuteBatchSpecs
+/// batch. Outcomes align with `queries`.
+inline std::vector<BatchOutcome> ExecuteQueries(
+    QueryOrchestrator& orch, const std::vector<RangeQuery>& queries) {
+  std::vector<QueryExecSpec> specs(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) specs[i].query = queries[i];
+  return orch.ExecuteBatchSpecs(specs);
+}
+
+/// ExecuteQueries for a single query.
+inline Result<QueryResponse> ExecuteQuery(QueryOrchestrator& orch,
+                                          const RangeQuery& query) {
+  std::vector<BatchOutcome> outcomes = ExecuteQueries(orch, {query});
+  if (!outcomes[0].ok()) return outcomes[0].status;
+  return std::move(outcomes[0].response);
+}
+
+/// The analyst every bench client grants a budget no sweep exhausts.
+constexpr const char* kBenchAnalyst = "bench";
+
+/// Fresh client over `providers` with a tweaked config (parameter sweeps
+/// reuse the expensive offline build); it admits and charges
+/// kBenchAnalyst's queries like any analyst's.
+inline Result<std::unique_ptr<FederationClient>> Client(
+    std::vector<DataProvider*> providers, FederationConfig config) {
+  config.network.latency_seconds = 1e-5;
+  FederationClient::Options options;
+  options.protocol = config;
+  options.analysts = {AnalystGrant{kBenchAnalyst, 1e18, 1e9}};
+  return FederationClient::Create(std::move(providers), options);
 }
 
 /// Admission rule of the paper's workloads: the query must trigger

@@ -48,10 +48,11 @@ int main(int argc, char** argv) {
                        workload.status().ToString().c_str());
           continue;
         }
-        Result<QueryOrchestrator> orch = Orchestrate(fed.get(), protocol);
-        if (!orch.ok()) return 1;
+        Result<std::unique_ptr<FederationClient>> client =
+            Client(fed->provider_ptrs(), protocol);
+        if (!client.ok()) return 1;
         Result<std::vector<QueryMeasurement>> ms =
-            RunWorkload(&orch.value(), *workload);
+            RunWorkload(**client, kBenchAnalyst, *workload);
         if (!ms.ok()) return 1;
         WorkloadMetrics metrics = Summarize(*ms);
         std::printf("%-12s %-6s %-4zu %11.2f%% %11.2f%%\n",

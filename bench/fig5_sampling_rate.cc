@@ -47,10 +47,11 @@ int main(int argc, char** argv) {
       for (double sr : {0.05, 0.10, 0.15, 0.20}) {
         FederationConfig config = protocol;
         config.sampling_rate = sr;
-        Result<QueryOrchestrator> orch = Orchestrate(fed.get(), config);
-        if (!orch.ok()) return 1;
+        Result<std::unique_ptr<FederationClient>> client =
+            Client(fed->provider_ptrs(), config);
+        if (!client.ok()) return 1;
         Result<std::vector<QueryMeasurement>> ms =
-            RunWorkload(&orch.value(), *workload);
+            RunWorkload(**client, kBenchAnalyst, *workload);
         if (!ms.ok()) return 1;
         WorkloadMetrics metrics = Summarize(*ms);
         std::printf("%-12s %-6s %-6.0f %10.2f%% %10.2fx %10.2fx\n",

@@ -46,10 +46,11 @@ int main(int argc, char** argv) {
       for (double eps : {0.1, 0.3, 0.5, 0.7, 0.9, 1.1, 1.3}) {
         FederationConfig config = protocol;
         config.per_query_budget = {eps, 1e-3};
-        Result<QueryOrchestrator> orch = Orchestrate(fed.get(), config);
-        if (!orch.ok()) return 1;
+        Result<std::unique_ptr<FederationClient>> client =
+            Client(fed->provider_ptrs(), config);
+        if (!client.ok()) return 1;
         Result<std::vector<QueryMeasurement>> ms =
-            RunWorkload(&orch.value(), *workload);
+            RunWorkload(**client, kBenchAnalyst, *workload);
         if (!ms.ok()) return 1;
         WorkloadMetrics metrics = Summarize(*ms);
         std::printf("%-12s %-6s %-8.1f %11.2f%% %11.2f%%\n",

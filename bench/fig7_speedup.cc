@@ -40,10 +40,11 @@ int main(int argc, char** argv) {
       Result<std::vector<RangeQuery>> workload =
           PaperWorkload(fed.get(), queries, n, agg, seed + n * 3);
       if (!workload.ok()) continue;
-      Result<QueryOrchestrator> orch = Orchestrate(fed.get(), protocol);
-      if (!orch.ok()) return 1;
+      Result<std::unique_ptr<FederationClient>> client =
+          Client(fed->provider_ptrs(), protocol);
+      if (!client.ok()) return 1;
       Result<std::vector<QueryMeasurement>> ms =
-          RunWorkload(&orch.value(), *workload);
+          RunWorkload(**client, kBenchAnalyst, *workload);
       if (!ms.ok()) return 1;
       WorkloadMetrics metrics = Summarize(*ms);
       std::printf("%-8s %-6s %-8zu %10.2fx %10.2fx\n", "dims", AggName(agg),
@@ -59,10 +60,11 @@ int main(int argc, char** argv) {
     for (double eps : {0.1, 0.3, 0.5, 0.7, 0.9, 1.1, 1.3}) {
       FederationConfig config = protocol;
       config.per_query_budget = {eps, 1e-3};
-      Result<QueryOrchestrator> orch = Orchestrate(fed.get(), config);
-      if (!orch.ok()) return 1;
+      Result<std::unique_ptr<FederationClient>> client =
+          Client(fed->provider_ptrs(), config);
+      if (!client.ok()) return 1;
       Result<std::vector<QueryMeasurement>> ms =
-          RunWorkload(&orch.value(), *workload);
+          RunWorkload(**client, kBenchAnalyst, *workload);
       if (!ms.ok()) return 1;
       WorkloadMetrics metrics = Summarize(*ms);
       std::printf("%-8s %-6s %-8.1f %10.2fx %10.2fx\n", "epsilon",

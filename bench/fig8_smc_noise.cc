@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
         // and take deviation from the exact answer as the perturbation
         // envelope (sampling error + Laplace noise, exactly what the
         // analyst experiences).
-        Result<QueryResponse> resp = orch->Execute(q);
+        Result<QueryResponse> resp = ExecuteQuery(*orch, q);
         if (!resp.ok()) return 1;
         double noise = resp->estimate - exact->estimate;
         noise_min = std::min(noise_min, noise);

@@ -88,23 +88,22 @@ int Run(int argc, char** argv) {
     for (int rep = -1; rep < reps; ++rep) {
       // rep -1 is an untimed warmup (first-touch page faults, lazy
       // connection pools); its timing is discarded, its answers still
-      // checked. A fresh orchestrator per rep: fresh session ids and a
-      // fresh accountant, so reps are true repetitions of the same batch.
+      // checked. A fresh orchestrator per rep: fresh session ids, so reps
+      // are true repetitions of the same batch.
       Result<QueryOrchestrator> orch = [&]() -> Result<QueryOrchestrator> {
         if (!loopback) return bench::Orchestrate(fed.get(), config);
         FEDAQP_ASSIGN_OR_RETURN(
             std::vector<std::shared_ptr<ProviderEndpoint>> remote,
             RemoteEndpoint::ConnectAll(host_ports));
         FederationConfig remote_config = config;
-        remote_config.total_xi = 1e18;
-        remote_config.total_psi = 1e9;
         remote_config.network.latency_seconds = 1e-5;
         return QueryOrchestrator::CreateFromEndpoints(std::move(remote),
                                                       remote_config);
       }();
       FEDAQP_RETURN_IF_ERROR(orch.status());
       Stopwatch timer;
-      std::vector<BatchOutcome> outcomes = orch->ExecuteBatch(*workload);
+      std::vector<BatchOutcome> outcomes =
+          bench::ExecuteQueries(*orch, *workload);
       const double wall = timer.ElapsedSeconds();
       std::vector<double> estimates;
       for (const auto& out : outcomes) {

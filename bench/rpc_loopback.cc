@@ -120,7 +120,7 @@ int Run(int argc, char** argv) {
   uint64_t charged_messages = 0;
   Stopwatch local_timer;
   for (const RangeQuery& q : *workload) {
-    Result<QueryResponse> resp = local->Execute(q);
+    Result<QueryResponse> resp = bench::ExecuteQuery(*local, q);
     if (!resp.ok()) {
       std::fprintf(stderr, "local query: %s\n",
                    resp.status().ToString().c_str());
@@ -157,8 +157,6 @@ int Run(int argc, char** argv) {
   for (auto* e : raw) handshake_bytes += e->bytes_sent() + e->bytes_received();
 
   FederationConfig remote_protocol = protocol;
-  remote_protocol.total_xi = 1e18;
-  remote_protocol.total_psi = 1e9;
   remote_protocol.network.latency_seconds = 1e-5;
   Result<QueryOrchestrator> over_wire =
       QueryOrchestrator::CreateFromEndpoints(std::move(remote).value(),
@@ -171,7 +169,8 @@ int Run(int argc, char** argv) {
   size_t identical = 0;
   Stopwatch wire_timer;
   for (size_t i = 0; i < workload->size(); ++i) {
-    Result<QueryResponse> resp = over_wire->Execute((*workload)[i]);
+    Result<QueryResponse> resp =
+        bench::ExecuteQuery(*over_wire, (*workload)[i]);
     if (!resp.ok()) {
       std::fprintf(stderr, "loopback query: %s\n",
                    resp.status().ToString().c_str());

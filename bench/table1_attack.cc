@@ -92,7 +92,12 @@ int main(int argc, char** argv) {
         attack.psi = 1e-6;
         attack.composition = comp.comp;
         attack.aggregation = agg;
-        Result<AttackResult> res = RunNbcAttack(ptrs, base, attack, eval);
+        // A fresh client per attack, so every attack draws the same
+        // session ids (and noise) it would alone.
+        Result<std::unique_ptr<FederationClient>> client = Client(ptrs, base);
+        if (!client.ok()) return 1;
+        Result<AttackResult> res =
+            RunNbcAttack(**client, "attacker", attack, eval);
         if (!res.ok()) {
           std::printf(" %8s", "err");
           continue;

@@ -66,7 +66,14 @@ int main() {
       attack.psi = 1e-6;
       attack.composition = comp;
       attack.aggregation = Aggregation::kCount;
-      Result<AttackResult> res = RunNbcAttack(ptrs, base, attack, eval);
+      // A fresh client per attack: the attacker's grant is its own.
+      FederationClient::Options options;
+      options.protocol = base;
+      Result<std::unique_ptr<FederationClient>> client =
+          FederationClient::Create(ptrs, options);
+      if (!client.ok()) return 1;
+      Result<AttackResult> res =
+          RunNbcAttack(**client, "attacker", attack, eval);
       if (!res.ok()) {
         std::printf("%-12s %-6s %8.0f  attack failed: %s\n", comp_name,
                     "COUNT", xi, res.status().ToString().c_str());

@@ -39,13 +39,15 @@ int main() {
     providers.push_back(std::move(p).value());
   }
 
-  FederationConfig config;
-  config.per_query_budget = {1.0, 1e-3};
-  config.sampling_rate = 0.3;
-  config.total_xi = 50.0;
-  config.total_psi = 0.05;
-  Result<QueryOrchestrator> orch = QueryOrchestrator::Create(ptrs, config);
-  if (!orch.ok()) return 1;
+  // One analyst with a (50, 0.05) grant: every bucket and every derived
+  // aggregate's sub-query is charged on this analyst's ledger.
+  FederationClient::Options options;
+  options.protocol.per_query_budget = {1.0, 1e-3};
+  options.protocol.sampling_rate = 0.3;
+  options.analysts = {AnalystGrant{"analyst", 50.0, 0.05}};
+  Result<std::unique_ptr<FederationClient>> client =
+      FederationClient::Create(ptrs, options);
+  if (!client.ok()) return 1;
 
   // Private histogram: sales of popular categories, grouped by region.
   RangeQuery base = RangeQueryBuilder(Aggregation::kSum)
@@ -53,7 +55,7 @@ int main() {
                         .Build();
   GroupByOptions gb;
   gb.group_dim = 0;
-  Result<GroupByResult> hist = PrivateGroupBy(&orch.value(), base, gb);
+  Result<GroupByResult> hist = PrivateGroupBy(**client, "analyst", base, gb);
   if (!hist.ok()) {
     std::fprintf(stderr, "group-by failed: %s\n",
                  hist.status().ToString().c_str());
@@ -87,8 +89,8 @@ int main() {
   RangeQuery range = RangeQueryBuilder(Aggregation::kSum)
                          .Where(2, 5, 25)
                          .Build();
-  Result<DerivedResult> avg = PrivateAverage(&orch.value(), range);
-  Result<DerivedResult> sd = PrivateStdDev(&orch.value(), range);
+  Result<DerivedResult> avg = PrivateAverage(**client, "analyst", range);
+  Result<DerivedResult> sd = PrivateStdDev(**client, "analyst", range);
   if (!avg.ok() || !sd.ok()) return 1;
   std::printf("== derived aggregates (Sec. 7) ==\n");
   std::printf("AVG(Measure)    = %8.3f   (spent eps=%.2f across 2 queries)\n",
@@ -96,9 +98,10 @@ int main() {
   std::printf("STDDEV(Measure) = %8.3f   (spent eps=%.2f across 3 queries)\n",
               sd->value, sd->spent.epsilon);
 
-  const PrivacyAccountant& acct = orch->accountant();
-  std::printf("\nanalyst budget: spent eps %.1f of %.1f across %zu "
-              "private queries\n",
-              acct.spent().epsilon, acct.total().epsilon, acct.num_charges());
+  const AnalystLedger& ledger = (*client)->ledger();
+  std::printf("\nanalyst budget: spent eps %.1f of %.1f (one charge per "
+              "bucket and per sub-query)\n",
+              ledger.Spent("analyst")->epsilon,
+              ledger.Total("analyst")->epsilon);
   return 0;
 }

@@ -77,9 +77,11 @@ int main() {
        RangeQueryBuilder(Aggregation::kSum).Where(0, 0, 89).Build()},
   };
 
+  size_t admitted = 0;
   for (const Study& study : studies) {
     Result<QueryResponse> exact = hospitals.QueryExact(study.query);
     Result<QueryResponse> priv = hospitals.Query(study.query);
+    if (priv.ok()) ++admitted;
     if (!priv.ok()) {
       std::printf("%-32s REFUSED: %s\n", study.label,
                   priv.status().ToString().c_str());
@@ -94,8 +96,9 @@ int main() {
                 priv->approximated ? "(approximated)" : "(exact path)");
   }
 
-  const PrivacyAccountant& acct = hospitals.accountant();
+  const AnalystLedger& ledger = hospitals.client().ledger();
   std::printf("\nbudget: %zu studies admitted, eps spent %.2f/%.2f\n",
-              acct.num_charges(), acct.spent().epsilon, acct.total().epsilon);
+              admitted, ledger.Spent(Federation::kAnalyst)->epsilon,
+              ledger.Total(Federation::kAnalyst)->epsilon);
   return 0;
 }

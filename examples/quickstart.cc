@@ -74,11 +74,13 @@ int main() {
                 priv->breakdown.TotalSeconds() * 1e3);
   }
 
-  // 4. Budget status.
-  const PrivacyAccountant& acct = (*fed)->accountant();
-  std::printf("\nprivacy: spent (eps=%.2f, delta=%.4f) of (xi=%.0f, psi=%.2f)"
-              " across %zu queries\n",
-              acct.spent().epsilon, acct.spent().delta, acct.total().epsilon,
-              acct.total().delta, acct.num_charges());
+  // 4. Budget status: each private query charged the federation's one
+  //    analyst on its client's ledger; the exact baseline charged nothing.
+  const AnalystLedger& ledger = (*fed)->client().ledger();
+  const PrivacyBudget spent = *ledger.Spent(Federation::kAnalyst);
+  const PrivacyBudget total = *ledger.Total(Federation::kAnalyst);
+  std::printf(
+      "\nprivacy: spent (eps=%.2f, delta=%.4f) of (xi=%.0f, psi=%.2f)\n",
+      spent.epsilon, spent.delta, total.epsilon, total.delta);
   return 0;
 }

@@ -42,14 +42,11 @@ Result<PrivacyBudget> PerQueryBudget(const AttackConfig& attack,
 
 }  // namespace
 
-Result<AttackResult> RunNbcAttack(const std::vector<DataProvider*>& providers,
-                                  const FederationConfig& base_config,
+Result<AttackResult> RunNbcAttack(FederationClient& client,
+                                  const std::string& attacker,
                                   const AttackConfig& attack,
                                   const std::vector<EvalRow>& eval_rows) {
-  if (providers.empty()) {
-    return Status::InvalidArgument("attack: no providers");
-  }
-  const Schema& schema = providers[0]->store().schema();
+  const Schema& schema = client.schema();
   if (attack.sa_dim >= schema.num_dims()) {
     return Status::OutOfRange("attack: SA dimension outside schema");
   }
@@ -67,21 +64,22 @@ Result<AttackResult> RunNbcAttack(const std::vector<DataProvider*>& providers,
   const size_t num_queries = nbc.NumTrainingQueries();
   FEDAQP_ASSIGN_OR_RETURN(PrivacyBudget per_query,
                           PerQueryBudget(attack, num_queries));
+  FEDAQP_RETURN_IF_ERROR(per_query.Validate());
 
-  // A fresh orchestrator carrying the attacker's per-query budget. The
-  // total grant is sized so the accountant admits exactly the training
-  // workload (the attack models an analyst who exhausts their budget).
-  FederationConfig config = base_config;
-  config.per_query_budget = per_query;
-  config.total_xi = per_query.epsilon * static_cast<double>(num_queries) * 1.01;
-  config.total_psi = per_query.delta * static_cast<double>(num_queries) * 1.01 +
-                     1e-12;
-  FEDAQP_ASSIGN_OR_RETURN(QueryOrchestrator orchestrator,
-                          QueryOrchestrator::Create(providers, config));
+  // The attacker's grant admits exactly the training workload, with 1%
+  // headroom for floating-point drift.
+  const double n = static_cast<double>(num_queries);
+  FEDAQP_RETURN_IF_ERROR(client.RegisterAnalyst(
+      attacker, per_query.epsilon * n * 1.01,
+      per_query.delta * n * 1.01 + 1e-12));
 
   auto ask = [&](std::vector<DimRange> ranges) -> Result<double> {
-    RangeQuery q(attack.aggregation, std::move(ranges));
-    FEDAQP_ASSIGN_OR_RETURN(QueryResponse resp, orchestrator.Execute(q));
+    QuerySpec spec;
+    spec.analyst = attacker;
+    spec.query = RangeQuery(attack.aggregation, std::move(ranges));
+    spec.budget = per_query;
+    FEDAQP_ASSIGN_OR_RETURN(QueryResponse resp,
+                            client.Submit(std::move(spec)).Wait());
     return resp.estimate;
   };
 

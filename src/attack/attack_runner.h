@@ -2,12 +2,13 @@
 #define FEDAQP_ATTACK_ATTACK_RUNNER_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "attack/nbc.h"
 #include "common/result.h"
 #include "dp/budget.h"
-#include "federation/orchestrator.h"
+#include "exec/federation_client.h"
 #include "storage/table.h"
 
 namespace fedaqp {
@@ -58,13 +59,15 @@ std::vector<EvalRow> BuildEvalRows(const Table& table, size_t sa_dim,
                                    const std::vector<size_t>& qi_dims,
                                    size_t max_rows);
 
-/// Mounts the NBC attack: derives the per-query budget from the chosen
-/// composition, issues the nQueries training queries through a fresh
-/// orchestrator over `providers` (configured like `base_config` but with
-/// the attacker's budget), trains the classifier on the noisy answers and
-/// measures its accuracy on `eval_rows`.
-Result<AttackResult> RunNbcAttack(const std::vector<DataProvider*>& providers,
-                                  const FederationConfig& base_config,
+/// Mounts the NBC attack through `client`: derives the per-query budget
+/// from the chosen composition, registers `attacker` with a grant sized
+/// to admit exactly the nQueries training queries (the attack models an
+/// analyst who exhausts their budget), submits them one at a time with
+/// that per-query budget (QuerySpec::budget), trains the classifier on
+/// the noisy answers and measures its accuracy on `eval_rows`. Fails if
+/// `attacker` is already registered.
+Result<AttackResult> RunNbcAttack(FederationClient& client,
+                                  const std::string& attacker,
                                   const AttackConfig& attack,
                                   const std::vector<EvalRow>& eval_rows);
 

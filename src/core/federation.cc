@@ -119,24 +119,38 @@ Result<std::unique_ptr<Federation>> Federation::OpenMapped(
 
 Result<std::unique_ptr<Federation>> Federation::Assemble(
     std::vector<std::unique_ptr<DataProvider>> providers,
-    FederationConfig protocol, uint64_t protocol_seed) {
-  std::vector<DataProvider*> ptrs;
-  ptrs.reserve(providers.size());
-  for (auto& p : providers) ptrs.push_back(p.get());
-  protocol.seed = protocol_seed;
-  FEDAQP_ASSIGN_OR_RETURN(QueryOrchestrator orchestrator,
-                          QueryOrchestrator::Create(ptrs, protocol));
-  return std::unique_ptr<Federation>(
-      new Federation(std::move(providers), std::move(orchestrator)));
+    const FederationConfig& protocol, uint64_t protocol_seed) {
+  FederationClient::Options options;
+  options.protocol = protocol;
+  options.protocol.seed = protocol_seed;
+  options.analysts = {
+      AnalystGrant{kAnalyst, protocol.total_xi, protocol.total_psi}};
+  std::unique_ptr<Federation> fed(new Federation(std::move(providers)));
+  FEDAQP_ASSIGN_OR_RETURN(
+      fed->client_, FederationClient::Create(fed->provider_ptrs(), options));
+  return fed;
 }
 
 Result<QueryResponse> Federation::Query(const RangeQuery& query) {
-  return orchestrator_.Execute(query);
+  return client_->Submit(QuerySpec{kAnalyst, query}).Wait();
 }
 
 std::vector<BatchOutcome> Federation::QueryBatch(
     const std::vector<RangeQuery>& queries) {
-  return orchestrator_.ExecuteBatch(queries);
+  std::vector<QuerySpec> specs;
+  specs.reserve(queries.size());
+  for (const RangeQuery& query : queries) specs.push_back({kAnalyst, query});
+  std::vector<QueryTicket> tickets = client_->SubmitAll(std::move(specs));
+  std::vector<BatchOutcome> outcomes(tickets.size());
+  for (size_t i = 0; i < tickets.size(); ++i) {
+    Result<QueryResponse> response = tickets[i].Wait();
+    if (response.ok()) {
+      outcomes[i].response = std::move(response).value();
+    } else {
+      outcomes[i].status = response.status();
+    }
+  }
+  return outcomes;
 }
 
 std::vector<std::shared_ptr<ProviderEndpoint>> Federation::MakeEndpoints() {
@@ -166,15 +180,11 @@ Result<std::vector<std::unique_ptr<RpcProviderServer>>> Federation::Serve(
 }
 
 Result<QueryResponse> Federation::QueryExact(const RangeQuery& query) {
-  return orchestrator_.ExecuteExact(query);
+  return client_->Submit(QuerySpec{"", query, QueryKind::kExact}).Wait();
 }
 
 const Schema& Federation::schema() const {
   return providers_[0]->store().schema();
-}
-
-const PrivacyAccountant& Federation::accountant() const {
-  return orchestrator_.accountant();
 }
 
 std::vector<DataProvider*> Federation::provider_ptrs() {

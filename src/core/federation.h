@@ -7,6 +7,7 @@
 
 #include "common/result.h"
 #include "exec/endpoint.h"
+#include "exec/federation_client.h"
 #include "federation/orchestrator.h"
 #include "federation/provider.h"
 #include "storage/table.h"
@@ -27,6 +28,7 @@ class RpcProviderServer;
 ///   auto q = RangeQueryBuilder(Aggregation::kCount).Where(0, 20, 40).Build();
 ///   auto resp = fed->Query(q);          // private approximate answer
 ///   auto truth = fed->QueryExact(q);    // non-private baseline
+///   fed->client().ledger().Spent(Federation::kAnalyst);  // what it cost
 class Federation;
 
 /// Options for Federation::Open.
@@ -41,7 +43,7 @@ struct FederationOptions {
   /// sensitivity).
   double sum_sensitivity_bound = 1.0;
   /// Protocol/runtime configuration (budget, split, sampling rate, mode,
-  /// network model, analyst grant).
+  /// network model, and the grant of the federation's one analyst).
   FederationConfig protocol;
   /// Master seed; providers and aggregator derive their streams from it.
   uint64_t seed = 1234;
@@ -49,8 +51,14 @@ struct FederationOptions {
 
 class Federation {
  public:
+  /// The one analyst the federation's client serves. Query and
+  /// QueryBatch charge its grant, (protocol.total_xi, protocol.total_psi).
+  static constexpr const char* kAnalyst = "analyst";
+
   /// Builds one provider per partition (offline phase: clustering +
-  /// Algorithm-1 metadata) and wires the online protocol around them.
+  /// Algorithm-1 metadata) and wires the online protocol around them: a
+  /// FederationClient over the providers, granting kAnalyst the
+  /// protocol's (total_xi, total_psi).
   /// The providers build in parallel, on up to one thread per core. Every
   /// seed is drawn from `options.seed` first, so the result is
   /// bit-identical to building them one after another, and a failure
@@ -69,23 +77,29 @@ class Federation {
       const std::vector<std::string>& store_paths,
       const FederationOptions& options);
 
-  /// Executes the private approximate protocol; consumes privacy budget.
+  /// Executes the private approximate protocol: submits `query` as
+  /// kAnalyst to client() and waits. Charges kAnalyst's ledger.
   Result<QueryResponse> Query(const RangeQuery& query);
 
-  /// Executes `queries` as one batch: each is admitted (validated, then
-  /// charged) in order against the shared accountant, and the admitted set
-  /// runs with provider work pipelined across the orchestrator's pool
+  /// Submits `queries` as kAnalyst in one SubmitAll and waits for each:
+  /// the client admits (validates, then charges) them in order, and the
+  /// admitted set runs with provider work pipelined across the pool
   /// (FederationOptions::protocol.num_threads). Outcomes align with
-  /// `queries`. For per-analyst grants, build a FederationClient over
-  /// MakeEndpoints() instead.
+  /// `queries`.
   std::vector<BatchOutcome> QueryBatch(const std::vector<RangeQuery>& queries);
 
-  /// Plain-text exact execution (baseline; no privacy spent).
+  /// Plain-text exact execution through client() (baseline; no privacy
+  /// spent).
   Result<QueryResponse> QueryExact(const RangeQuery& query);
 
-  /// Message-interface views of this federation's providers, for wiring a
-  /// FederationClient (or a custom orchestrator) over the same offline
-  /// state. The federation must outlive the returned endpoints.
+  /// The session layer every query above goes through. Its ledger() and
+  /// audit_log() show what kAnalyst spent; Submit it more analysts'
+  /// queries after RegisterAnalyst.
+  FederationClient& client() { return *client_; }
+
+  /// Message-interface views of this federation's providers, for wiring
+  /// another FederationClient (or a bare orchestrator) over the same
+  /// offline state. The federation must outlive the returned endpoints.
   std::vector<std::shared_ptr<ProviderEndpoint>> MakeEndpoints();
 
   /// Serves each provider over the wire protocol on base_port,
@@ -100,9 +114,6 @@ class Federation {
   /// The public schema shared by every provider.
   const Schema& schema() const;
 
-  /// Analyst budget status.
-  const PrivacyAccountant& accountant() const;
-
   size_t num_providers() const { return providers_.size(); }
   DataProvider* provider(size_t i) { return providers_[i].get(); }
   /// Raw pointers to all providers (for baselines and the attack harness).
@@ -112,19 +123,19 @@ class Federation {
   size_t MetadataBytes() const;
 
  private:
-  Federation(std::vector<std::unique_ptr<DataProvider>> providers,
-             QueryOrchestrator orchestrator)
-      : providers_(std::move(providers)),
-        orchestrator_(std::move(orchestrator)) {}
+  explicit Federation(std::vector<std::unique_ptr<DataProvider>> providers)
+      : providers_(std::move(providers)) {}
 
-  /// Wires the online protocol (an orchestrator seeded with
-  /// `protocol_seed`) around built providers.
+  /// Wires the online protocol (a one-analyst client whose orchestrator
+  /// is seeded with `protocol_seed`) around built providers.
   static Result<std::unique_ptr<Federation>> Assemble(
       std::vector<std::unique_ptr<DataProvider>> providers,
-      FederationConfig protocol, uint64_t protocol_seed);
+      const FederationConfig& protocol, uint64_t protocol_seed);
 
   std::vector<std::unique_ptr<DataProvider>> providers_;
-  QueryOrchestrator orchestrator_;
+  /// Declared after providers_, so it is destroyed first: its endpoints
+  /// point into them.
+  std::unique_ptr<FederationClient> client_;
 };
 
 }  // namespace fedaqp

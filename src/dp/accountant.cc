@@ -36,56 +36,6 @@ obs::Counter& CacheServedCounter() {
 }
 }  // namespace
 
-bool PrivacyAccountant::CanCharge(const PrivacyBudget& cost) const {
-  if (cost.epsilon < 0.0 || cost.delta < 0.0) return false;
-  return spent_.epsilon + cost.epsilon <= total_.epsilon * (1.0 + kSlack) + kSlack &&
-         spent_.delta + cost.delta <= total_.delta * (1.0 + kSlack) + kSlack;
-}
-
-Status PrivacyAccountant::Charge(const PrivacyBudget& cost) {
-  if (cost.epsilon < 0.0 || cost.delta < 0.0) {
-    return Status::InvalidArgument("privacy charge must be non-negative");
-  }
-  if (!CanCharge(cost)) {
-    RefusalsCounter().Add();
-    return Status::BudgetExhausted(
-        "privacy budget exhausted: spent " + spent_.ToString() + " of " +
-        total_.ToString() + ", refusing charge " + cost.ToString());
-  }
-  spent_.epsilon += cost.epsilon;
-  spent_.delta += cost.delta;
-  ++num_charges_;
-  ChargesCounter().Add();
-  return Status::OK();
-}
-
-Status PrivacyAccountant::Refund(const PrivacyBudget& amount) {
-  if (amount.epsilon < 0.0 || amount.delta < 0.0) {
-    return Status::InvalidArgument("privacy refund must be non-negative");
-  }
-  const bool overdrawn = amount.epsilon > spent_.epsilon + kSlack ||
-                         amount.delta > spent_.delta + kSlack;
-  spent_.epsilon = std::max(0.0, spent_.epsilon - amount.epsilon);
-  spent_.delta = std::max(0.0, spent_.delta - amount.delta);
-  RefundsCounter().Add();
-  if (overdrawn) {
-    return Status::InvalidArgument(
-        "privacy refund exceeds recorded spend (clamped to zero)");
-  }
-  return Status::OK();
-}
-
-void PrivacyAccountant::RecordSaving(const PrivacyBudget& amount) {
-  saved_.epsilon += std::max(0.0, amount.epsilon);
-  saved_.delta += std::max(0.0, amount.delta);
-  CacheServedCounter().Add();
-}
-
-PrivacyBudget PrivacyAccountant::Remaining() const {
-  return PrivacyBudget{std::max(0.0, total_.epsilon - spent_.epsilon),
-                       std::max(0.0, total_.delta - spent_.delta)};
-}
-
 Status AnalystLedger::Register(const std::string& analyst, double xi,
                                double psi, uint32_t coordinator) {
   if (analyst.empty()) {
@@ -99,7 +49,7 @@ Status AnalystLedger::Register(const std::string& analyst, double xi,
     return Status::InvalidArgument("ledger: analyst '" + analyst +
                                    "' already registered");
   }
-  ledgers_.emplace(analyst, PrivacyAccountant(xi, psi));
+  ledgers_.emplace(analyst, Account{PrivacyBudget{xi, psi}});
   if (audit_ != nullptr) {
     audit_->Append(obs::BudgetAuditLog::Kind::kRegister, analyst, xi, psi,
                    /*seq=*/0, coordinator);
@@ -120,12 +70,30 @@ Status AnalystLedger::Charge(const std::string& analyst,
   if (it == ledgers_.end()) {
     return Status::NotFound("ledger: unknown analyst '" + analyst + "'");
   }
-  Status st = it->second.Charge(cost);
-  if (st.ok() && audit_ != nullptr) {
+  if (cost.epsilon < 0.0 || cost.delta < 0.0) {
+    return Status::InvalidArgument("privacy charge must be non-negative");
+  }
+  Account& account = it->second;
+  const bool fits =
+      account.spent.epsilon + cost.epsilon <=
+          account.total.epsilon * (1.0 + kSlack) + kSlack &&
+      account.spent.delta + cost.delta <=
+          account.total.delta * (1.0 + kSlack) + kSlack;
+  if (!fits) {
+    RefusalsCounter().Add();
+    return Status::BudgetExhausted(
+        "privacy budget exhausted: spent " + account.spent.ToString() +
+        " of " + account.total.ToString() + ", refusing charge " +
+        cost.ToString());
+  }
+  account.spent.epsilon += cost.epsilon;
+  account.spent.delta += cost.delta;
+  ChargesCounter().Add();
+  if (audit_ != nullptr) {
     audit_->Append(obs::BudgetAuditLog::Kind::kCharge, analyst, cost.epsilon,
                    cost.delta, seq, coordinator);
   }
-  return st;
+  return Status::OK();
 }
 
 Status AnalystLedger::Refund(const std::string& analyst,
@@ -136,14 +104,26 @@ Status AnalystLedger::Refund(const std::string& analyst,
   if (it == ledgers_.end()) {
     return Status::NotFound("ledger: unknown analyst '" + analyst + "'");
   }
-  Status st = it->second.Refund(amount);
+  if (amount.epsilon < 0.0 || amount.delta < 0.0) {
+    return Status::InvalidArgument("privacy refund must be non-negative");
+  }
+  PrivacyBudget& spent = it->second.spent;
+  const bool overdrawn = amount.epsilon > spent.epsilon + kSlack ||
+                         amount.delta > spent.delta + kSlack;
+  spent.epsilon = std::max(0.0, spent.epsilon - amount.epsilon);
+  spent.delta = std::max(0.0, spent.delta - amount.delta);
+  RefundsCounter().Add();
   if (audit_ != nullptr) {
     // Logged even on the clamped-overdraw path: the clamp mutated the
     // ledger, so replay must apply the identical operation.
     audit_->Append(obs::BudgetAuditLog::Kind::kRefund, analyst, amount.epsilon,
                    amount.delta, seq, coordinator);
   }
-  return st;
+  if (overdrawn) {
+    return Status::InvalidArgument(
+        "privacy refund exceeds recorded spend (clamped to zero)");
+  }
+  return Status::OK();
 }
 
 Result<PrivacyBudget> AnalystLedger::Remaining(
@@ -153,7 +133,10 @@ Result<PrivacyBudget> AnalystLedger::Remaining(
   if (it == ledgers_.end()) {
     return Status::NotFound("ledger: unknown analyst '" + analyst + "'");
   }
-  return it->second.Remaining();
+  const Account& account = it->second;
+  return PrivacyBudget{
+      std::max(0.0, account.total.epsilon - account.spent.epsilon),
+      std::max(0.0, account.total.delta - account.spent.delta)};
 }
 
 Result<PrivacyBudget> AnalystLedger::Total(const std::string& analyst) const {
@@ -162,7 +145,7 @@ Result<PrivacyBudget> AnalystLedger::Total(const std::string& analyst) const {
   if (it == ledgers_.end()) {
     return Status::NotFound("ledger: unknown analyst '" + analyst + "'");
   }
-  return it->second.total();
+  return it->second.total;
 }
 
 Result<PrivacyBudget> AnalystLedger::Spent(const std::string& analyst) const {
@@ -171,7 +154,7 @@ Result<PrivacyBudget> AnalystLedger::Spent(const std::string& analyst) const {
   if (it == ledgers_.end()) {
     return Status::NotFound("ledger: unknown analyst '" + analyst + "'");
   }
-  return it->second.spent();
+  return it->second.spent;
 }
 
 void AnalystLedger::RecordSaving(const std::string& analyst,
@@ -180,7 +163,10 @@ void AnalystLedger::RecordSaving(const std::string& analyst,
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = ledgers_.find(analyst);
   if (it == ledgers_.end()) return;
-  it->second.RecordSaving(amount);
+  PrivacyBudget& saved = it->second.saved;
+  saved.epsilon += std::max(0.0, amount.epsilon);
+  saved.delta += std::max(0.0, amount.delta);
+  CacheServedCounter().Add();
   if (audit_ != nullptr) {
     audit_->Append(obs::BudgetAuditLog::Kind::kSaving, analyst, amount.epsilon,
                    amount.delta, seq, coordinator);
@@ -193,7 +179,7 @@ Result<PrivacyBudget> AnalystLedger::Saved(const std::string& analyst) const {
   if (it == ledgers_.end()) {
     return Status::NotFound("ledger: unknown analyst '" + analyst + "'");
   }
-  return it->second.saved();
+  return it->second.saved;
 }
 
 std::vector<std::string> AnalystLedger::Analysts() const {

@@ -47,9 +47,14 @@ struct BudgetSplit {
     if (hp_allocation <= 0.0 || hp_sampling <= 0.0 || hp_estimate <= 0.0) {
       return Status::InvalidArgument("budget split fractions must be positive");
     }
-    double total = hp_allocation + hp_sampling + hp_estimate;
-    if (total < 0.999 || total > 1.001) {
-      return Status::InvalidArgument("budget split fractions must sum to 1");
+    // A query releases eps_O + eps_S + eps_E = (sum of shares) * eps and
+    // is charged eps, so a sum above 1 would release more than the ledger
+    // charges. Below 1 it releases less, which is safe; the tolerance
+    // there only forgives decimal shares that do not sum to 1 exactly.
+    const double total = hp_allocation + hp_sampling + hp_estimate;
+    if (total < 0.999 || total > 1.0) {
+      return Status::InvalidArgument(
+          "budget split fractions must sum to 1 (and never above it)");
     }
     return Status::OK();
   }

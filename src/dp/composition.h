@@ -11,7 +11,7 @@ namespace fedaqp {
 
 /// DP composition calculus (Theorems 3.1/3.2 and the advanced composition
 /// used in Sec. 6.6). These are pure budget computations; the runtime
-/// enforcement lives in PrivacyAccountant.
+/// enforcement lives in AnalystLedger (dp/accountant.h).
 
 /// Sequential composition: component-wise sums.
 PrivacyBudget SequentialComposition(const std::vector<PrivacyBudget>& parts);

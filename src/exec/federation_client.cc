@@ -308,7 +308,7 @@ QueryTicket FederationClient::EnqueueLocked(QuerySpec spec) {
     ticket->stats_sealed = true;
     ticket->status = Status::Unavailable("client: shutting down");
   } else {
-    pending_.push_back(Pending{ticket, nullptr, nullptr});
+    pending_.push_back(ticket);
   }
   return QueryTicket(ticket);
 }
@@ -330,19 +330,6 @@ std::vector<QueryTicket> FederationClient::SubmitAll(
   }
   cv_.notify_one();
   return tickets;
-}
-
-Status FederationClient::RunJob(std::function<void(QueryOrchestrator&)> job) {
-  auto done = std::make_shared<TicketState>();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) return Status::Unavailable("client: shutting down");
-    pending_.push_back(Pending{nullptr, std::move(job), done});
-    cv_.notify_one();
-  }
-  std::unique_lock<std::mutex> lock(done->m);
-  done->cv.wait(lock, [&] { return done->done; });
-  return done->status;
 }
 
 void FederationClient::Pause() {
@@ -386,17 +373,69 @@ std::vector<uint64_t> FederationClient::admission_order() const {
   return admitted_order_;
 }
 
+PrivacyBudget FederationClient::QueryCharge(
+    const PrivacyBudget& requested,
+    const std::function<Result<PrivacyBudget>()>& remaining) const {
+  if (requested.epsilon > 0.0) return requested;
+  if (options_.plan_horizon > 0) {
+    Result<PrivacyBudget> left = remaining();
+    if (left.ok()) {
+      return planner_.NextQueryBudget(*left, options_.plan_horizon);
+    }
+  }
+  return options_.protocol.per_query_budget;
+}
+
 Result<BudgetPlanner::WorkloadPlan> FederationClient::PlanWorkload(
     const std::string& analyst,
     const std::vector<RangeQuery>& workload) const {
   FEDAQP_ASSIGN_OR_RETURN(PrivacyBudget remaining,
                           budget_->Remaining(analyst));
-  return planner_.Plan(analyst, workload, remaining, cache_.get());
+  if (options_.plan_horizon == 0) {
+    return planner_.Plan(analyst, workload, remaining, cache_.get());
+  }
+  // Under a horizon every charge depends on the grant left when the query
+  // is admitted, so walk the workload in admission order, as RunGroup
+  // will: each query is charged by the same rule, and an answerable one
+  // leaves less for the next.
+  BudgetPlanner::WorkloadPlan plan;
+  plan.queries.resize(workload.size());
+  std::vector<PrivacyBudget> budgets;
+  budgets.reserve(workload.size());
+  for (size_t i = 0; i < workload.size(); ++i) {
+    const PrivacyBudget charge =
+        QueryCharge(PrivacyBudget{0.0, 0.0},
+                    [&] { return Result<PrivacyBudget>(remaining); });
+    budgets.push_back(charge);
+    BudgetPlanner::PlannedQuery& q = plan.queries[i];
+    if (cache_ != nullptr) {
+      // Resolved as admission would: after the purchases planned so far.
+      const std::vector<RangeQuery> prefix(workload.begin(),
+                                           workload.begin() + i + 1);
+      q.predicted_cached =
+          !cache_->PredictChargeable(analyst, prefix, budgets).back();
+    }
+    if (q.predicted_cached) {
+      ++plan.predicted_hits;
+      ++plan.answerable;
+      continue;
+    }
+    q.answerable = charge.epsilon <= remaining.epsilon &&
+                   charge.delta <= remaining.delta;
+    if (!q.answerable) continue;
+    q.budget = charge;
+    if (plan.eps_per_query == 0.0) plan.eps_per_query = charge.epsilon;
+    ++plan.answerable;
+    plan.projected_spend = plan.projected_spend + charge;
+    remaining.epsilon -= charge.epsilon;
+    remaining.delta -= charge.delta;
+  }
+  return plan;
 }
 
 void FederationClient::AdmissionLoop() {
   for (;;) {
-    std::vector<Pending> round;
+    std::vector<std::shared_ptr<TicketState>> round;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       busy_ = false;
@@ -424,49 +463,31 @@ void FederationClient::AdmissionLoop() {
       busy_ = true;
     }
     // Process the round in arrival order, batching contiguous
-    // graph-runnable specs; progressive queries and jobs act as sequence
-    // points (the admission — and therefore charge — order is preserved
+    // graph-runnable specs; progressive queries act as sequence points
+    // (the admission — and therefore charge — order is preserved
     // exactly).
     std::vector<std::shared_ptr<TicketState>> group;
-    for (Pending& item : round) {
-      if (item.job) {
+    for (std::shared_ptr<TicketState>& ticket : round) {
+      if (ticket->spec.kind == QueryKind::kProgressive) {
         RunGroup(group);
         group.clear();
-        Status status = Status::OK();
-        try {
-          item.job(orchestrator_);
-        } catch (const std::exception& ex) {
-          status = Status::Internal(std::string("client job threw: ") +
-                                    ex.what());
-        } catch (...) {
-          status = Status::Internal("client job threw");
-        }
-        std::lock_guard<std::mutex> lock(item.job_done->m);
-        item.job_done->status = status;
-        item.job_done->done = true;
-        item.job_done->cv.notify_all();
+        RunProgressive(ticket);
         continue;
       }
-      if (item.ticket->spec.kind == QueryKind::kProgressive) {
-        RunGroup(group);
-        group.clear();
-        RunProgressive(item.ticket);
-        continue;
-      }
-      group.push_back(std::move(item.ticket));
+      group.push_back(std::move(ticket));
     }
     RunGroup(group);
   }
 }
 
-void FederationClient::SelectFairLocked(size_t take,
-                                        std::vector<Pending>* round) {
-  // Jobs and progressive specs are sequence barriers (RunGroup splits on
-  // them); fairness reorders only within the longest all-query prefix of
-  // the backlog, so nothing ever crosses a barrier.
+void FederationClient::SelectFairLocked(
+    size_t take, std::vector<std::shared_ptr<TicketState>>* round) {
+  // Progressive specs are sequence barriers (RunGroup splits on them);
+  // fairness reorders only within the longest barrier-free prefix of the
+  // backlog, so nothing ever crosses a barrier.
   size_t prefix = 0;
-  while (prefix < pending_.size() && pending_[prefix].ticket != nullptr &&
-         pending_[prefix].ticket->spec.kind != QueryKind::kProgressive) {
+  while (prefix < pending_.size() &&
+         pending_[prefix]->spec.kind != QueryKind::kProgressive) {
     ++prefix;
   }
   if (prefix == 0) {
@@ -481,9 +502,9 @@ void FederationClient::SelectFairLocked(size_t take,
   // entries behind a barrier wait until the barrier clears.
   std::map<uint64_t, size_t> position;
   for (size_t i = 0; i < prefix; ++i) {
-    const uint64_t seq = pending_[i].ticket->seq;
+    const uint64_t seq = pending_[i]->seq;
     if (seq > fair_enqueued_up_to_) {
-      fair_queue_.Push(seq, pending_[i].ticket->spec.analyst);
+      fair_queue_.Push(seq, pending_[i]->spec.analyst);
       fair_enqueued_up_to_ = seq;
     }
     position[seq] = i;
@@ -498,7 +519,7 @@ void FederationClient::SelectFairLocked(size_t take,
     round->push_back(std::move(pending_[i]));
   }
   // Unselected entries keep their arrival positions for the next round.
-  std::deque<Pending> rest;
+  std::deque<std::shared_ptr<TicketState>> rest;
   for (size_t i = 0; i < prefix; ++i) {
     if (!taken[i]) rest.push_back(std::move(pending_[i]));
   }
@@ -574,25 +595,20 @@ void FederationClient::RunGroup(
       Deliver(t, valid, kNoResponse);
       continue;
     }
-    // Effective per-query budget: explicit override > planner knob >
-    // configured default. Part of the admission sequence, so replays
-    // (which see the same ledger states in the same order) agree.
+    // Effective per-query budget (QueryCharge). Part of the admission
+    // sequence, so replays (which see the same ledger states in the same
+    // order) agree.
     if (!exact) {
-      t->effective = options_.protocol.per_query_budget;
       if (t->spec.budget.epsilon > 0.0) {
         Status budget_ok = t->spec.budget.Validate();
         if (!budget_ok.ok()) {
           Deliver(t, budget_ok, kNoResponse);
           continue;
         }
-        t->effective = t->spec.budget;
-      } else if (options_.plan_horizon > 0) {
-        Result<PrivacyBudget> remaining = budget_->Remaining(t->spec.analyst);
-        if (remaining.ok()) {
-          t->effective =
-              planner_.NextQueryBudget(*remaining, options_.plan_horizon);
-        }
       }
+      t->effective = QueryCharge(t->spec.budget, [&] {
+        return budget_->Remaining(t->spec.analyst);
+      });
     }
     // Cache resolve: exact repeats and fully composed ranges are served
     // for zero fresh budget; a partial overlap executes (and charges)

@@ -196,7 +196,10 @@ class QueryTicket {
 /// QueryTicket handles back immediately; an internal admission thread
 /// batches concurrently submitted specs and feeds them through the
 /// orchestrator's task-graph scheduler with per-query priority, deadline
-/// ordering, and cancellation.
+/// ordering, and cancellation. It is the one admission path: every
+/// private query — from Federation::Query, RunWorkload, the derived and
+/// GROUP-BY helpers or the attack harness alike — is charged here, on the
+/// ledger whose audit log replays it.
 ///
 /// Determinism contract: specs are admitted — identity-checked,
 /// validated, charged against the analyst's ledger, and assigned their
@@ -293,13 +296,6 @@ class FederationClient {
   /// sequence (what a synchronous replay submits and then waits on).
   std::vector<QueryTicket> SubmitAll(std::vector<QuerySpec> specs);
 
-  /// Runs `job` on the admission thread, serialized into the arrival
-  /// sequence like a query (everything submitted before it completes
-  /// first). The one sanctioned way to touch the orchestrator — which is
-  /// not thread-safe — while the client owns it; used by derived
-  /// workloads like the shell's group-by. Blocks until the job ran.
-  Status RunJob(std::function<void(QueryOrchestrator&)> job);
-
   /// Grants a (new) analyst a total (xi, psi). Thread-safe.
   Status RegisterAnalyst(const std::string& analyst, double xi, double psi);
 
@@ -325,8 +321,11 @@ class FederationClient {
   /// Plans `workload` (in intended submission order) for `analyst`
   /// against their remaining grant: which queries the cache would serve
   /// free, what per-query epsilon covers the chargeable rest, and how
-  /// many queries are answerable. Pure read — charges nothing. The
-  /// shell's `plan` verb and the bench harness call this. Thread-safe.
+  /// many queries are answerable. With Options::plan_horizon set, each
+  /// chargeable query is planned at the charge admission would apply
+  /// (QueryCharge) to the grant left after the queries before it. Pure
+  /// read — charges nothing. The shell's `plan` verb and the bench
+  /// harness call this. Thread-safe.
   Result<BudgetPlanner::WorkloadPlan> PlanWorkload(
       const std::string& analyst,
       const std::vector<RangeQuery>& workload) const;
@@ -337,8 +336,8 @@ class FederationClient {
   /// (see BudgetAuditLog). The shell's `audit` verb reads this.
   const obs::BudgetAuditLog& audit_log() const { return audit_log_; }
   /// Read-only view of the owned orchestrator. Only safe to *read*
-  /// mutable state (accountant, last_batch_stats) while the client is
-  /// idle; immutable state (config, schema) is always safe.
+  /// mutable state (last_batch_stats) while the client is idle;
+  /// immutable state (config, schema) is always safe.
   const QueryOrchestrator& orchestrator() const { return orchestrator_; }
   const Schema& schema() const { return orchestrator_.schema(); }
   size_t num_providers() const { return orchestrator_.num_providers(); }
@@ -346,13 +345,6 @@ class FederationClient {
   uint64_t num_batches() const;
 
  private:
-  /// One admission-queue entry: a submitted query or a serialized job.
-  struct Pending {
-    std::shared_ptr<internal::TicketState> ticket;
-    std::function<void(QueryOrchestrator&)> job;
-    std::shared_ptr<internal::TicketState> job_done;
-  };
-
   FederationClient(QueryOrchestrator orchestrator, Options options,
                    std::vector<DataProvider*> providers);
 
@@ -367,11 +359,20 @@ class FederationClient {
   QueryTicket EnqueueLocked(QuerySpec spec);
 
   void AdmissionLoop();
-  /// Fair-admission round selection: DWRR over the longest all-query
-  /// prefix of pending_ (jobs/progressive specs stay FIFO barriers).
+  /// Fair-admission round selection: DWRR over the longest prefix of
+  /// pending_ without a progressive spec (those stay FIFO barriers).
   /// Moves up to `take` entries into `round`; unselected entries keep
   /// their arrival positions. Caller holds mutex_.
-  void SelectFairLocked(size_t take, std::vector<Pending>* round);
+  void SelectFairLocked(
+      size_t take, std::vector<std::shared_ptr<internal::TicketState>>* round);
+  /// The per-query charge rule, shared by admission and PlanWorkload:
+  /// the spec's override (`requested`, when its epsilon is > 0), else the
+  /// planner's stretch of the remaining grant over Options::plan_horizon,
+  /// else the configured per-query budget. `remaining` is read only when
+  /// the horizon rule applies; when it fails, the default applies.
+  PrivacyBudget QueryCharge(
+      const PrivacyBudget& requested,
+      const std::function<Result<PrivacyBudget>()>& remaining) const;
   /// Admits and executes one contiguous group of batchable specs.
   void RunGroup(std::vector<std::shared_ptr<internal::TicketState>>& group);
   void RunProgressive(const std::shared_ptr<internal::TicketState>& ticket);
@@ -417,7 +418,7 @@ class FederationClient {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::condition_variable idle_cv_;
-  std::deque<Pending> pending_;
+  std::deque<std::shared_ptr<internal::TicketState>> pending_;
   /// Persistent DWRR state (Options::fair_admission): deficits and ring
   /// rotation carry across admission rounds, so a heavy backlog cannot
   /// re-win the rotation every round — the starvation bound holds even
@@ -426,7 +427,7 @@ class FederationClient {
   /// its arrival). Guarded by mutex_.
   serve::DeficitFairQueue fair_queue_;
   /// Highest seq already pushed into fair_queue_ (entries behind a
-  /// pending job/progressive barrier are pushed only once the barrier
+  /// pending progressive barrier are pushed only once the barrier
   /// clears). Guarded by mutex_.
   uint64_t fair_enqueued_up_to_ = 0;
   /// Seqs in executed admission order (see admission_order()).

@@ -12,10 +12,12 @@ RangeQuery WithAggregation(const RangeQuery& base, Aggregation agg) {
   return RangeQuery(agg, base.ranges());
 }
 
-Result<double> RunAs(QueryOrchestrator* orchestrator, const RangeQuery& base,
-                     Aggregation agg, PrivacyBudget* spent) {
-  FEDAQP_ASSIGN_OR_RETURN(QueryResponse resp,
-                          orchestrator->Execute(WithAggregation(base, agg)));
+Result<double> RunAs(FederationClient& client, const std::string& analyst,
+                     const RangeQuery& base, Aggregation agg,
+                     PrivacyBudget* spent) {
+  FEDAQP_ASSIGN_OR_RETURN(
+      QueryResponse resp,
+      client.Submit(QuerySpec{analyst, WithAggregation(base, agg)}).Wait());
   spent->epsilon += resp.spent.epsilon;
   spent->delta += resp.spent.delta;
   return resp.estimate;
@@ -23,13 +25,15 @@ Result<double> RunAs(QueryOrchestrator* orchestrator, const RangeQuery& base,
 
 }  // namespace
 
-Result<DerivedResult> PrivateAverage(QueryOrchestrator* orchestrator,
+Result<DerivedResult> PrivateAverage(FederationClient& client,
+                                     const std::string& analyst,
                                      const RangeQuery& range) {
   DerivedResult out;
   FEDAQP_ASSIGN_OR_RETURN(
-      out.sum, RunAs(orchestrator, range, Aggregation::kSum, &out.spent));
+      out.sum, RunAs(client, analyst, range, Aggregation::kSum, &out.spent));
   FEDAQP_ASSIGN_OR_RETURN(
-      out.count, RunAs(orchestrator, range, Aggregation::kCount, &out.spent));
+      out.count,
+      RunAs(client, analyst, range, Aggregation::kCount, &out.spent));
   // Post-processing: the ratio of two DP releases is DP (Thm 3.3). A noisy
   // non-positive denominator yields 0 rather than a wild ratio.
   out.value = out.count > 0.0 ? out.sum / out.count : 0.0;
@@ -37,16 +41,18 @@ Result<DerivedResult> PrivateAverage(QueryOrchestrator* orchestrator,
   return out;
 }
 
-Result<DerivedResult> PrivateVariance(QueryOrchestrator* orchestrator,
+Result<DerivedResult> PrivateVariance(FederationClient& client,
+                                      const std::string& analyst,
                                       const RangeQuery& range) {
   DerivedResult out;
   FEDAQP_ASSIGN_OR_RETURN(
-      out.sum, RunAs(orchestrator, range, Aggregation::kSum, &out.spent));
+      out.sum, RunAs(client, analyst, range, Aggregation::kSum, &out.spent));
   FEDAQP_ASSIGN_OR_RETURN(
-      out.count, RunAs(orchestrator, range, Aggregation::kCount, &out.spent));
+      out.count,
+      RunAs(client, analyst, range, Aggregation::kCount, &out.spent));
   FEDAQP_ASSIGN_OR_RETURN(
       out.sum_squares,
-      RunAs(orchestrator, range, Aggregation::kSumSquares, &out.spent));
+      RunAs(client, analyst, range, Aggregation::kSumSquares, &out.spent));
   if (out.count > 0.0) {
     double mean = out.sum / out.count;
     out.value = out.sum_squares / out.count - mean * mean;
@@ -55,15 +61,17 @@ Result<DerivedResult> PrivateVariance(QueryOrchestrator* orchestrator,
   return out;
 }
 
-Result<DerivedResult> PrivateStdDev(QueryOrchestrator* orchestrator,
+Result<DerivedResult> PrivateStdDev(FederationClient& client,
+                                    const std::string& analyst,
                                     const RangeQuery& range) {
   FEDAQP_ASSIGN_OR_RETURN(DerivedResult var,
-                          PrivateVariance(orchestrator, range));
+                          PrivateVariance(client, analyst, range));
   var.value = std::sqrt(var.value);
   return var;
 }
 
-Result<GroupByResult> PrivateGroupBy(QueryOrchestrator* orchestrator,
+Result<GroupByResult> PrivateGroupBy(FederationClient& client,
+                                     const std::string& analyst,
                                      const RangeQuery& base_query,
                                      const GroupByOptions& options) {
   // The grouped dimension must not also be range-constrained (that would
@@ -84,7 +92,8 @@ Result<GroupByResult> PrivateGroupBy(QueryOrchestrator* orchestrator,
     std::vector<DimRange> ranges = base_query.ranges();
     ranges.push_back(DimRange{options.group_dim, v, v});
     RangeQuery bucket_query(base_query.aggregation(), std::move(ranges));
-    Result<QueryResponse> resp = orchestrator->Execute(bucket_query);
+    Result<QueryResponse> resp =
+        client.Submit(QuerySpec{analyst, std::move(bucket_query)}).Wait();
     if (!resp.ok()) {
       // Domain end: an out-of-range bucket value fails validation, which
       // terminates an open-ended (group_hi = -1) enumeration.

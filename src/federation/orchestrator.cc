@@ -511,8 +511,7 @@ QueryOrchestrator::QueryOrchestrator(
     const FederationConfig& config)
     : endpoints_(std::move(endpoints)),
       config_(config),
-      aggregator_(config.seed),
-      accountant_(config.total_xi, config.total_psi) {
+      aggregator_(config.seed) {
   if (config_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(config_.num_threads);
   }
@@ -568,44 +567,6 @@ Result<QueryOrchestrator> QueryOrchestrator::CreateFromEndpoints(
   return QueryOrchestrator(std::move(endpoints), config);
 }
 
-Result<QueryResponse> QueryOrchestrator::Execute(const RangeQuery& query) {
-  // Sec. 5.4: every answered query charges its full (eps, delta) against
-  // the analyst's (xi, psi) grant, refused once exhausted; ExecuteBatch
-  // validates first so malformed input never consumes budget.
-  std::vector<BatchOutcome> outcomes = ExecuteBatch({query});
-  if (!outcomes[0].status.ok()) return outcomes[0].status;
-  return std::move(outcomes[0].response);
-}
-
-std::vector<BatchOutcome> QueryOrchestrator::ExecuteBatch(
-    const std::vector<RangeQuery>& queries) {
-  // Admission in submission order: validation before charging, so a
-  // malformed query never consumes budget, and a refused charge never
-  // reaches the providers.
-  std::vector<BatchOutcome> outcomes(queries.size());
-  std::vector<size_t> admitted;
-  std::vector<QueryExecSpec> specs;
-  admitted.reserve(queries.size());
-  specs.reserve(queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    Status status = queries[q].Validate(schema());
-    if (status.ok()) status = accountant_.Charge(config_.per_query_budget);
-    if (!status.ok()) {
-      outcomes[q].status = status;
-      continue;
-    }
-    admitted.push_back(q);
-    specs.emplace_back();
-    specs.back().query = queries[q];
-  }
-
-  std::vector<BatchOutcome> ran = ExecuteBatchSpecs(specs);
-  for (size_t i = 0; i < admitted.size(); ++i) {
-    outcomes[admitted[i]] = std::move(ran[i]);
-  }
-  return outcomes;
-}
-
 std::vector<BatchOutcome> QueryOrchestrator::ExecuteBatchSpecs(
     const std::vector<QueryExecSpec>& specs) {
   const size_t num_endpoints = endpoints_.size();
@@ -619,11 +580,10 @@ std::vector<BatchOutcome> QueryOrchestrator::ExecuteBatchSpecs(
 
   // Admission (coordinator, in submission order — deterministic). The
   // re-validation is defense-in-depth for direct callers; queries routed
-  // through ExecuteBatch or the FederationClient arrive already
-  // validated. Session ids come from the submission sequence alone
-  // (exact specs draw from their own tagged namespace), so the same
-  // admission sequence yields the same noise streams regardless of how
-  // it was split into batches.
+  // through the FederationClient arrive already validated. Session ids
+  // come from the submission sequence alone (exact specs draw from their
+  // own tagged namespace), so the same admission sequence yields the
+  // same noise streams regardless of how it was split into batches.
   std::vector<QueryState> states(num_queries);
   for (size_t q = 0; q < num_queries; ++q) {
     QueryState& st = states[q];

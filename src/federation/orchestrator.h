@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "dp/accountant.h"
 #include "dp/budget.h"
 #include "exec/cancel.h"
 #include "exec/endpoint.h"
@@ -30,7 +29,7 @@ enum class ReleaseMode {
   kSmc = 1,
 };
 
-/// How ExecuteBatch schedules the protocol's provider/coordinator steps.
+/// How ExecuteBatchSpecs schedules the protocol's provider/coordinator steps.
 enum class BatchScheduler {
   /// Dependency-tracked (query, provider, phase, shard) task graph
   /// (exec/task_graph.h): barrier-free — query q+1's cover tasks run
@@ -53,7 +52,9 @@ struct FederationConfig {
   /// Fraction of the global covering set to sample, sr in (0,1).
   double sampling_rate = 0.1;
   ReleaseMode mode = ReleaseMode::kLocalDp;
-  /// Total analyst budget (xi, psi) enforced across queries.
+  /// The analyst grant (xi, psi) a Federation registers its one analyst
+  /// with (the shell likewise grants each analyst it meets). The
+  /// orchestrator charges nothing; FederationClient's ledger does.
   double total_xi = 100.0;
   double total_psi = 1.0;
   NetworkOptions network;
@@ -187,13 +188,15 @@ struct QueryExecSpec {
 };
 
 /// Drives the full 7-step online protocol of Fig. 3 over a set of provider
-/// endpoints, charging the analyst's privacy budget per query and the
-/// simulated network per message. Batch execution builds a (query,
-/// provider, phase, shard) task graph drained by a fixed-size thread pool
-/// when `FederationConfig::num_threads` > 1 (`scheduler` selects the
-/// reference phase-barrier path instead; answers are identical either
-/// way). Execute, ExecuteBatch, ExecuteExact and the FederationClient all
-/// run through ExecuteBatchSpecs.
+/// endpoints, charging the simulated network per message. A pure
+/// executor: it admits and charges no privacy budget — FederationClient,
+/// the only admission path, validates and charges each query against its
+/// analyst's ledger before handing it over. Batch execution builds a
+/// (query, provider, phase, shard) task graph drained by a fixed-size
+/// thread pool when `FederationConfig::num_threads` > 1 (`scheduler`
+/// selects the reference phase-barrier path instead; answers are
+/// identical either way). ExecuteExact and the FederationClient both run
+/// through ExecuteBatchSpecs.
 ///
 /// Concurrency: one orchestrator parallelizes *across providers* but its
 /// public methods are not themselves thread-safe; callers (the
@@ -224,21 +227,12 @@ class QueryOrchestrator {
   QueryOrchestrator(QueryOrchestrator&&) = default;
   QueryOrchestrator& operator=(QueryOrchestrator&&) = delete;
 
-  /// Executes the private approximate protocol for `query`.
-  Result<QueryResponse> Execute(const RangeQuery& query);
-
-  /// Batch variant of Execute: validates and charges each query in
-  /// submission order against this orchestrator's own accountant (refused
-  /// queries get a per-outcome status), then runs the admitted ones as
-  /// one ExecuteBatchSpecs batch. Outcomes align with `queries`.
-  std::vector<BatchOutcome> ExecuteBatch(const std::vector<RangeQuery>& queries);
-
   /// The batch executor: runs `specs` as one batch, overlapping different
   /// queries' provider work across the pool (endpoint i can be on query
   /// q+1's cover while endpoint j still runs query q's estimate — under
   /// the task-graph scheduler there is no barrier between phases at all).
-  /// Charges nothing: the caller (ExecuteBatch, or the FederationClient's
-  /// per-analyst ledger) admits. Each entry carries its own
+  /// Charges nothing: the caller (the FederationClient's per-analyst
+  /// ledger) admits. Each entry carries its own
   /// exact/approximate flavor, scheduling urgency, cancellation token,
   /// and completion callback. Under the task-graph scheduler, session
   /// cleanup (EndQuery) is pipelined as per-endpoint kRelease nodes of
@@ -258,7 +252,6 @@ class QueryOrchestrator {
   /// exactly like the private phases.
   Result<QueryResponse> ExecuteExact(const RangeQuery& query);
 
-  const PrivacyAccountant& accountant() const { return accountant_; }
   const FederationConfig& config() const { return config_; }
   /// Scheduling profile of the most recent batch (see BatchRunStats).
   const BatchRunStats& last_batch_stats() const { return last_batch_stats_; }
@@ -273,7 +266,6 @@ class QueryOrchestrator {
   std::vector<std::shared_ptr<ProviderEndpoint>> endpoints_;
   FederationConfig config_;
   Aggregator aggregator_;
-  PrivacyAccountant accountant_;
   /// Lazily absent when num_threads <= 1 (ParallelFor then runs inline).
   std::unique_ptr<ThreadPool> pool_;
   /// Monotonic query-session ids handed to endpoints.

@@ -5,14 +5,17 @@
 namespace fedaqp {
 
 Result<std::vector<QueryMeasurement>> RunWorkload(
-    QueryOrchestrator* orchestrator, const std::vector<RangeQuery>& queries) {
+    FederationClient& client, const std::string& analyst,
+    const std::vector<RangeQuery>& queries) {
   std::vector<QueryMeasurement> out;
   out.reserve(queries.size());
   for (const auto& query : queries) {
     QueryMeasurement m;
-    FEDAQP_ASSIGN_OR_RETURN(QueryResponse exact,
-                            orchestrator->ExecuteExact(query));
-    FEDAQP_ASSIGN_OR_RETURN(QueryResponse approx, orchestrator->Execute(query));
+    FEDAQP_ASSIGN_OR_RETURN(
+        QueryResponse exact,
+        client.Submit(QuerySpec{"", query, QueryKind::kExact}).Wait());
+    FEDAQP_ASSIGN_OR_RETURN(QueryResponse approx,
+                            client.Submit(QuerySpec{analyst, query}).Wait());
     m.true_answer = exact.estimate;
     m.estimate = approx.estimate;
     m.relative_error = RelativeError(m.true_answer, m.estimate);

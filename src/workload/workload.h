@@ -1,10 +1,11 @@
 #ifndef FEDAQP_WORKLOAD_WORKLOAD_H_
 #define FEDAQP_WORKLOAD_WORKLOAD_H_
 
+#include <string>
 #include <vector>
 
 #include "common/result.h"
-#include "federation/orchestrator.h"
+#include "exec/federation_client.h"
 #include "storage/range_query.h"
 
 namespace fedaqp {
@@ -39,12 +40,13 @@ struct WorkloadMetrics {
   size_t queries = 0;
 };
 
-/// Runs every query twice — exact federated scan, then the private
-/// approximate protocol — and measures error and speed-up per query.
-/// Queries that exhaust the privacy budget stop the run with the
-/// accountant's error.
+/// Runs every query twice through `client` — exact federated scan, then
+/// the private approximate protocol charged to `analyst` — and measures
+/// error and speed-up per query. A query the ledger refuses stops the run
+/// with its kBudgetExhausted status.
 Result<std::vector<QueryMeasurement>> RunWorkload(
-    QueryOrchestrator* orchestrator, const std::vector<RangeQuery>& queries);
+    FederationClient& client, const std::string& analyst,
+    const std::vector<RangeQuery>& queries);
 
 /// Summarizes per-query measurements.
 WorkloadMetrics Summarize(const std::vector<QueryMeasurement>& measurements);

@@ -124,8 +124,22 @@ class AttackFixture : public ::testing::Test {
     return out;
   }
 
+  /// A fresh client over the providers, configured like `config`; the
+  /// fixture keeps it alive until the providers go away.
+  FederationClient* Client(const FederationConfig& config) {
+    FederationClient::Options options;
+    options.protocol = config;
+    Result<std::unique_ptr<FederationClient>> client =
+        FederationClient::Create(Ptrs(), options);
+    EXPECT_TRUE(client.ok()) << client.status().ToString();
+    clients_.push_back(std::move(client).value());
+    return clients_.back().get();
+  }
+
   Table raw_;
   std::vector<std::unique_ptr<DataProvider>> providers_;
+  /// Declared after providers_: each client's endpoints point into them.
+  std::vector<std::unique_ptr<FederationClient>> clients_;
 };
 
 TEST_F(AttackFixture, BuildEvalRowsExtractsColumns) {
@@ -139,11 +153,11 @@ TEST_F(AttackFixture, RunValidatesConfig) {
   FederationConfig base;
   AttackConfig bad;
   bad.sa_dim = 99;
-  EXPECT_FALSE(RunNbcAttack(Ptrs(), base, bad, {}).ok());
+  EXPECT_FALSE(RunNbcAttack(*Client(base), "attacker", bad, {}).ok());
   AttackConfig dup;
   dup.sa_dim = 0;
   dup.qi_dims = {0};
-  EXPECT_FALSE(RunNbcAttack(Ptrs(), base, dup, {}).ok());
+  EXPECT_FALSE(RunNbcAttack(*Client(base), "attacker", dup, {}).ok());
 }
 
 TEST_F(AttackFixture, DpInterfaceDefeatsAttackUnderTightBudget) {
@@ -156,12 +170,17 @@ TEST_F(AttackFixture, DpInterfaceDefeatsAttackUnderTightBudget) {
   attack.psi = 1e-6;
   attack.composition = AttackComposition::kSequential;
   std::vector<EvalRow> eval = BuildEvalRows(raw_, 0, {1}, 1500);
-  Result<AttackResult> result = RunNbcAttack(Ptrs(), base, attack, eval);
+  FederationClient* client = Client(base);
+  Result<AttackResult> result = RunNbcAttack(*client, "attacker", attack, eval);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->num_training_queries, 1u + 10u + 10u * 10u);
   // Perfect dependence would give ~100%; the DP interface must crush it
   // to near the 10% random-guess floor.
   EXPECT_LT(result->accuracy, 0.30);
+  // Every training query was charged on the attacker's own ledger, which
+  // the whole grant just covers; the name cannot be registered twice.
+  EXPECT_NEAR(client->ledger().Spent("attacker")->epsilon, 1.0, 1e-9);
+  EXPECT_FALSE(RunNbcAttack(*client, "attacker", attack, eval).ok());
 }
 
 TEST_F(AttackFixture, CoalitionGetsFullBudgetPerQuery) {
@@ -173,7 +192,8 @@ TEST_F(AttackFixture, CoalitionGetsFullBudgetPerQuery) {
   attack.psi = 1e-6;
   attack.composition = AttackComposition::kCoalition;
   std::vector<EvalRow> eval = BuildEvalRows(raw_, 0, {1}, 200);
-  Result<AttackResult> result = RunNbcAttack(Ptrs(), base, attack, eval);
+  Result<AttackResult> result =
+      RunNbcAttack(*Client(base), "attacker", attack, eval);
   ASSERT_TRUE(result.ok());
   EXPECT_DOUBLE_EQ(result->per_query_budget.epsilon, 20.0);
 }
@@ -193,8 +213,10 @@ TEST_F(AttackFixture, PerQueryBudgetsMatchCompositionFormulas) {
   AttackConfig adv = seq;
   adv.composition = AttackComposition::kAdvanced;
   std::vector<EvalRow> eval = BuildEvalRows(raw_, 0, {1}, 50);
-  Result<AttackResult> rs = RunNbcAttack(Ptrs(), base, seq, eval);
-  Result<AttackResult> ra = RunNbcAttack(Ptrs(), base, adv, eval);
+  Result<AttackResult> rs =
+      RunNbcAttack(*Client(base), "attacker", seq, eval);
+  Result<AttackResult> ra =
+      RunNbcAttack(*Client(base), "attacker", adv, eval);
   ASSERT_TRUE(rs.ok());
   ASSERT_TRUE(ra.ok());
   const size_t n = rs->num_training_queries;

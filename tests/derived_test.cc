@@ -10,6 +10,7 @@
 #include "common/math.h"
 #include "federation/derived.h"
 #include "workload/datagen.h"
+#include "registry_delta.h"
 
 namespace fedaqp {
 namespace {
@@ -38,16 +39,16 @@ class DerivedFixture : public ::testing::Test {
       ASSERT_TRUE(p.ok());
       providers_.push_back(std::move(p).value());
     }
-    FederationConfig config;
-    config.per_query_budget = {2.0, 1e-3};
-    config.sampling_rate = 0.4;
-    config.total_xi = 1e6;
-    config.total_psi = 1e3;
+    FederationClient::Options options;
+    options.protocol.per_query_budget = {2.0, 1e-3};
+    options.protocol.sampling_rate = 0.4;
+    options.analysts = {AnalystGrant{kAnalyst, 1e6, 1e3}};
     std::vector<DataProvider*> ptrs;
     for (auto& p : providers_) ptrs.push_back(p.get());
-    Result<QueryOrchestrator> orch = QueryOrchestrator::Create(ptrs, config);
-    ASSERT_TRUE(orch.ok());
-    orchestrator_ = std::make_unique<QueryOrchestrator>(std::move(orch).value());
+    Result<std::unique_ptr<FederationClient>> client =
+        FederationClient::Create(ptrs, options);
+    ASSERT_TRUE(client.ok());
+    client_ = std::move(client).value();
   }
 
   int64_t Truth(const RangeQuery& q) {
@@ -56,8 +57,10 @@ class DerivedFixture : public ::testing::Test {
     return total;
   }
 
+  static constexpr const char* kAnalyst = "a";
   std::vector<std::unique_ptr<DataProvider>> providers_;
-  std::unique_ptr<QueryOrchestrator> orchestrator_;
+  /// Declared after providers_: its endpoints point into them.
+  std::unique_ptr<FederationClient> client_;
 };
 
 // ------------------------------------------------------------ SumSquares --
@@ -119,7 +122,7 @@ TEST_F(DerivedFixture, PrivateAverageTracksTruth) {
   double true_avg = true_sum / true_count;
   RunningStats st;
   for (int rep = 0; rep < 10; ++rep) {
-    Result<DerivedResult> avg = PrivateAverage(orchestrator_.get(), range);
+    Result<DerivedResult> avg = PrivateAverage(*client_, kAnalyst, range);
     ASSERT_TRUE(avg.ok());
     st.Add(avg->value);
     // Two underlying queries' budgets.
@@ -132,23 +135,24 @@ TEST_F(DerivedFixture, PrivateVarianceIsNonNegativeAndCharged) {
   RangeQuery range = RangeQueryBuilder(Aggregation::kSum)
                          .Where(0, 0, 39)
                          .Build();
-  Result<DerivedResult> var = PrivateVariance(orchestrator_.get(), range);
+  Result<DerivedResult> var = PrivateVariance(*client_, kAnalyst, range);
   ASSERT_TRUE(var.ok());
   EXPECT_GE(var->value, 0.0);
   EXPECT_DOUBLE_EQ(var->spent.epsilon, 3.0 * 2.0);  // three queries at eps=2
-  Result<DerivedResult> sd = PrivateStdDev(orchestrator_.get(), range);
+  Result<DerivedResult> sd = PrivateStdDev(*client_, kAnalyst, range);
   ASSERT_TRUE(sd.ok());
   EXPECT_GE(sd->value, 0.0);
   EXPECT_NEAR(sd->value * sd->value, sd->value * sd->value, 1e-9);
 }
 
 TEST_F(DerivedFixture, DerivedQueriesConsumeAccountantBudget) {
-  size_t before = orchestrator_->accountant().num_charges();
+  RegistryDelta delta;
   RangeQuery range = RangeQueryBuilder(Aggregation::kSum)
                          .Where(0, 10, 30)
                          .Build();
-  ASSERT_TRUE(PrivateAverage(orchestrator_.get(), range).ok());
-  EXPECT_EQ(orchestrator_->accountant().num_charges(), before + 2);
+  ASSERT_TRUE(PrivateAverage(*client_, kAnalyst, range).ok());
+  EXPECT_EQ(delta("accountant.charges"), 2u);
+  EXPECT_DOUBLE_EQ(client_->ledger().Spent(kAnalyst)->epsilon, 2.0 * 2.0);
 }
 
 // --------------------------------------------------------------- GroupBy --
@@ -160,7 +164,7 @@ TEST_F(DerivedFixture, GroupByCoversDomainAndSumsToTotal) {
   GroupByOptions opts;
   opts.group_dim = 1;  // |b| = 12 buckets
   Result<GroupByResult> grouped =
-      PrivateGroupBy(orchestrator_.get(), base, opts);
+      PrivateGroupBy(*client_, kAnalyst, base, opts);
   ASSERT_TRUE(grouped.ok());
   EXPECT_EQ(grouped->buckets.size(), 12u);
   // Bucket estimates should roughly partition the range total.
@@ -181,7 +185,7 @@ TEST_F(DerivedFixture, GroupByHonoursExplicitInterval) {
   opts.group_lo = 2;
   opts.group_hi = 5;
   Result<GroupByResult> grouped =
-      PrivateGroupBy(orchestrator_.get(), base, opts);
+      PrivateGroupBy(*client_, kAnalyst, base, opts);
   ASSERT_TRUE(grouped.ok());
   ASSERT_EQ(grouped->buckets.size(), 4u);
   EXPECT_EQ(grouped->buckets.front().group_value, 2);
@@ -194,7 +198,7 @@ TEST_F(DerivedFixture, GroupByRejectsConstrainedGroupDim) {
                         .Build();
   GroupByOptions opts;
   opts.group_dim = 1;
-  EXPECT_EQ(PrivateGroupBy(orchestrator_.get(), base, opts).status().code(),
+  EXPECT_EQ(PrivateGroupBy(*client_, kAnalyst, base, opts).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -206,7 +210,7 @@ TEST_F(DerivedFixture, GroupByRejectsEmptyInterval) {
   opts.group_dim = 1;
   opts.group_lo = 8;
   opts.group_hi = 7;  // empty
-  EXPECT_FALSE(PrivateGroupBy(orchestrator_.get(), base, opts).ok());
+  EXPECT_FALSE(PrivateGroupBy(*client_, kAnalyst, base, opts).ok());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "dp/accountant.h"
 #include "dp/budget.h"
 #include "dp/composition.h"
+#include "registry_delta.h"
 
 namespace fedaqp {
 namespace {
@@ -49,6 +50,25 @@ TEST(BudgetSplitTest, ValidateEnforcesSimplex) {
   zero.hp_sampling = 0.2;
   zero.hp_estimate = 0.8;
   EXPECT_FALSE(zero.Validate().ok());
+  // Each query releases (sum of shares) * eps while the ledger charges
+  // eps, so a sum above 1 must not validate, however small the excess.
+  const auto split = [](double o, double s, double e) {
+    BudgetSplit b;
+    b.hp_allocation = o;
+    b.hp_sampling = s;
+    b.hp_estimate = e;
+    return b;
+  };
+  EXPECT_FALSE(split(0.1, 0.1, 0.8009).Validate().ok());
+  EXPECT_FALSE(split(0.1, 0.1, 0.8000001).Validate().ok());
+  // These sum to exactly 1.0 in double.
+  EXPECT_TRUE(split(0.1, 0.1, 0.8).Validate().ok());
+  EXPECT_TRUE(split(1.0 / 3, 1.0 / 3, 1.0 / 3).Validate().ok());
+  EXPECT_TRUE(split(0.2, 0.3, 0.5).Validate().ok());
+  EXPECT_TRUE(split(0.1, 0.2, 0.7).Validate().ok());
+  // Spending a little less than the charge is safe.
+  EXPECT_TRUE(split(0.1, 0.1, 0.7995).Validate().ok());
+  EXPECT_FALSE(split(0.1, 0.1, 0.7).Validate().ok());
 }
 
 // ----------------------------------------------------------- Composition --
@@ -124,51 +144,62 @@ TEST(CompositionTest, PerQueryAdvancedBeatsSequential) {
 }
 
 // ------------------------------------------------------------ Accountant --
+// Budget enforcement lives in AnalystLedger; these cases run against a
+// ledger holding one analyst's grant.
 
 TEST(AccountantTest, ChargesUntilExhausted) {
-  PrivacyAccountant acct(1.0, 1e-3);
-  EXPECT_TRUE(acct.Charge({0.4, 2e-4}).ok());
-  EXPECT_TRUE(acct.Charge({0.4, 2e-4}).ok());
-  EXPECT_EQ(acct.num_charges(), 2u);
+  AnalystLedger ledger;
+  ASSERT_TRUE(ledger.Register("a", 1.0, 1e-3).ok());
+  RegistryDelta delta;
+  EXPECT_TRUE(ledger.Charge("a", {0.4, 2e-4}).ok());
+  EXPECT_TRUE(ledger.Charge("a", {0.4, 2e-4}).ok());
+  EXPECT_EQ(delta("accountant.charges"), 2u);
   // Third charge of 0.4 would exceed eps=1.0.
-  Status s = acct.Charge({0.4, 2e-4});
+  Status s = ledger.Charge("a", {0.4, 2e-4});
   EXPECT_EQ(s.code(), StatusCode::kBudgetExhausted);
-  EXPECT_EQ(acct.num_charges(), 2u);
-  EXPECT_NEAR(acct.Remaining().epsilon, 0.2, 1e-12);
+  EXPECT_EQ(delta("accountant.charges"), 2u);
+  EXPECT_NEAR(ledger.Remaining("a")->epsilon, 0.2, 1e-12);
 }
 
 TEST(AccountantTest, DeltaAloneCanExhaust) {
-  PrivacyAccountant acct(10.0, 1e-4);
-  EXPECT_TRUE(acct.Charge({0.1, 9e-5}).ok());
-  EXPECT_EQ(acct.Charge({0.1, 5e-5}).code(), StatusCode::kBudgetExhausted);
+  AnalystLedger ledger;
+  ASSERT_TRUE(ledger.Register("a", 10.0, 1e-4).ok());
+  EXPECT_TRUE(ledger.Charge("a", {0.1, 9e-5}).ok());
+  EXPECT_EQ(ledger.Charge("a", {0.1, 5e-5}).code(),
+            StatusCode::kBudgetExhausted);
 }
 
 TEST(AccountantTest, ExactBoundaryIsAllowed) {
-  PrivacyAccountant acct(1.0, 1e-3);
+  AnalystLedger ledger;
+  ASSERT_TRUE(ledger.Register("a", 1.0, 1e-3).ok());
   for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(acct.Charge({0.1, 1e-4}).ok()) << "charge " << i;
+    EXPECT_TRUE(ledger.Charge("a", {0.1, 1e-4}).ok()) << "charge " << i;
   }
-  EXPECT_FALSE(acct.Charge({0.01, 0.0}).ok());
+  EXPECT_FALSE(ledger.Charge("a", {0.01, 0.0}).ok());
 }
 
 TEST(AccountantTest, NegativeChargeRejected) {
-  PrivacyAccountant acct(1.0, 1e-3);
-  EXPECT_EQ(acct.Charge({-0.1, 0.0}).code(), StatusCode::kInvalidArgument);
+  AnalystLedger ledger;
+  ASSERT_TRUE(ledger.Register("a", 1.0, 1e-3).ok());
+  EXPECT_EQ(ledger.Charge("a", {-0.1, 0.0}).code(),
+            StatusCode::kInvalidArgument);
 }
 
-TEST(AccountantTest, CanChargeIsNonMutating) {
-  PrivacyAccountant acct(1.0, 1e-3);
-  EXPECT_TRUE(acct.CanCharge({0.9, 0.0}));
-  EXPECT_TRUE(acct.CanCharge({0.9, 0.0}));
-  EXPECT_DOUBLE_EQ(acct.spent().epsilon, 0.0);
-  EXPECT_FALSE(acct.CanCharge({1.1, 0.0}));
+TEST(AccountantTest, RefusedChargeIsNonMutating) {
+  AnalystLedger ledger;
+  ASSERT_TRUE(ledger.Register("a", 1.0, 1e-3).ok());
+  EXPECT_FALSE(ledger.Charge("a", {1.1, 0.0}).ok());
+  EXPECT_DOUBLE_EQ(ledger.Spent("a")->epsilon, 0.0);
+  EXPECT_TRUE(ledger.Charge("a", {0.9, 0.0}).ok());
+  EXPECT_DOUBLE_EQ(ledger.Spent("a")->epsilon, 0.9);
 }
 
 TEST(AccountantTest, RemainingFloorsAtZero) {
-  PrivacyAccountant acct(0.5, 1e-4);
-  ASSERT_TRUE(acct.Charge({0.5, 1e-4}).ok());
-  EXPECT_DOUBLE_EQ(acct.Remaining().epsilon, 0.0);
-  EXPECT_DOUBLE_EQ(acct.Remaining().delta, 0.0);
+  AnalystLedger ledger;
+  ASSERT_TRUE(ledger.Register("a", 0.5, 1e-4).ok());
+  ASSERT_TRUE(ledger.Charge("a", {0.5, 1e-4}).ok());
+  EXPECT_DOUBLE_EQ(ledger.Remaining("a")->epsilon, 0.0);
+  EXPECT_DOUBLE_EQ(ledger.Remaining("a")->delta, 0.0);
 }
 
 }  // namespace

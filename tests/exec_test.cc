@@ -18,7 +18,6 @@
 #include <stdexcept>
 
 #include "core/federation.h"
-#include "dp/accountant.h"
 #include "exec/federation_client.h"
 #include "exec/in_process_endpoint.h"
 #include "exec/thread_pool.h"
@@ -26,6 +25,8 @@
 #include "federation/progressive.h"
 #include "storage/sharded_scan_executor.h"
 #include "workload/datagen.h"
+#include "execute_query.h"
+#include "registry_delta.h"
 
 namespace fedaqp {
 namespace {
@@ -388,7 +389,7 @@ TEST(InProcessEndpointTest, OrchestratorOutlivingProvidersTearsDownSafely) {
   Result<QueryOrchestrator> orch =
       QueryOrchestrator::Create(Ptrs(providers), config);
   ASSERT_TRUE(orch.ok());
-  ASSERT_TRUE(orch->Execute(WideQuery()).ok());
+  ASSERT_TRUE(ExecuteQuery(*orch, WideQuery()).ok());
   providers.clear();  // providers die first; `orch` is destroyed after
 }
 
@@ -484,7 +485,7 @@ TEST(OrchestratorCostTest, ProviderSecondsAreMaxedNotSummed) {
       QueryOrchestrator::CreateFromEndpoints(endpoints, config);
   ASSERT_TRUE(orch.ok());
   RangeQuery q = RangeQueryBuilder(Aggregation::kCount).Where(0, 0, 50).Build();
-  Result<QueryResponse> resp = orch->Execute(q);
+  Result<QueryResponse> resp = ExecuteQuery(*orch, q);
   ASSERT_TRUE(resp.ok());
   // Phase maxima: summary max(1, 3) = 3, estimate max(2, 0.5) = 2. A
   // summing implementation would report 6.5.
@@ -522,7 +523,7 @@ TEST(OrchestratorCostTest, ThrowingEndpointBecomesStatusNotTerminate) {
       QueryOrchestrator::CreateFromEndpoints(endpoints, config);
   ASSERT_TRUE(orch.ok());
   RangeQuery q = RangeQueryBuilder(Aggregation::kCount).Where(0, 0, 50).Build();
-  Result<QueryResponse> resp = orch->Execute(q);
+  Result<QueryResponse> resp = ExecuteQuery(*orch, q);
   ASSERT_FALSE(resp.ok());
   EXPECT_EQ(resp.status().code(), StatusCode::kInternal);
   EXPECT_NE(resp.status().ToString().find("shard 0 failed"), std::string::npos);
@@ -543,7 +544,7 @@ TEST(ParallelDeterminismTest, OrchestratorIdenticalAcrossPoolSizes) {
     ASSERT_TRUE(orch.ok());
     std::vector<double> estimates;
     for (int rep = 0; rep < 3; ++rep) {
-      Result<QueryResponse> resp = orch->Execute(WideQuery());
+      Result<QueryResponse> resp = ExecuteQuery(*orch, WideQuery());
       ASSERT_TRUE(resp.ok());
       estimates.push_back(resp->estimate);
     }
@@ -627,8 +628,8 @@ TEST(ParallelDeterminismTest, DistinctOrchestratorSeedsDrawDistinctNoise) {
   Result<QueryOrchestrator> o2 = QueryOrchestrator::Create(Ptrs(providers), c2);
   ASSERT_TRUE(o1.ok());
   ASSERT_TRUE(o2.ok());
-  Result<QueryResponse> r1 = o1->Execute(WideQuery());
-  Result<QueryResponse> r2 = o2->Execute(WideQuery());
+  Result<QueryResponse> r1 = ExecuteQuery(*o1, WideQuery());
+  Result<QueryResponse> r2 = ExecuteQuery(*o2, WideQuery());
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_NE(r1->estimate, r2->estimate);
@@ -682,7 +683,7 @@ TEST(ParallelDeterminismTest, ShardedScansIdenticalAcrossPoolAndShardCounts) {
       Result<QueryOrchestrator> orch =
           QueryOrchestrator::Create(Ptrs(providers), config);
       ASSERT_TRUE(orch.ok());
-      std::vector<BatchOutcome> outcomes = orch->ExecuteBatch(queries);
+      std::vector<BatchOutcome> outcomes = ExecuteQueries(*orch, queries);
       ASSERT_EQ(outcomes.size(), queries.size());
       std::vector<double> estimates;
       size_t rows = 0;
@@ -712,7 +713,7 @@ TEST(ParallelDeterminismTest, ShardedScansIdenticalAcrossPoolAndShardCounts) {
       QueryOrchestrator::Create(Ptrs(seq_providers), seq_config);
   ASSERT_TRUE(seq.ok());
   for (size_t i = 0; i < queries.size(); ++i) {
-    Result<QueryResponse> resp = seq->Execute(queries[i]);
+    Result<QueryResponse> resp = ExecuteQuery(*seq, queries[i]);
     ASSERT_TRUE(resp.ok());
     EXPECT_DOUBLE_EQ(resp->estimate, base_estimates[i]) << "query=" << i;
   }
@@ -740,7 +741,7 @@ TEST(OrchestratorCostTest, ShardCountDoesNotChangeProviderSecondsSemantics) {
     ASSERT_TRUE(orch.ok());
     RangeQuery q =
         RangeQueryBuilder(Aggregation::kCount).Where(0, 0, 50).Build();
-    Result<QueryResponse> resp = orch->Execute(q);
+    Result<QueryResponse> resp = ExecuteQuery(*orch, q);
     ASSERT_TRUE(resp.ok());
     // max(1,3) + max(2,0.5) = 5 for every shard count; a summing
     // implementation would drift with shards.
@@ -765,7 +766,7 @@ TEST(ParallelDeterminismTest, BatchMatchesSequentialExecution) {
   ASSERT_TRUE(seq.ok());
   std::vector<double> sequential;
   for (const auto& q : queries) {
-    Result<QueryResponse> resp = seq->Execute(q);
+    Result<QueryResponse> resp = ExecuteQuery(*seq, q);
     ASSERT_TRUE(resp.ok());
     sequential.push_back(resp->estimate);
   }
@@ -774,7 +775,7 @@ TEST(ParallelDeterminismTest, BatchMatchesSequentialExecution) {
   Result<QueryOrchestrator> batched =
       QueryOrchestrator::Create(Ptrs(batch_providers), BaseConfig(4));
   ASSERT_TRUE(batched.ok());
-  std::vector<BatchOutcome> outcomes = batched->ExecuteBatch(queries);
+  std::vector<BatchOutcome> outcomes = ExecuteQueries(*batched, queries);
   ASSERT_EQ(outcomes.size(), queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
     ASSERT_TRUE(outcomes[q].ok());
@@ -898,12 +899,15 @@ TEST(FederationBatchTest, QueryBatchChargesSharedAccountant) {
                      .Where(0, 5, 55)
                      .Where(1, 0, 30)
                      .Build();
+  RegistryDelta delta;
   std::vector<BatchOutcome> outcomes = (*fed)->QueryBatch({q, q, q});
   ASSERT_EQ(outcomes.size(), 3u);
   EXPECT_TRUE(outcomes[0].ok());
   EXPECT_TRUE(outcomes[1].ok());
   EXPECT_EQ(outcomes[2].status.code(), StatusCode::kBudgetExhausted);
-  EXPECT_EQ((*fed)->accountant().num_charges(), 2u);
+  EXPECT_EQ(delta("accountant.charges"), 2u);
+  EXPECT_EQ(
+      (*fed)->client().ledger().Spent(Federation::kAnalyst)->epsilon, 2.0);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "exec/thread_pool.h"
 #include "federation/orchestrator.h"
 #include "federation/progressive.h"
+#include "execute_query.h"
 #include "gate_endpoint.h"
 #include "rpc/remote_endpoint.h"
 #include "rpc/server.h"
@@ -604,7 +605,7 @@ TEST(FederationClientReleaseTest, GraphBatchReleasesEverySession) {
       *endpoints, BaseConfig(4, BatchScheduler::kTaskGraph));
   ASSERT_TRUE(orch.ok());
   std::vector<RangeQuery> queries = {WideQuery(0), WideQuery(1), WideQuery(2)};
-  std::vector<BatchOutcome> outcomes = orch->ExecuteBatch(queries);
+  std::vector<BatchOutcome> outcomes = ExecuteQueries(*orch, queries);
   for (const BatchOutcome& out : outcomes) EXPECT_TRUE(out.ok());
   for (const auto& endpoint : *endpoints) {
     auto* in_process = static_cast<InProcessEndpoint*>(endpoint.get());
@@ -708,7 +709,7 @@ TEST(FederationClientLifecycleTest, DestructionDrainsOutstandingQueries) {
   }
 }
 
-TEST(FederationClientLifecycleTest, UnknownAnalystAndJobsWork) {
+TEST(FederationClientLifecycleTest, UnknownAnalystIsRefused) {
   auto providers = MakeFederation(2);
   FederationClient::Options copts;
   copts.protocol = BaseConfig(1, BatchScheduler::kTaskGraph);
@@ -722,17 +723,46 @@ TEST(FederationClientLifecycleTest, UnknownAnalystAndJobsWork) {
   Result<QueryResponse> resp = (*client)->Submit(std::move(spec)).Wait();
   ASSERT_FALSE(resp.ok());
   EXPECT_EQ(resp.status().code(), StatusCode::kNotFound);
+}
 
-  // RunJob serializes arbitrary orchestrator work into the admission
-  // sequence.
-  double exact = 0.0;
-  Status job = (*client)->RunJob([&](QueryOrchestrator& orch) {
-    Result<QueryResponse> r = orch.ExecuteExact(WideQuery());
-    ASSERT_TRUE(r.ok());
-    exact = r->estimate;
-  });
-  ASSERT_TRUE(job.ok());
-  EXPECT_GT(exact, 0.0);
+// --------------------------------------------------------------- planning --
+
+// The dry run and admission share one charge rule: under a horizon each
+// query is charged remaining / horizon at its admission, so the plan walks
+// the workload in order and admission then charges exactly what it planned.
+TEST(FederationClientPlanTest, PlanWithHorizonMatchesAdmittedCharges) {
+  auto providers = MakeFederation(2);
+  FederationClient::Options copts;
+  copts.protocol = BaseConfig(1, BatchScheduler::kTaskGraph);
+  copts.analysts = {{"alice", 2.0, 1.0}};
+  copts.plan_horizon = 4;
+  Result<std::unique_ptr<FederationClient>> client =
+      FederationClient::Create(Ptrs(providers), copts);
+  ASSERT_TRUE(client.ok());
+  const std::vector<RangeQuery> workload = {WideQuery(0), WideQuery(1),
+                                            WideQuery(2)};
+  const std::vector<double> expected = {0.5, 0.375, 0.28125};
+  Result<BudgetPlanner::WorkloadPlan> plan =
+      (*client)->PlanWorkload("alice", workload);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->queries.size(), workload.size());
+  EXPECT_EQ(plan->answerable, workload.size());
+  for (size_t i = 0; i < workload.size(); ++i) {
+    EXPECT_TRUE(plan->queries[i].answerable) << "query " << i;
+    EXPECT_EQ(plan->queries[i].budget.epsilon, expected[i]) << "query " << i;
+  }
+  EXPECT_EQ(plan->projected_spend.epsilon, 0.5 + 0.375 + 0.28125);
+
+  for (const RangeQuery& q : workload) {
+    ASSERT_TRUE((*client)->Submit(QuerySpec{"alice", q}).Wait().ok());
+  }
+  std::vector<double> charged;
+  for (const auto& record : (*client)->audit_log().ForAnalyst("alice")) {
+    if (record.kind == obs::BudgetAuditLog::Kind::kCharge) {
+      charged.push_back(record.epsilon);
+    }
+  }
+  EXPECT_EQ(charged, expected);
 }
 
 }  // namespace

@@ -10,10 +10,13 @@
 
 #include "common/math.h"
 #include "common/rng.h"
+#include "exec/federation_client.h"
 #include "federation/aggregator.h"
 #include "federation/orchestrator.h"
 #include "federation/provider.h"
 #include "workload/datagen.h"
+#include "execute_query.h"
+#include "registry_delta.h"
 
 namespace fedaqp {
 namespace {
@@ -61,6 +64,17 @@ class FederationFixture : public ::testing::Test {
     config.total_xi = 1000.0;
     config.total_psi = 10.0;
     return config;
+  }
+
+  /// A client over the providers whose one analyst "a" holds (xi, 1.0).
+  std::unique_ptr<FederationClient> OneAnalystClient(double xi) {
+    FederationClient::Options options;
+    options.protocol = DefaultConfig();
+    options.analysts = {AnalystGrant{"a", xi, 1.0}};
+    Result<std::unique_ptr<FederationClient>> client =
+        FederationClient::Create(Ptrs(), options);
+    EXPECT_TRUE(client.ok()) << client.status().ToString();
+    return client.ok() ? std::move(client).value() : nullptr;
   }
 
   RangeQuery WideQuery(Aggregation agg = Aggregation::kCount) {
@@ -293,7 +307,7 @@ TEST_F(FederationFixture, ExecuteApproximatesAndSavesWork) {
       QueryOrchestrator::Create(Ptrs(), DefaultConfig());
   ASSERT_TRUE(orch.ok());
   RangeQuery q = WideQuery();
-  Result<QueryResponse> resp = orch->Execute(q);
+  Result<QueryResponse> resp = ExecuteQuery(*orch, q);
   ASSERT_TRUE(resp.ok());
   EXPECT_TRUE(resp->approximated);
   Result<QueryResponse> exact = orch->ExecuteExact(q);
@@ -316,7 +330,7 @@ TEST_F(FederationFixture, ExecuteEstimateIsReasonablyAccurate) {
   double acc = 0.0;
   const int reps = 15;
   for (int i = 0; i < reps; ++i) {
-    Result<QueryResponse> resp = orch->Execute(q);
+    Result<QueryResponse> resp = ExecuteQuery(*orch, q);
     ASSERT_TRUE(resp.ok());
     acc += resp->estimate;
   }
@@ -325,18 +339,17 @@ TEST_F(FederationFixture, ExecuteEstimateIsReasonablyAccurate) {
 }
 
 TEST_F(FederationFixture, BudgetExhaustionStopsQueries) {
-  FederationConfig config = DefaultConfig();
-  config.per_query_budget = {1.0, 1e-3};
-  config.total_xi = 2.5;  // admits exactly two queries
-  config.total_psi = 1.0;
-  Result<QueryOrchestrator> orch = QueryOrchestrator::Create(Ptrs(), config);
-  ASSERT_TRUE(orch.ok());
-  RangeQuery q = WideQuery();
-  EXPECT_TRUE(orch->Execute(q).ok());
-  EXPECT_TRUE(orch->Execute(q).ok());
-  Result<QueryResponse> third = orch->Execute(q);
+  // Per-query eps 1.0 against a grant of 2.5: admits exactly two queries.
+  std::unique_ptr<FederationClient> client = OneAnalystClient(2.5);
+  ASSERT_NE(client, nullptr);
+  RegistryDelta delta;
+  const QuerySpec spec{"a", WideQuery()};
+  EXPECT_TRUE(client->Submit(spec).Wait().ok());
+  EXPECT_TRUE(client->Submit(spec).Wait().ok());
+  Result<QueryResponse> third = client->Submit(spec).Wait();
   EXPECT_EQ(third.status().code(), StatusCode::kBudgetExhausted);
-  EXPECT_EQ(orch->accountant().num_charges(), 2u);
+  EXPECT_EQ(delta("accountant.charges"), 2u);
+  EXPECT_EQ(client->ledger().Spent("a")->epsilon, 2.0);
 }
 
 TEST_F(FederationFixture, SmcModeProducesComparableEstimates) {
@@ -352,7 +365,7 @@ TEST_F(FederationFixture, SmcModeProducesComparableEstimates) {
   double acc = 0.0;
   const int reps = 15;
   for (int i = 0; i < reps; ++i) {
-    Result<QueryResponse> resp = orch->Execute(q);
+    Result<QueryResponse> resp = ExecuteQuery(*orch, q);
     ASSERT_TRUE(resp.ok());
     acc += resp->estimate;
   }
@@ -370,8 +383,8 @@ TEST_F(FederationFixture, SmcModeMovesMoreBytesThanDpMode) {
   ASSERT_TRUE(dp_orch.ok());
   ASSERT_TRUE(smc_orch.ok());
   RangeQuery q = WideQuery();
-  Result<QueryResponse> dp_resp = dp_orch->Execute(q);
-  Result<QueryResponse> smc_resp = smc_orch->Execute(q);
+  Result<QueryResponse> dp_resp = ExecuteQuery(*dp_orch, q);
+  Result<QueryResponse> smc_resp = ExecuteQuery(*smc_orch, q);
   ASSERT_TRUE(dp_resp.ok());
   ASSERT_TRUE(smc_resp.ok());
   EXPECT_GT(smc_resp->breakdown.network_bytes,
@@ -399,21 +412,21 @@ TEST_F(FederationFixture, SmallQueriesTakeExactPath) {
     }
   }
   if (!found) GTEST_SKIP() << "no sufficiently small query in this layout";
-  Result<QueryResponse> resp = orch->Execute(q);
+  Result<QueryResponse> resp = ExecuteQuery(*orch, q);
   ASSERT_TRUE(resp.ok());
   EXPECT_FALSE(resp->approximated);
 }
 
 TEST_F(FederationFixture, InvalidQueryRejectedBeforeBudgetSpend) {
-  Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create(Ptrs(), DefaultConfig());
-  ASSERT_TRUE(orch.ok());
+  std::unique_ptr<FederationClient> client = OneAnalystClient(1000.0);
+  ASSERT_NE(client, nullptr);
+  RegistryDelta delta;
   RangeQuery bad = RangeQueryBuilder(Aggregation::kCount)
                        .Where(99, 0, 1)
                        .Build();
-  EXPECT_FALSE(orch->Execute(bad).ok());
-  EXPECT_EQ(orch->accountant().num_charges(), 0u);
-  EXPECT_DOUBLE_EQ(orch->accountant().spent().epsilon, 0.0);
+  EXPECT_FALSE(client->Submit(QuerySpec{"a", bad}).Wait().ok());
+  EXPECT_EQ(delta("accountant.charges"), 0u);
+  EXPECT_DOUBLE_EQ(client->ledger().Spent("a")->epsilon, 0.0);
 }
 
 }  // namespace

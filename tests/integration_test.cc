@@ -10,6 +10,8 @@
 
 #include "common/rng.h"
 #include "core/fedaqp.h"
+#include "federation/derived.h"
+#include "registry_delta.h"
 
 namespace fedaqp {
 namespace {
@@ -56,6 +58,7 @@ TEST(IntegrationTest, QuickstartFlow) {
                      .Where(0, 20, 60)
                      .Where(1, 0, 20)
                      .Build();
+  RegistryDelta delta;
   Result<QueryResponse> exact = fed->QueryExact(q);
   Result<QueryResponse> priv = fed->Query(q);
   ASSERT_TRUE(exact.ok());
@@ -64,8 +67,9 @@ TEST(IntegrationTest, QuickstartFlow) {
   // Private answer is in the right ballpark (generous: sampling + noise).
   EXPECT_LT(RelativeError(exact->estimate, priv->estimate), 0.8);
   // Privacy was spent on the private path only.
-  EXPECT_DOUBLE_EQ(fed->accountant().spent().epsilon, 1.5);
-  EXPECT_EQ(fed->accountant().num_charges(), 1u);
+  EXPECT_DOUBLE_EQ(
+      fed->client().ledger().Spent(Federation::kAnalyst)->epsilon, 1.5);
+  EXPECT_EQ(delta("accountant.charges"), 1u);
 }
 
 TEST(IntegrationTest, RepeatedQueriesConvergeNearTruth) {
@@ -122,6 +126,97 @@ TEST(IntegrationTest, CountAndSumAgreeOnTensorSemantics) {
   EXPECT_GE(s->estimate, c->estimate);
 }
 
+/// Replays `client`'s audit log into a fresh ledger: every analyst's
+/// spent, remaining and saved budget must match the live ledger bit for
+/// bit, and `analyst` must have spent exactly `expected_eps`.
+void ExpectLedgerReplays(const FederationClient& client,
+                         const std::string& analyst, double expected_eps) {
+  AnalystLedger replayed;
+  Status replay = client.audit_log().Replay(&replayed);
+  ASSERT_TRUE(replay.ok()) << replay.ToString();
+  const AnalystLedger& live = client.ledger();
+  ASSERT_EQ(replayed.Analysts(), live.Analysts());
+  for (const std::string& a : live.Analysts()) {
+    EXPECT_EQ(replayed.Spent(a)->epsilon, live.Spent(a)->epsilon) << a;
+    EXPECT_EQ(replayed.Spent(a)->delta, live.Spent(a)->delta) << a;
+    EXPECT_EQ(replayed.Remaining(a)->epsilon, live.Remaining(a)->epsilon)
+        << a;
+    EXPECT_EQ(replayed.Saved(a)->epsilon, live.Saved(a)->epsilon) << a;
+  }
+  EXPECT_EQ(live.Spent(analyst)->epsilon, expected_eps) << analyst;
+}
+
+/// `n` charges of `eps`, summed in the order the ledger adds them.
+double Charged(double eps, size_t n) {
+  double sum = 0.0;
+  for (size_t i = 0; i < n; ++i) sum += eps;
+  return sum;
+}
+
+// One admission path: whichever entry point a private query takes, a
+// client's ledger charges it once per answered query, and that client's
+// audit log replays the ledger bit-exactly.
+TEST(IntegrationTest, EveryEntryPointChargesAReplayableLedger) {
+  std::unique_ptr<Federation> fed = OpenSmallFederation();
+  ASSERT_NE(fed, nullptr);
+  const RangeQuery count_q = RangeQueryBuilder(Aggregation::kCount)
+                                 .Where(0, 20, 60)
+                                 .Where(1, 0, 20)
+                                 .Build();
+  const RangeQuery sum_q =
+      RangeQueryBuilder(Aggregation::kSum).Where(0, 10, 70).Build();
+
+  // Federation::Query and QueryBatch: the federation's one-analyst client.
+  double answered = 0.0;
+  Result<QueryResponse> one = fed->Query(count_q);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  answered += one->spent.epsilon;
+  for (const BatchOutcome& out : fed->QueryBatch({count_q, sum_q})) {
+    ASSERT_TRUE(out.ok()) << out.status.ToString();
+    answered += out.response.spent.epsilon;
+  }
+  ExpectLedgerReplays(fed->client(), Federation::kAnalyst, answered);
+
+  // RunWorkload, the derived helpers and the attack harness submit to a
+  // client as a named analyst.
+  FederationClient::Options options;
+  options.protocol.per_query_budget = {1.5, 1e-3};
+  options.protocol.sampling_rate = 0.25;
+  options.analysts = {{"workload", 1e6, 1e3}, {"stats", 1e6, 1e3}};
+  Result<std::unique_ptr<FederationClient>> client =
+      FederationClient::Create(fed->provider_ptrs(), options);
+  ASSERT_TRUE(client.ok());
+  FederationClient& c = **client;
+
+  const std::vector<RangeQuery> workload = {count_q, sum_q, count_q};
+  ASSERT_TRUE(RunWorkload(c, "workload", workload).ok());
+  ExpectLedgerReplays(c, "workload", Charged(1.5, workload.size()));
+
+  GroupByOptions by_dept;
+  by_dept.group_dim = 1;
+  by_dept.group_lo = 0;
+  by_dept.group_hi = 4;
+  const RangeQuery by_age =
+      RangeQueryBuilder(Aggregation::kCount).Where(0, 20, 60).Build();
+  Result<GroupByResult> grouped = PrivateGroupBy(c, "stats", by_age, by_dept);
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  ASSERT_EQ(grouped->buckets.size(), 5u);
+  Result<DerivedResult> avg = PrivateAverage(c, "stats", sum_q);
+  ASSERT_TRUE(avg.ok()) << avg.status().ToString();
+  // One full charge per bucket, then the average's two sub-queries.
+  ExpectLedgerReplays(c, "stats", Charged(1.5, 5 + 2));
+
+  AttackConfig attack;
+  attack.sa_dim = 1;  // 30 classes, no QI: 1 + 30 training queries
+  attack.xi = 5.0;
+  attack.psi = 1e-6;
+  Result<AttackResult> attacked = RunNbcAttack(c, "attacker", attack, {});
+  ASSERT_TRUE(attacked.ok()) << attacked.status().ToString();
+  ExpectLedgerReplays(c, "attacker",
+                      Charged(attacked->per_query_budget.epsilon,
+                              attacked->num_training_queries));
+}
+
 TEST(IntegrationTest, WorkloadOverFacadeProviders) {
   std::unique_ptr<Federation> fed =
       OpenSmallFederation(ReleaseMode::kLocalDp, 0.3, {2.0, 1e-3});
@@ -132,15 +227,15 @@ TEST(IntegrationTest, WorkloadOverFacadeProviders) {
   RandomQueryGenerator gen(fed->schema(), qopts);
   Result<std::vector<RangeQuery>> queries = gen.Workload(8);
   ASSERT_TRUE(queries.ok());
-  FederationConfig config;
-  config.sampling_rate = 0.3;
-  config.per_query_budget = {2.0, 1e-3};
-  config.total_xi = 1e6;
-  config.total_psi = 1e3;
-  Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create(fed->provider_ptrs(), config);
-  ASSERT_TRUE(orch.ok());
-  Result<std::vector<QueryMeasurement>> ms = RunWorkload(&orch.value(), *queries);
+  FederationClient::Options options;
+  options.protocol.sampling_rate = 0.3;
+  options.protocol.per_query_budget = {2.0, 1e-3};
+  options.analysts = {AnalystGrant{"a", 1e6, 1e3}};
+  Result<std::unique_ptr<FederationClient>> client =
+      FederationClient::Create(fed->provider_ptrs(), options);
+  ASSERT_TRUE(client.ok());
+  Result<std::vector<QueryMeasurement>> ms =
+      RunWorkload(**client, "a", *queries);
   ASSERT_TRUE(ms.ok());
   WorkloadMetrics metrics = Summarize(*ms);
   EXPECT_GT(metrics.mean_work_ratio, 1.5);

@@ -11,6 +11,7 @@
 #include "common/math.h"
 #include "federation/orchestrator.h"
 #include "workload/datagen.h"
+#include "execute_query.h"
 
 namespace fedaqp {
 namespace {
@@ -58,7 +59,7 @@ TEST(OrchestratorEdgeTest, SingleProviderFederationWorks) {
   ASSERT_TRUE(orch.ok());
   RangeQuery q = RangeQueryBuilder(Aggregation::kSum).Where(0, 20, 180).Build();
   Result<QueryResponse> exact = orch->ExecuteExact(q);
-  Result<QueryResponse> resp = orch->Execute(q);
+  Result<QueryResponse> resp = ExecuteQuery(*orch, q);
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(resp.ok());
   EXPECT_GT(exact->estimate, 0.0);
@@ -74,7 +75,7 @@ TEST(OrchestratorEdgeTest, TinyProviderAlwaysTakesExactPath) {
       QueryOrchestrator::Create({tiny.get()}, BaseConfig());
   ASSERT_TRUE(orch.ok());
   RangeQuery q = RangeQueryBuilder(Aggregation::kCount).Where(0, 0, 199).Build();
-  Result<QueryResponse> resp = orch->Execute(q);
+  Result<QueryResponse> resp = ExecuteQuery(*orch, q);
   ASSERT_TRUE(resp.ok());
   EXPECT_FALSE(resp->approximated);
 }
@@ -90,7 +91,7 @@ TEST(OrchestratorEdgeTest, HeterogeneousProviderSizesAllowed) {
   RangeQuery q = RangeQueryBuilder(Aggregation::kSum).Where(0, 0, 199).Build();
   size_t small_total = 0, big_total = 0;
   for (int rep = 0; rep < 20; ++rep) {
-    Result<QueryResponse> resp = orch->Execute(q);
+    Result<QueryResponse> resp = ExecuteQuery(*orch, q);
     ASSERT_TRUE(resp.ok());
     small_total += resp->allocation[0];
     big_total += resp->allocation[1];
@@ -115,7 +116,7 @@ TEST(OrchestratorEdgeTest, StderrReportedInDpMode) {
       QueryOrchestrator::Create({p.get()}, BaseConfig());
   ASSERT_TRUE(orch.ok());
   RangeQuery q = RangeQueryBuilder(Aggregation::kSum).Where(0, 20, 180).Build();
-  Result<QueryResponse> resp = orch->Execute(q);
+  Result<QueryResponse> resp = ExecuteQuery(*orch, q);
   ASSERT_TRUE(resp.ok());
   EXPECT_GT(resp->stderr_estimate, 0.0);
   // The stderr should be a plausible scale for the deviation: over many
@@ -124,7 +125,7 @@ TEST(OrchestratorEdgeTest, StderrReportedInDpMode) {
   ASSERT_TRUE(exact.ok());
   int within = 0, total = 0;
   for (int rep = 0; rep < 25; ++rep) {
-    Result<QueryResponse> r = orch->Execute(q);
+    Result<QueryResponse> r = ExecuteQuery(*orch, q);
     ASSERT_TRUE(r.ok());
     if (std::abs(r->estimate - exact->estimate) <= 6.0 * r->stderr_estimate) {
       ++within;
@@ -142,7 +143,7 @@ TEST(OrchestratorEdgeTest, SmcModeReportsNoStderr) {
       QueryOrchestrator::Create({p.get()}, config);
   ASSERT_TRUE(orch.ok());
   RangeQuery q = RangeQueryBuilder(Aggregation::kSum).Where(0, 20, 180).Build();
-  Result<QueryResponse> resp = orch->Execute(q);
+  Result<QueryResponse> resp = ExecuteQuery(*orch, q);
   ASSERT_TRUE(resp.ok());
   EXPECT_DOUBLE_EQ(resp->stderr_estimate, 0.0);
 }
@@ -154,7 +155,7 @@ TEST(OrchestratorEdgeTest, MessageCountMatchesProtocolRounds) {
       QueryOrchestrator::Create({a.get(), b.get()}, BaseConfig());
   ASSERT_TRUE(orch.ok());
   RangeQuery q = RangeQueryBuilder(Aggregation::kSum).Where(0, 20, 180).Build();
-  Result<QueryResponse> resp = orch->Execute(q);
+  Result<QueryResponse> resp = ExecuteQuery(*orch, q);
   ASSERT_TRUE(resp.ok());
   // DP mode charges the real RPC exchange: 8 rounds of 2 messages each
   // (cover request/reply, summary request/reply, estimate request/reply,
@@ -174,7 +175,7 @@ TEST(OrchestratorEdgeTest, SumSquaresQueriesRunEndToEnd) {
   RangeQuery q =
       RangeQueryBuilder(Aggregation::kSumSquares).Where(0, 0, 199).Build();
   Result<QueryResponse> exact = orch->ExecuteExact(q);
-  Result<QueryResponse> resp = orch->Execute(q);
+  Result<QueryResponse> resp = ExecuteQuery(*orch, q);
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(resp.ok());
   EXPECT_GT(exact->estimate, 0.0);
@@ -191,7 +192,7 @@ TEST(OrchestratorEdgeTest, AllocationSumMatchesPlanTotal) {
       {a.get(), b.get(), c.get()}, BaseConfig());
   ASSERT_TRUE(orch.ok());
   RangeQuery q = RangeQueryBuilder(Aggregation::kCount).Where(0, 0, 199).Build();
-  Result<QueryResponse> resp = orch->Execute(q);
+  Result<QueryResponse> resp = ExecuteQuery(*orch, q);
   ASSERT_TRUE(resp.ok());
   ASSERT_EQ(resp->allocation.size(), 3u);
   size_t total = 0;
@@ -219,8 +220,8 @@ TEST(OrchestratorEdgeTest, ResponsesAreDeterministicGivenSeeds) {
   ASSERT_TRUE(o2.ok());
   RangeQuery q = RangeQueryBuilder(Aggregation::kSum).Where(0, 20, 180).Build();
   for (int rep = 0; rep < 3; ++rep) {
-    Result<QueryResponse> r1 = o1->Execute(q);
-    Result<QueryResponse> r2 = o2->Execute(q);
+    Result<QueryResponse> r1 = ExecuteQuery(*o1, q);
+    Result<QueryResponse> r2 = ExecuteQuery(*o2, q);
     ASSERT_TRUE(r1.ok());
     ASSERT_TRUE(r2.ok());
     EXPECT_DOUBLE_EQ(r1->estimate, r2->estimate);

@@ -18,6 +18,7 @@
 #include "rpc/transport.h"
 #include "rpc/wire.h"
 #include "workload/datagen.h"
+#include "execute_query.h"
 
 namespace fedaqp {
 namespace {
@@ -442,7 +443,7 @@ TEST(RpcWireTest, OrchestratorChargesExactlyTheCodecSizes) {
                       ? WireSize(ApproximateRequest{})
                       : WireSize(ExactAnswerRequest{});
     }
-    Result<QueryResponse> resp = orch->Execute(q);
+    Result<QueryResponse> resp = ExecuteQuery(*orch, q);
     ASSERT_TRUE(resp.ok());
     uint64_t expected =
         n * (WireSize(CoverRequest{1, 1, q}) + WireSize(CoverReply{}) +

@@ -27,7 +27,9 @@ std::string ReadFile(const std::string& path) {
 /// `script` is one shell command per line. `command => marker` and a
 /// following `  => marker` line each name text the command's output must
 /// contain; markers must appear in script order, each after the last.
-void ExpectScript(const std::string& name, const std::string& script) {
+/// No text in `absent` may appear anywhere in the output.
+void ExpectScript(const std::string& name, const std::string& script,
+                  const std::vector<std::string>& absent = {}) {
   const std::string base = ::testing::TempDir() + "/fedaqp_shell_" + name;
   std::vector<std::pair<std::string, std::string>> markers;
   {
@@ -58,6 +60,10 @@ void ExpectScript(const std::string& name, const std::string& script) {
         << "after `" << command << "`: missing \"" << marker
         << "\"\nremaining output:\n" << out.substr(pos);
     pos = found + marker.size();
+  }
+  for (const std::string& text : absent) {
+    EXPECT_EQ(out.find(text), std::string::npos)
+        << "unexpected \"" << text << "\" in output:\n" << out;
   }
 }
 
@@ -144,6 +150,41 @@ ledger connect 127.0.0.1:70000
 ledger connect 127.0.0.1:9 -1 => coordinator id must be in [1, 4294967295]
 ledger off => no shared ledger attached
 count 0 10 60 => private =
+quit)");
+}
+
+TEST(ShellTest, GroupByIsChargedOnTheAnalystLedger) {
+  // Grant eps 3 at eps 1 per query: `count` takes 1, and the group-by's
+  // buckets take the rest one by one until the ledger refuses. Every
+  // charge is on the shell analyst's one ledger and in its audit log.
+  ExpectScript("groupby", R"(open adult 20000 4 => opened adult: 4 providers
+budget 1 0.001 3 1 => ok (ledgers reset)
+count 0 10 60 => private =
+groupby 1 count 0 10 60 => error: BudgetExhausted: privacy budget exhausted
+audit shell => register eps=3.000000
+  => charge   eps=1.000000
+  => charge   eps=1.000000
+  => charge   eps=1.000000
+status => shell      spent (eps=3.0000, delta=0.003000), remaining (eps=0.00
+  => sr=0.20; mode=dp; sched=graph
+quit)",
+               {"[groupby]", "eps=4.0000"});
+}
+
+TEST(ShellTest, PlanPredictsTheChargeAdmissionApplies) {
+  // With a horizon, each query is charged remaining / horizon at its
+  // admission; the plan walks the workload the same way.
+  ExpectScript("plan", R"(open adult 20000 4 => opened adult: 4 providers
+budget 1 0.001 2 1 => ok (ledgers reset)
+cache on 4 => cache on, planner horizon 4 (ledgers reset)
+plan shell count 0 10 60 / count 0 30 40 => [0] eps=0.5000
+  => [1] eps=0.3750
+  => plan: 2/2 answerable (0 predicted cache hits)
+count 0 10 60 => private =
+count 0 30 40 => private =
+audit shell => register eps=2.000000
+  => charge   eps=0.500000
+  => charge   eps=0.375000
 quit)");
 }
 

@@ -26,6 +26,7 @@
 #include "rpc/remote_endpoint.h"
 #include "rpc/server.h"
 #include "workload/datagen.h"
+#include "execute_query.h"
 
 namespace fedaqp {
 namespace {
@@ -461,7 +462,7 @@ TEST(TaskGraphTest, AsyncIssueOverlapsSlowEndpointsDespiteOnePoolWorker) {
   RangeQuery q = RangeQueryBuilder(Aggregation::kCount).Where(0, 0, 50).Build();
 
   Stopwatch timer;
-  std::vector<BatchOutcome> outcomes = orch->ExecuteBatch({q, q});
+  std::vector<BatchOutcome> outcomes = ExecuteQueries(*orch, {q, q});
   const double seconds = timer.ElapsedSeconds();
   for (const auto& out : outcomes) ASSERT_TRUE(out.ok());
   // Serial cost: 4 endpoints x 2 queries x (Cover 30ms + Approximate
@@ -568,7 +569,7 @@ Fingerprint RunBatch(const FederationConfig& config,
   Result<QueryOrchestrator> orch =
       QueryOrchestrator::Create(Ptrs(providers), config);
   EXPECT_TRUE(orch.ok());
-  std::vector<BatchOutcome> outcomes = orch->ExecuteBatch(queries);
+  std::vector<BatchOutcome> outcomes = ExecuteQueries(*orch, queries);
   Fingerprint fp;
   for (const auto& out : outcomes) {
     EXPECT_TRUE(out.ok()) << out.status.ToString();
@@ -577,8 +578,8 @@ Fingerprint RunBatch(const FederationConfig& config,
     fp.rows_scanned.push_back(out.response.breakdown.rows_scanned);
     fp.network_bytes.push_back(out.response.breakdown.network_bytes);
     fp.network_messages.push_back(out.response.breakdown.network_messages);
+    fp.spent_epsilon += out.response.spent.epsilon;
   }
-  fp.spent_epsilon = orch->accountant().spent().epsilon;
   return fp;
 }
 
@@ -613,7 +614,7 @@ TEST(TaskGraphDeterminismTest, BitIdenticalToBarrierAcrossPoolsAndShards) {
       Ptrs(providers), BaseConfig(1, 1, BatchScheduler::kTaskGraph));
   ASSERT_TRUE(seq.ok());
   for (size_t i = 0; i < queries.size(); ++i) {
-    Result<QueryResponse> resp = seq->Execute(queries[i]);
+    Result<QueryResponse> resp = ExecuteQuery(*seq, queries[i]);
     ASSERT_TRUE(resp.ok());
     EXPECT_DOUBLE_EQ(resp->estimate, reference.estimates[i]) << "query " << i;
   }
@@ -732,7 +733,7 @@ TEST(TaskGraphDeterminismTest, MidBatchProviderFailureMatchesBarrier) {
         endpoints, BaseConfig(threads, 1, scheduler));
     EXPECT_TRUE(orch.ok());
     std::vector<BatchOutcome> outcomes =
-        orch->ExecuteBatch(MixedWorkload());
+        ExecuteQueries(*orch, MixedWorkload());
     std::vector<std::pair<int, double>> fingerprint;
     for (const auto& out : outcomes) {
       fingerprint.emplace_back(static_cast<int>(out.status.code()),
@@ -789,7 +790,7 @@ TEST_F(TaskGraphLoopbackTest, PipelinedLoopbackMatchesInProcessBarrier) {
       raw, BaseConfig(1, 1, BatchScheduler::kPhaseBarrier));
   ASSERT_TRUE(reference_orch.ok());
   std::vector<BatchOutcome> reference =
-      reference_orch->ExecuteBatch(queries);
+      ExecuteQueries(*reference_orch, queries);
 
   for (size_t threads : {1u, 2u, 8u}) {
     for (size_t shards : {1u, 16u}) {
@@ -800,7 +801,7 @@ TEST_F(TaskGraphLoopbackTest, PipelinedLoopbackMatchesInProcessBarrier) {
           std::move(remote).value(),
           BaseConfig(threads, shards, BatchScheduler::kTaskGraph));
       ASSERT_TRUE(orch.ok()) << orch.status().ToString();
-      std::vector<BatchOutcome> outcomes = orch->ExecuteBatch(queries);
+      std::vector<BatchOutcome> outcomes = ExecuteQueries(*orch, queries);
       ASSERT_EQ(outcomes.size(), reference.size());
       for (size_t i = 0; i < outcomes.size(); ++i) {
         ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].status.ToString();
@@ -839,7 +840,7 @@ TEST_F(TaskGraphLoopbackTest, PipelinedWireBytesEqualCharges) {
   uint64_t base = 0;
   for (auto* e : raw) base += e->bytes_sent() + e->bytes_received();
   uint64_t charged = 0;
-  std::vector<BatchOutcome> outcomes = orch->ExecuteBatch(MixedWorkload());
+  std::vector<BatchOutcome> outcomes = ExecuteQueries(*orch, MixedWorkload());
   for (const auto& out : outcomes) {
     ASSERT_TRUE(out.ok());
     charged += out.response.breakdown.network_bytes;

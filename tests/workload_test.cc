@@ -229,13 +229,16 @@ TEST(WorkloadRunnerTest, MeasuresErrorAndSpeedup) {
   Result<std::vector<RangeQuery>> queries = gen.Workload(10);
   ASSERT_TRUE(queries.ok());
 
-  // Need direct orchestrator access: run through the facade's providers.
-  FederationConfig config = fopts.protocol;
-  Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create((*fed)->provider_ptrs(), config);
-  ASSERT_TRUE(orch.ok());
+  // A client of its own over the facade's providers: the protocol seed
+  // is the config's, not the one Open derives.
+  FederationClient::Options options;
+  options.protocol = fopts.protocol;
+  options.analysts = {AnalystGrant{"a", 1e6, 1e3}};
+  Result<std::unique_ptr<FederationClient>> client =
+      FederationClient::Create((*fed)->provider_ptrs(), options);
+  ASSERT_TRUE(client.ok());
   Result<std::vector<QueryMeasurement>> results =
-      RunWorkload(&orch.value(), *queries);
+      RunWorkload(**client, "a", *queries);
   ASSERT_TRUE(results.ok());
   ASSERT_EQ(results->size(), 10u);
   for (const auto& m : *results) {

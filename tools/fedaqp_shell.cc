@@ -559,20 +559,15 @@ Status GroupBy(ShellState& s, std::istringstream& in) {
   const RangeQuery base = ParseRanges(agg, in);
   GroupByOptions gbo;
   gbo.group_dim = static_cast<size_t>(group_dim);
-  // Derived workloads drive the orchestrator directly; RunJob serializes
-  // that into the client's admission sequence (the orchestrator itself is
-  // not thread-safe).
-  Result<GroupByResult> grouped = Status::Internal("groupby did not run");
-  FEDAQP_RETURN_IF_ERROR(s.client->RunJob([&](QueryOrchestrator& orch) {
-    grouped = PrivateGroupBy(&orch, base, gbo);
-  }));
-  FEDAQP_RETURN_IF_ERROR(grouped.status());
-  for (const auto& b : grouped->buckets) {
+  // Every bucket is admitted and charged on the shell analyst's ledger.
+  FEDAQP_ASSIGN_OR_RETURN(GroupByResult grouped,
+                          PrivateGroupBy(*s.client, kShellAnalyst, base, gbo));
+  for (const auto& b : grouped.buckets) {
     std::printf("  %lld: %.0f\n", static_cast<long long>(b.group_value),
                 b.estimate);
   }
   std::printf("(parallel composition: eps=%.4f for all %zu buckets)\n",
-              grouped->spent.epsilon, grouped->buckets.size());
+              grouped.spent.epsilon, grouped.buckets.size());
   return Status::OK();
 }
 
@@ -801,16 +796,6 @@ Status StatusVerb(ShellState& s, std::istringstream&) {
         counter("cache.partial_compositions"), counter("cache.misses"),
         counter("cache.invalidated"));
   }
-  // Derived workloads (groupby) charge the orchestrator's own accountant,
-  // a separate (xi, psi) pool from the per-analyst ledger above — show it
-  // too so no spend is invisible.
-  s.client->WaitIdle();
-  const PrivacyAccountant& acct = s.client->orchestrator().accountant();
-  std::printf(
-      "  %-10s spent (eps=%.4f, delta=%.6f) of (xi=%.2f, psi=%.4f), "
-      "%zu queries\n",
-      "[groupby]", acct.spent().epsilon, acct.spent().delta,
-      acct.total().epsilon, acct.total().delta, acct.num_charges());
   const FederationConfig& config = s.options.protocol;
   std::printf("sr=%.2f; mode=%s; sched=%s; %llu admission rounds\n",
               config.sampling_rate,
