@@ -187,7 +187,7 @@ int Run(int argc, char** argv) {
   // ping-pong carrying the same request frame.
   const SummaryRequest summary{1, 0.5};
   ByteWriter ping;
-  EncodeSummaryRequest(summary, &ping);
+  Encode(summary, &ping);
   const double loopback_rtt_us = LoopbackRttMicros(kPings, ping);
   Result<std::shared_ptr<RemoteEndpoint>> caller =
       RemoteEndpoint::Connect("127.0.0.1", (*servers)[0]->port());

@@ -323,7 +323,7 @@ void RunCombine(const BatchContext& ctx, QueryState& st) {
   // calls are issued in the cleanup loop after the batch; charged here so
   // each query's breakdown owns its full wire footprint.
   st.network->UniformRound(num_endpoints, WireSize(EndQueryRequest{st.id}));
-  st.network->UniformRound(num_endpoints, kEndQueryAckWireSize);
+  st.network->UniformRound(num_endpoints, WireSize(Empty{}));
 
   st.response.breakdown.network_seconds = st.network->stats().seconds;
   st.response.breakdown.network_bytes = st.network->stats().bytes;

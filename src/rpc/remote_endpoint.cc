@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -24,15 +25,6 @@ struct RpcCounters {
 const RpcCounters& Counters() {
   static const RpcCounters counters;
   return counters;
-}
-
-/// Decodes a reply payload with `decode`, enforcing full consumption.
-template <typename T>
-Result<T> DecodeReply(const RpcFrame& frame, Result<T> (*decode)(ByteReader*)) {
-  ByteReader reader(frame.payload);
-  FEDAQP_ASSIGN_OR_RETURN(T value, decode(&reader));
-  FEDAQP_RETURN_IF_ERROR(ExpectConsumed(reader));
-  return value;
 }
 
 bool SameIdentity(const EndpointInfo& a, const EndpointInfo& b) {
@@ -63,21 +55,15 @@ Result<std::pair<TcpConnection, EndpointInfo>> RemoteEndpoint::Handshake(
   // kInfo handshake: fetch the endpoint facts the orchestrator validates
   // at federation setup (and fail fast if the peer is not a fedaqp
   // provider speaking our wire version).
-  FEDAQP_RETURN_IF_ERROR(conn.SendFrame(RpcMethod::kInfo, ByteWriter()));
-  FEDAQP_ASSIGN_OR_RETURN(RpcFrame reply, conn.ReceiveFrame());
-  if (reply.method == RpcMethod::kError) {
-    ByteReader reader(reply.payload);
-    Status remote = Status::OK();
-    if (!DecodeStatusPayload(&reader, &remote).ok()) {
-      return Status::ProtocolError("rpc: undecodable error reply");
-    }
-    return remote;
-  }
-  if (reply.method != RpcMethod::kInfo) {
-    return Status::ProtocolError("rpc: handshake reply method mismatch");
-  }
+  ByteWriter request;
+  Encode(Empty{}, &request);
+  FEDAQP_RETURN_IF_ERROR(conn.SendFrame(kInfoRpc.id, request));
+  FEDAQP_ASSIGN_OR_RETURN(RpcFrame received, conn.ReceiveFrame());
+  bool broken = false;  // The connection is dropped on any failure anyway.
+  FEDAQP_ASSIGN_OR_RETURN(
+      RpcFrame reply, UnwrapReply(std::move(received), kInfoRpc.id, &broken));
   FEDAQP_ASSIGN_OR_RETURN(EndpointInfo info,
-                          DecodeReply(reply, DecodeEndpointInfo));
+                          Decode<EndpointInfo>(reply.payload));
   return std::make_pair(std::move(conn), std::move(info));
 }
 
@@ -102,27 +88,6 @@ RemoteEndpoint::ConnectAll(const std::vector<std::string>& host_ports) {
   return endpoints;
 }
 
-Result<RpcFrame> RemoteEndpoint::UnwrapReplyLocked(RpcFrame reply,
-                                                   RpcMethod method) {
-  if (reply.method == RpcMethod::kError) {
-    // An application-level refusal (bad session, invalid query, ...):
-    // the stream stays in sync, the connection stays usable.
-    ByteReader reader(reply.payload);
-    Status remote = Status::OK();
-    if (!DecodeStatusPayload(&reader, &remote).ok() ||
-        !ExpectConsumed(reader).ok()) {
-      broken_ = true;
-      return Status::ProtocolError("rpc: undecodable error reply");
-    }
-    return remote;
-  }
-  if (reply.method != method) {
-    broken_ = true;
-    return Status::ProtocolError("rpc: reply method does not echo request");
-  }
-  return reply;
-}
-
 Result<RpcFrame> RemoteEndpoint::SingleExchangeLocked(
     RpcMethod method, const ByteWriter& payload) {
   // Caller holds mutex_. Byte-identical to the unbatched protocol: one
@@ -140,7 +105,7 @@ Result<RpcFrame> RemoteEndpoint::SingleExchangeLocked(
     return reply.status();
   }
   Counters().bytes_received->Add(kFrameHeaderBytes + reply->payload.size());
-  return UnwrapReplyLocked(std::move(*reply), method);
+  return UnwrapReply(std::move(*reply), method, &broken_);
 }
 
 void RemoteEndpoint::ServeBatchLocked(const std::vector<CallSlot*>& batch) {
@@ -169,9 +134,7 @@ void RemoteEndpoint::ServeBatchLocked(const std::vector<CallSlot*>& batch) {
       if (idx > chunk_begin && outer.size() + framed > kMaxFramePayloadBytes) {
         break;
       }
-      EncodeFrameHeader(slot->method,
-                        static_cast<uint32_t>(slot->payload->size()), &outer);
-      outer.PutRaw(slot->payload->bytes().data(), slot->payload->size());
+      AppendFrame(slot->method, *slot->payload, &outer);
       ++idx;
     }
     const size_t chunk_size = idx - chunk_begin;
@@ -198,30 +161,20 @@ void RemoteEndpoint::ServeBatchLocked(const std::vector<CallSlot*>& batch) {
       return;
     }
     Counters().bytes_received->Add(kFrameHeaderBytes + reply->payload.size());
-    if (reply->method == RpcMethod::kError) {
+    reply = UnwrapReply(std::move(*reply), RpcMethod::kBatch, &broken_);
+    if (broken_) {
+      fail_from(chunk_begin, reply.status());
+      return;
+    }
+    if (!reply.ok()) {
       // Whole-batch refusal: the server could not split the batch at all
       // (it never happens against our own encoder, but the stream is
       // still in sync — the refusal covers exactly this exchange).
-      ByteReader reader(reply->payload);
-      Status remote = Status::OK();
-      if (!DecodeStatusPayload(&reader, &remote).ok() ||
-          !ExpectConsumed(reader).ok()) {
-        broken_ = true;
-        remote = Status::ProtocolError("rpc: undecodable error reply");
-        fail_from(chunk_begin, remote);
-        return;
-      }
       for (size_t i = chunk_begin; i < idx; ++i) {
-        batch[i]->reply = remote;
+        batch[i]->reply = reply.status();
         batch[i]->done.store(true, std::memory_order_release);
       }
       continue;
-    }
-    if (reply->method != RpcMethod::kBatch) {
-      broken_ = true;
-      fail_from(chunk_begin, Status::ProtocolError(
-                                 "rpc: batched reply method mismatch"));
-      return;
     }
     batch_overhead_bytes_ += kFrameHeaderBytes;
     Result<std::vector<RpcFrame>> subs =
@@ -242,8 +195,7 @@ void RemoteEndpoint::ServeBatchLocked(const std::vector<CallSlot*>& batch) {
     // reply would be (kError -> carried Status, else method echo check).
     for (size_t i = 0; i < chunk_size; ++i) {
       CallSlot* slot = batch[chunk_begin + i];
-      slot->reply =
-          UnwrapReplyLocked(std::move((*subs)[i]), slot->method);
+      slot->reply = UnwrapReply(std::move((*subs)[i]), slot->method, &broken_);
       slot->done.store(true, std::memory_order_release);
     }
     Counters().doorbell_batches->Add();
@@ -318,77 +270,64 @@ Status RemoteEndpoint::Reconnect(std::unique_lock<std::mutex>& lock) {
   return Status::OK();
 }
 
-Result<CoverReply> RemoteEndpoint::Cover(const CoverRequest& request) {
-  obs::ScopedSpan span("rpc", "rpc/cover", request.query_id);
+template <typename Row>
+Result<typename Row::Reply> RemoteEndpoint::Call(
+    const Row& row, const typename Row::Request& request, uint64_t session,
+    bool retry_once) {
+  obs::ScopedSpan span(
+      "rpc", [&row] { return std::string("rpc/") + row.name; }, session);
   ByteWriter payload;
-  EncodeCoverRequest(request, &payload);
-  FEDAQP_ASSIGN_OR_RETURN(RpcFrame reply,
-                          RoundTrip(RpcMethod::kCover, payload));
-  return DecodeReply(reply, DecodeCoverReply);
+  Encode(request, &payload);
+  Result<RpcFrame> reply = RoundTrip(row.id, payload);
+  if (!reply.ok() && retry_once) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    // Application-level refusals (invalid query, ...) leave the stream in
+    // sync; only transport errors poison, and only those warrant a retry.
+    // The backoff sleep and the dial happen with the mutex released (see
+    // Reconnect), so concurrent calls never stall behind them; the retry
+    // is a plain unbatched exchange on the healed wire.
+    if (broken_) {
+      FEDAQP_RETURN_IF_ERROR(Reconnect(lock));
+      reply = SingleExchangeLocked(row.id, payload);
+    }
+  }
+  FEDAQP_RETURN_IF_ERROR(reply.status());
+  return Decode<typename Row::Reply>(reply->payload);
+}
+
+Result<CoverReply> RemoteEndpoint::Cover(const CoverRequest& request) {
+  return Call(kCoverRpc, request, request.query_id);
 }
 
 Result<SummaryReply> RemoteEndpoint::PublishSummary(
     const SummaryRequest& request) {
-  obs::ScopedSpan span("rpc", "rpc/publish_summary", request.query_id);
-  ByteWriter payload;
-  EncodeSummaryRequest(request, &payload);
-  FEDAQP_ASSIGN_OR_RETURN(RpcFrame reply,
-                          RoundTrip(RpcMethod::kPublishSummary, payload));
-  return DecodeReply(reply, DecodeSummaryReply);
+  return Call(kPublishSummaryRpc, request, request.query_id);
 }
 
 Result<EstimateReply> RemoteEndpoint::Approximate(
     const ApproximateRequest& request) {
-  obs::ScopedSpan span("rpc", "rpc/approximate", request.query_id);
-  ByteWriter payload;
-  EncodeApproximateRequest(request, &payload);
-  FEDAQP_ASSIGN_OR_RETURN(RpcFrame reply,
-                          RoundTrip(RpcMethod::kApproximate, payload));
-  return DecodeReply(reply, DecodeEstimateReply);
+  return Call(kApproximateRpc, request, request.query_id);
 }
 
 Result<EstimateReply> RemoteEndpoint::ExactAnswer(
     const ExactAnswerRequest& request) {
-  obs::ScopedSpan span("rpc", "rpc/exact_answer", request.query_id);
-  ByteWriter payload;
-  EncodeExactAnswerRequest(request, &payload);
-  FEDAQP_ASSIGN_OR_RETURN(RpcFrame reply,
-                          RoundTrip(RpcMethod::kExactAnswer, payload));
-  return DecodeReply(reply, DecodeEstimateReply);
+  return Call(kExactAnswerRpc, request, request.query_id);
 }
 
 Result<ExactScanReply> RemoteEndpoint::ExactFullScan(
     const ExactScanRequest& request) {
-  obs::ScopedSpan span("rpc", "rpc/exact_full_scan");
-  ByteWriter payload;
-  EncodeExactScanRequest(request, &payload);
-  // First attempt rides the doorbell like any other call (and fails fast
-  // on an already-poisoned connection).
-  Result<RpcFrame> first = RoundTrip(RpcMethod::kExactFullScan, payload);
-  if (first.ok()) return DecodeReply(*first, DecodeExactScanReply);
-  std::unique_lock<std::mutex> lock(mutex_);
-  // Application-level refusals (invalid query, ...) leave the stream in
-  // sync; only transport errors poison, and only those warrant a retry.
-  if (!broken_) return first.status();
-  // One automatic reconnect + retry: ExactFullScan is documented
-  // idempotent — no session, no provider RNG — so replaying it after a
-  // transport error cannot skew any later query's noise stream. After
-  // the retry fails the transport Status surfaces to the caller. The
-  // backoff sleep and the dial itself happen with the mutex released
-  // (see Reconnect), so concurrent calls never stall behind them. The
-  // retry is a plain unbatched exchange on the freshly healed wire.
-  FEDAQP_RETURN_IF_ERROR(Reconnect(lock));
-  FEDAQP_ASSIGN_OR_RETURN(RpcFrame reply,
-                          SingleExchangeLocked(RpcMethod::kExactFullScan,
-                                               payload));
-  return DecodeReply(reply, DecodeExactScanReply);
+  // The first attempt rides the doorbell like any other call (and fails
+  // fast on an already-poisoned connection). Then one automatic reconnect
+  // and retry: ExactFullScan is documented idempotent — no session, no
+  // provider RNG — so replaying it after a transport error cannot skew
+  // any later query's noise stream. After the retry fails the transport
+  // Status surfaces to the caller.
+  return Call(kExactFullScanRpc, request, /*session=*/0, /*retry_once=*/true);
 }
 
 void RemoteEndpoint::EndQuery(uint64_t query_id) {
-  obs::ScopedSpan span("rpc", "rpc/end_query", query_id);
-  ByteWriter payload;
-  EncodeEndQueryRequest(EndQueryRequest{query_id}, &payload);
-  RoundTrip(RpcMethod::kEndQuery, payload).status();  // Best-effort.
+  // Best-effort: the interface returns void.
+  (void)Call(kEndQueryRpc, EndQueryRequest{query_id}, query_id);
 }
 
 void RemoteEndpoint::IssueAsync(std::function<void()> call) {

@@ -143,6 +143,16 @@ class RemoteEndpoint : public ProviderEndpoint {
   static Result<std::pair<TcpConnection, EndpointInfo>> Handshake(
       const std::string& host, uint16_t port);
 
+  /// One typed call of a method-table row: encodes `request`, exchanges
+  /// it through the doorbell engine inside an `rpc/<name>` span tagged
+  /// with `session`, and decodes the reply. `retry_once` adds the single
+  /// reconnect-and-retry after a transport error (idempotent methods
+  /// only).
+  template <typename Row>
+  Result<typename Row::Reply> Call(const Row& row,
+                                   const typename Row::Request& request,
+                                   uint64_t session, bool retry_once = false);
+
   /// One logical request/reply exchange through the doorbell engine:
   /// parks a slot, acquires the wire, and either finds the slot already
   /// served by another combiner or combines everything parked (itself
@@ -158,10 +168,6 @@ class RemoteEndpoint : public ProviderEndpoint {
   /// single slot, one kBatch exchange for several. Fills every slot's
   /// reply and flips its done flag. Caller holds mutex_.
   void ServeBatchLocked(const std::vector<CallSlot*>& batch);
-
-  /// Validates and unwraps one reply frame against the request method it
-  /// must echo. Transport-level trust violations set broken_.
-  Result<RpcFrame> UnwrapReplyLocked(RpcFrame reply, RpcMethod method);
 
   /// Replaces the poisoned connection with a freshly handshaken one
   /// (identity must match the original handshake). Takes `lock` (held on

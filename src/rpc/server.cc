@@ -48,40 +48,6 @@ struct RpcProviderServer::Connection {
 
 namespace {
 
-const char* RpcMethodName(RpcMethod method) {
-  switch (method) {
-    case RpcMethod::kInfo:
-      return "info";
-    case RpcMethod::kCover:
-      return "cover";
-    case RpcMethod::kPublishSummary:
-      return "publish_summary";
-    case RpcMethod::kApproximate:
-      return "approximate";
-    case RpcMethod::kExactAnswer:
-      return "exact_answer";
-    case RpcMethod::kExactFullScan:
-      return "exact_full_scan";
-    case RpcMethod::kEndQuery:
-      return "end_query";
-    case RpcMethod::kBatch:
-      return "batch";
-    case RpcMethod::kLedgerRegister:
-      return "ledger_register";
-    case RpcMethod::kLedgerCharge:
-      return "ledger_charge";
-    case RpcMethod::kLedgerRefund:
-      return "ledger_refund";
-    case RpcMethod::kLedgerSaving:
-      return "ledger_saving";
-    case RpcMethod::kLedgerQuery:
-      return "ledger_query";
-    case RpcMethod::kError:
-      return "error";
-  }
-  return "?";
-}
-
 constexpr uint64_t kListenerTag = 0;
 constexpr uint64_t kStopTag = 1;
 
@@ -109,43 +75,12 @@ obs::Counter& ServerFramesCounter() {
   return *c;
 }
 
-/// Appends a complete kError frame carrying `status` to `out`. Returns
-/// true: a frame-level error reply leaves the stream in sync, so the
-/// connection continues.
-bool AppendError(ByteWriter* out, const Status& status) {
-  ByteWriter payload;
-  EncodeStatusPayload(status, &payload);
-  EncodeFrameHeader(RpcMethod::kError, static_cast<uint32_t>(payload.size()),
-                    out);
-  out->PutRaw(payload.bytes().data(), payload.size());
-  return true;
-}
-
 /// Appends a kError frame carrying `status` to a connection's unsent
 /// output.
 void QueueError(std::vector<uint8_t>* outbuf, const Status& status) {
   ByteWriter out;
-  AppendError(&out, status);
+  AppendReply<Empty>(RpcMethod::kError, status, &out);
   outbuf->insert(outbuf->end(), out.bytes().begin(), out.bytes().end());
-}
-
-/// Appends a complete reply frame for `result`: its value encoded with
-/// `encode` under the request's method id, or its error as kError.
-template <typename T>
-bool AppendReply(ByteWriter* out, RpcMethod method, const Result<T>& result,
-                 void (*encode)(const T&, ByteWriter*)) {
-  if (!result.ok()) return AppendError(out, result.status());
-  ByteWriter payload;
-  encode(*result, &payload);
-  EncodeFrameHeader(method, static_cast<uint32_t>(payload.size()), out);
-  out->PutRaw(payload.bytes().data(), payload.size());
-  return true;
-}
-
-/// Appends an empty-payload reply frame (the kEndQuery ack).
-bool AppendEmptyReply(ByteWriter* out, RpcMethod method) {
-  EncodeFrameHeader(method, 0, out);
-  return true;
 }
 
 }  // namespace
@@ -300,7 +235,7 @@ void RpcProviderServer::HandleFrames(Connection* c) {
     if (!header.ok()) {
       // Bad magic / version / oversized length: the stream position is
       // untrusted from here on — best-effort report and drop the link.
-      AppendError(&out, header.status());
+      AppendReply<Empty>(RpcMethod::kError, header.status(), &out);
       c->closing = true;
       break;
     }
@@ -397,170 +332,125 @@ void RpcProviderServer::MaybeSweepIdle() {
   }
 }
 
+/// Serves the table rows a provider answers, for one frame of one
+/// connection. Only what differs per method is here; ServeRequest decodes
+/// each request and writes each reply.
+struct RpcProviderServer::FrameServer {
+  RpcProviderServer& server;
+  uint64_t conn_id;
+  std::unordered_set<uint64_t>& live_sessions;
+  obs::ScopedSpan& span;
+
+  /// Session ids are namespaced per connection: every coordinator numbers
+  /// its queries from 1, so the raw ids of independent coordinators
+  /// collide. The splitmix64 mix keeps the rewritten key space
+  /// collision-free in practice and deterministic per (connection, id).
+  uint64_t Scope(uint64_t* query_id) {
+    *query_id = MixSeeds(conn_id, *query_id);
+    span.set_session(*query_id);
+    return *query_id;
+  }
+
+  /// The in-process engine validates queries coordinator-side; a wire
+  /// client is untrusted, so re-validate before the provider indexes rows
+  /// with the query's dimension indexes.
+  Status Validate(const RangeQuery& query) const {
+    return query.Validate(server.endpoint_.info().schema);
+  }
+
+  Result<EndpointInfo> operator()(RpcMethod, Empty&) {
+    return server.endpoint_.info();
+  }
+
+  Result<CoverReply> operator()(RpcMethod, CoverRequest& request) {
+    FEDAQP_RETURN_IF_ERROR(Validate(request.query));
+    const uint64_t session = Scope(&request.query_id);
+    if (live_sessions.count(session) == 0 &&
+        live_sessions.size() >= server.max_sessions_per_connection_) {
+      return Status::FailedPrecondition(
+          "rpc: too many open sessions on this connection (EndQuery "
+          "finished queries)");
+    }
+    Result<CoverReply> reply = server.endpoint_.Cover(request);
+    if (reply.ok()) live_sessions.insert(session);
+    return reply;
+  }
+
+  Result<SummaryReply> operator()(RpcMethod, SummaryRequest& request) {
+    Scope(&request.query_id);
+    return server.endpoint_.PublishSummary(request);
+  }
+
+  Result<EstimateReply> operator()(RpcMethod, ApproximateRequest& request) {
+    Scope(&request.query_id);
+    return server.endpoint_.Approximate(request);
+  }
+
+  Result<EstimateReply> operator()(RpcMethod, ExactAnswerRequest& request) {
+    Scope(&request.query_id);
+    return server.endpoint_.ExactAnswer(request);
+  }
+
+  Result<ExactScanReply> operator()(RpcMethod, ExactScanRequest& request) {
+    FEDAQP_RETURN_IF_ERROR(Validate(request.query));
+    // Stateless and RNG-free (see endpoint.h): replaying this after a
+    // transport error is safe — the reply is a pure function of the
+    // store, so retries cannot skew determinism.
+    return server.endpoint_.ExactFullScan(request);
+  }
+
+  Result<Empty> operator()(RpcMethod, EndQueryRequest& request) {
+    const uint64_t session = Scope(&request.query_id);
+    server.endpoint_.EndQuery(session);  // Idempotent by contract.
+    live_sessions.erase(session);
+    return Empty{};
+  }
+};
+
 bool RpcProviderServer::HandleFrame(const RpcFrame& frame, uint64_t conn_id,
                                     std::unordered_set<uint64_t>* live_sessions,
                                     ByteWriter* out) {
-  // Session ids are namespaced per connection: every coordinator numbers
-  // its queries from 1, so the raw ids of independent coordinators
-  // collide. The splitmix64 mix keeps the rewritten key space
-  // collision-free in practice and deterministic per (connection, id).
-  const auto namespaced = [conn_id](uint64_t query_id) {
-    return MixSeeds(conn_id, query_id);
-  };
   ServerFramesCounter().Add();
   obs::ScopedSpan span("server", [&frame] {
-    return std::string("server/") + RpcMethodName(frame.method);
+    return std::string("server/") + MethodName(frame.method);
   });
-  ByteReader reader(frame.payload);
-  switch (frame.method) {
-    case RpcMethod::kInfo: {
-      Status consumed = ExpectConsumed(reader);
-      if (!consumed.ok()) return AppendError(out, consumed);
-      ByteWriter payload;
-      EncodeEndpointInfo(endpoint_.info(), &payload);
-      EncodeFrameHeader(RpcMethod::kInfo, static_cast<uint32_t>(payload.size()),
-                        out);
-      out->PutRaw(payload.bytes().data(), payload.size());
-      return true;
-    }
-    case RpcMethod::kCover: {
-      Result<CoverRequest> req = DecodeCoverRequest(&reader);
-      if (req.ok()) {
-        Status consumed = ExpectConsumed(reader);
-        if (!consumed.ok()) return AppendError(out, consumed);
-        // The in-process engine validates queries coordinator-side; a
-        // wire client is untrusted, so re-validate before the provider
-        // indexes rows with the query's dimension indexes.
-        Status valid = req->query.Validate(endpoint_.info().schema);
-        if (!valid.ok()) return AppendError(out, valid);
-        CoverRequest scoped = *req;
-        scoped.query_id = namespaced(req->query_id);
-        span.set_session(scoped.query_id);
-        if (live_sessions->count(scoped.query_id) == 0 &&
-            live_sessions->size() >= max_sessions_per_connection_) {
-          return AppendError(
-              out, Status::FailedPrecondition(
-                       "rpc: too many open sessions on this connection "
-                       "(EndQuery finished queries)"));
-        }
-        Result<CoverReply> reply = endpoint_.Cover(scoped);
-        if (reply.ok()) live_sessions->insert(scoped.query_id);
-        return AppendReply(out, frame.method, reply, EncodeCoverReply);
-      }
-      return AppendError(out, req.status());
-    }
-    case RpcMethod::kPublishSummary: {
-      Result<SummaryRequest> req = DecodeSummaryRequest(&reader);
-      if (req.ok()) {
-        Status consumed = ExpectConsumed(reader);
-        if (!consumed.ok()) return AppendError(out, consumed);
-        SummaryRequest scoped = *req;
-        scoped.query_id = namespaced(req->query_id);
-        span.set_session(scoped.query_id);
-        return AppendReply(out, frame.method, endpoint_.PublishSummary(scoped),
-                           EncodeSummaryReply);
-      }
-      return AppendError(out, req.status());
-    }
-    case RpcMethod::kApproximate: {
-      Result<ApproximateRequest> req = DecodeApproximateRequest(&reader);
-      if (req.ok()) {
-        Status consumed = ExpectConsumed(reader);
-        if (!consumed.ok()) return AppendError(out, consumed);
-        ApproximateRequest scoped = *req;
-        scoped.query_id = namespaced(req->query_id);
-        span.set_session(scoped.query_id);
-        return AppendReply(out, frame.method, endpoint_.Approximate(scoped),
-                           EncodeEstimateReply);
-      }
-      return AppendError(out, req.status());
-    }
-    case RpcMethod::kExactAnswer: {
-      Result<ExactAnswerRequest> req = DecodeExactAnswerRequest(&reader);
-      if (req.ok()) {
-        Status consumed = ExpectConsumed(reader);
-        if (!consumed.ok()) return AppendError(out, consumed);
-        ExactAnswerRequest scoped = *req;
-        scoped.query_id = namespaced(req->query_id);
-        span.set_session(scoped.query_id);
-        return AppendReply(out, frame.method, endpoint_.ExactAnswer(scoped),
-                           EncodeEstimateReply);
-      }
-      return AppendError(out, req.status());
-    }
-    case RpcMethod::kExactFullScan: {
-      Result<ExactScanRequest> req = DecodeExactScanRequest(&reader);
-      if (req.ok()) {
-        Status consumed = ExpectConsumed(reader);
-        if (!consumed.ok()) return AppendError(out, consumed);
-        Status valid = req->query.Validate(endpoint_.info().schema);
-        if (!valid.ok()) return AppendError(out, valid);
-        // Stateless and RNG-free (see endpoint.h): replaying this after
-        // a transport error is safe — the reply is a pure function of
-        // the store, so retries cannot skew determinism.
-        return AppendReply(out, frame.method, endpoint_.ExactFullScan(*req),
-                           EncodeExactScanReply);
-      }
-      return AppendError(out, req.status());
-    }
-    case RpcMethod::kEndQuery: {
-      Result<EndQueryRequest> req = DecodeEndQueryRequest(&reader);
-      if (req.ok()) {
-        Status consumed = ExpectConsumed(reader);
-        if (!consumed.ok()) return AppendError(out, consumed);
-        uint64_t session = namespaced(req->query_id);
-        span.set_session(session);
-        endpoint_.EndQuery(session);  // Idempotent by contract.
-        live_sessions->erase(session);
-        return AppendEmptyReply(out, RpcMethod::kEndQuery);
-      }
-      return AppendError(out, req.status());
-    }
-    case RpcMethod::kBatch: {
-      // Doorbell batch: unpack, dispatch in order, answer with one kBatch
-      // reply carrying the sub-replies in request order. The decoder
-      // rejects nested batches and kError sub-requests, so every
-      // sub-frame takes a normal request path above (none of which close
-      // the connection).
-      Result<std::vector<RpcFrame>> subs =
-          DecodeBatchPayload(frame.payload, /*requests_only=*/true);
-      if (!subs.ok()) return AppendError(out, subs.status());
-      ByteWriter inner;
-      for (const RpcFrame& sub : *subs) {
-        HandleFrame(sub, conn_id, live_sessions, &inner);
-        if (inner.size() > kMaxFramePayloadBytes) {
-          // Replies outgrew the frame cap (requests are client-chunked,
-          // replies are not). A plain kError reply to the batch fails
-          // the whole chunk client-side with the stream still in sync.
-          return AppendError(
-              out, Status::FailedPrecondition(
-                       "rpc: batch reply exceeds the frame payload cap"));
-        }
-      }
-      EncodeFrameHeader(RpcMethod::kBatch, static_cast<uint32_t>(inner.size()),
-                        out);
-      out->PutRaw(inner.bytes().data(), inner.size());
-      return true;
-    }
-    case RpcMethod::kLedgerRegister:
-    case RpcMethod::kLedgerCharge:
-    case RpcMethod::kLedgerRefund:
-    case RpcMethod::kLedgerSaving:
-    case RpcMethod::kLedgerQuery:
-      // Valid wire methods, but they belong to the ledger service
-      // (serve/ledger_service.h), not a data provider. Refuse politely —
-      // the stream stays framed, the caller just dialed the wrong server.
-      AppendError(out, Status::InvalidArgument(
-                           "rpc: ledger methods are not served by a "
-                           "provider server"));
-      return true;
-    case RpcMethod::kError:
-      // A client must never send an error frame; the stream is confused.
-      AppendError(out,
-                  Status::InvalidArgument("rpc: error frame is reply-only"));
-      return false;
+  if (frame.method == RpcMethod::kError) {
+    // A client must never send an error frame; the stream is confused.
+    AppendReply<Empty>(
+        frame.method, Status::InvalidArgument("rpc: error frame is reply-only"),
+        out);
+    return false;
   }
-  return false;  // Unreachable: DecodeFrameHeader rejects unknown ids.
+  if (frame.method != RpcMethod::kBatch) {
+    ServeRequest(frame, FrameServer{*this, conn_id, *live_sessions, span}, out);
+    return true;
+  }
+  // Doorbell batch: unpack, dispatch in order, answer with one kBatch
+  // reply carrying the sub-replies in request order. The decoder rejects
+  // nested batches and kError sub-requests, so every sub-frame takes the
+  // request path above (which never closes the connection).
+  Result<std::vector<RpcFrame>> subs =
+      DecodeBatchPayload(frame.payload, /*requests_only=*/true);
+  if (!subs.ok()) {
+    AppendReply<Empty>(frame.method, subs.status(), out);
+    return true;
+  }
+  ByteWriter inner;
+  for (const RpcFrame& sub : *subs) {
+    HandleFrame(sub, conn_id, live_sessions, &inner);
+    if (inner.size() > kMaxFramePayloadBytes) {
+      // Replies outgrew the frame cap (requests are client-chunked,
+      // replies are not). A plain kError reply to the batch fails the
+      // whole chunk client-side with the stream still in sync.
+      AppendReply<Empty>(frame.method,
+                         Status::FailedPrecondition(
+                             "rpc: batch reply exceeds the frame payload cap"),
+                         out);
+      return true;
+    }
+  }
+  AppendFrame(RpcMethod::kBatch, inner, out);
+  return true;
 }
 
 void RpcProviderServer::Stop() {

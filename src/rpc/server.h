@@ -101,6 +101,8 @@ class RpcProviderServer {
   /// thread holds for the whole time it serves the connection. See
   /// server.cc.
   struct Connection;
+  /// The per-method part of serving one request frame (see server.cc).
+  struct FrameServer;
 
   RpcProviderServer(DataProvider* provider, TcpListener listener,
                     const RpcServerOptions& options);

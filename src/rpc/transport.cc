@@ -152,6 +152,11 @@ Status TcpConnection::SendFrame(RpcMethod method, const ByteWriter& payload) {
   return WriteAll(frame.data(), frame.size());
 }
 
+Status TcpConnection::SendFrames(const ByteWriter& frames) {
+  if (!valid()) return Status::FailedPrecondition("rpc: connection not open");
+  return WriteAll(frames.bytes().data(), frames.size());
+}
+
 Result<RpcFrame> TcpConnection::ReceiveFrame() {
   if (!valid()) return Status::FailedPrecondition("rpc: connection not open");
   uint8_t header_bytes[kFrameHeaderBytes];

@@ -52,6 +52,9 @@ class TcpConnection {
   /// Writes one complete frame (header + payload).
   Status SendFrame(RpcMethod method, const ByteWriter& payload);
 
+  /// Writes bytes that already hold complete frames (e.g. AppendReply's).
+  Status SendFrames(const ByteWriter& frames);
+
   /// Reads one complete frame. A connection closed cleanly *between*
   /// frames reports NotFound("rpc: connection closed"); closure mid-frame
   /// or a malformed header reports the codec/transport error.

@@ -22,16 +22,8 @@ obs::Counter& LedgerDedupedCounter() {
   return *c;
 }
 
-/// Sends `status` as the reply to a request: an empty echo ack when OK,
-/// a kError frame otherwise.
-Status SendOutcome(TcpConnection& conn, RpcMethod method,
-                   const Status& status) {
-  if (status.ok()) {
-    return conn.SendFrame(method, ByteWriter());
-  }
-  ByteWriter payload;
-  EncodeStatusPayload(status, &payload);
-  return conn.SendFrame(RpcMethod::kError, payload);
+Status UnknownAnalyst(const std::string& analyst) {
+  return Status::NotFound("ledger: unknown analyst '" + analyst + "'");
 }
 
 }  // namespace
@@ -120,59 +112,39 @@ void LedgerService::Reap(uint64_t handler_id) {
   handlers_.erase(it);  // Drops the last reference: the socket closes.
 }
 
+/// The methods a ledger service serves; ServeRequest decodes each request
+/// and writes each reply.
+struct LedgerService::RequestServer {
+  LedgerService& service;
+
+  Result<Empty> operator()(RpcMethod method, LedgerOpRequest& request) {
+    FEDAQP_RETURN_IF_ERROR(service.ApplyOp(method, request));
+    return Empty{};
+  }
+
+  Result<LedgerQueryReply> operator()(RpcMethod, LedgerQueryRequest& request) {
+    const AnalystLedger& ledger = service.ledger_;
+    LedgerQueryReply reply;
+    // Snapshot the three reads under the op mutex so a concurrent charge
+    // cannot tear remaining vs spent.
+    std::lock_guard<std::mutex> lock(service.op_mutex_);
+    if (!ledger.Knows(request.analyst)) return reply;
+    reply.registered = true;
+    reply.remaining = *ledger.Remaining(request.analyst);
+    reply.spent = *ledger.Spent(request.analyst);
+    reply.saved = *ledger.Saved(request.analyst);
+    return reply;
+  }
+};
+
 void LedgerService::Serve(std::shared_ptr<TcpConnection> conn) {
   for (;;) {
     Result<RpcFrame> frame = conn->ReceiveFrame();
     if (!frame.ok()) return;  // closed or broken — either way, done
-    if (!HandleFrame(*conn, *frame).ok()) return;
-  }
-}
-
-Status LedgerService::HandleFrame(TcpConnection& conn, const RpcFrame& frame) {
-  LedgerOpsCounter().Add();
-  ByteReader reader(frame.payload);
-  switch (frame.method) {
-    case RpcMethod::kLedgerRegister:
-    case RpcMethod::kLedgerCharge:
-    case RpcMethod::kLedgerRefund:
-    case RpcMethod::kLedgerSaving: {
-      Result<LedgerOpRequest> req = DecodeLedgerOpRequest(&reader);
-      Status status = req.ok() ? ExpectConsumed(reader) : req.status();
-      if (status.ok()) status = ApplyOp(frame.method, *req);
-      return SendOutcome(conn, frame.method, status);
-    }
-    case RpcMethod::kLedgerQuery: {
-      Result<LedgerQueryRequest> req = DecodeLedgerQueryRequest(&reader);
-      Status status = req.ok() ? ExpectConsumed(reader) : req.status();
-      if (!status.ok()) return SendOutcome(conn, frame.method, status);
-      LedgerQueryReply reply;
-      // Snapshot the three reads under the op mutex so a concurrent
-      // charge cannot tear remaining vs spent.
-      {
-        std::lock_guard<std::mutex> lock(op_mutex_);
-        if (ledger_.Knows(req->analyst)) {
-          reply.registered = 1;
-          const PrivacyBudget remaining = *ledger_.Remaining(req->analyst);
-          const PrivacyBudget spent = *ledger_.Spent(req->analyst);
-          const PrivacyBudget saved = *ledger_.Saved(req->analyst);
-          reply.remaining_epsilon = remaining.epsilon;
-          reply.remaining_delta = remaining.delta;
-          reply.spent_epsilon = spent.epsilon;
-          reply.spent_delta = spent.delta;
-          reply.saved_epsilon = saved.epsilon;
-          reply.saved_delta = saved.delta;
-        }
-      }
-      ByteWriter payload;
-      EncodeLedgerQueryReply(reply, &payload);
-      return conn.SendFrame(RpcMethod::kLedgerQuery, payload);
-    }
-    default:
-      return SendOutcome(
-          conn, frame.method,
-          Status::InvalidArgument(
-              "ledger service: unsupported method id " +
-              std::to_string(static_cast<int>(frame.method))));
+    LedgerOpsCounter().Add();
+    ByteWriter reply;
+    ServeRequest(*frame, RequestServer{*this}, &reply);
+    if (!conn->SendFrames(reply).ok()) return;
   }
 }
 
@@ -264,86 +236,62 @@ Status RemoteLedger::Reconnect() {
   return Status::OK();
 }
 
-Result<RpcFrame> RemoteLedger::ExchangeLocked(RpcMethod method,
-                                              const ByteWriter& payload) const {
+template <typename Row>
+Result<typename Row::Reply> RemoteLedger::CallLocked(
+    const Row& row, const typename Row::Request& request) const {
   if (broken_ || !conn_.valid()) {
     return Status::Unavailable(
         "remote ledger: connection poisoned by an earlier transport error "
         "(Reconnect() to heal; retries dedupe on the service)");
   }
-  Status sent = conn_.SendFrame(method, payload);
+  ByteWriter payload;
+  Encode(request, &payload);
+  Status sent = conn_.SendFrame(row.id, payload);
   if (!sent.ok()) {
     broken_ = true;
     return Status::Unavailable("remote ledger: send failed: " +
                                sent.message());
   }
-  Result<RpcFrame> reply = conn_.ReceiveFrame();
-  if (!reply.ok()) {
+  Result<RpcFrame> frame = conn_.ReceiveFrame();
+  if (!frame.ok()) {
     broken_ = true;
     return Status::Unavailable("remote ledger: receive failed: " +
-                               reply.status().message());
+                               frame.status().message());
   }
-  if (reply->method == RpcMethod::kError) {
-    ByteReader reader(reply->payload);
-    Status remote = Status::OK();
-    Status decoded = DecodeStatusPayload(&reader, &remote);
-    if (!decoded.ok() || !ExpectConsumed(reader).ok()) {
-      broken_ = true;
-      return Status::Internal("remote ledger: malformed error frame");
-    }
-    return remote;  // a real refusal; the wire itself is healthy
-  }
-  if (reply->method != method) {
-    broken_ = true;
-    return Status::Internal("remote ledger: reply method mismatch");
-  }
+  // A refusal leaves the wire healthy; a reply that breaks the protocol,
+  // or does not decode, leaves the stream position untrusted.
+  FEDAQP_ASSIGN_OR_RETURN(RpcFrame echoed,
+                          UnwrapReply(std::move(*frame), row.id, &broken_));
+  Result<typename Row::Reply> reply =
+      Decode<typename Row::Reply>(echoed.payload);
+  if (!reply.ok()) broken_ = true;
   return reply;
 }
 
-Status RemoteLedger::MutateOp(RpcMethod method, const std::string& analyst,
-                              double epsilon, double delta,
-                              uint64_t seq) const {
-  LedgerOpRequest req;
-  req.coordinator = coordinator_;
-  req.seq = seq;
-  req.analyst = analyst;
-  req.epsilon = epsilon;
-  req.delta = delta;
-  ByteWriter payload;
-  EncodeLedgerOpRequest(req, &payload);
+Status RemoteLedger::MutateOp(const RpcRow<LedgerOpRequest, Empty>& row,
+                              const std::string& analyst, double epsilon,
+                              double delta, uint64_t seq) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  Result<RpcFrame> reply = ExchangeLocked(method, payload);
-  if (!reply.ok()) return reply.status();
-  if (!reply->payload.empty()) {
-    broken_ = true;
-    return Status::Internal("remote ledger: non-empty mutation ack");
-  }
-  if (method == RpcMethod::kLedgerRegister) known_.insert(analyst);
+  FEDAQP_RETURN_IF_ERROR(
+      CallLocked(row, LedgerOpRequest{coordinator_, seq, analyst, epsilon,
+                                      delta})
+          .status());
+  if (row.id == RpcMethod::kLedgerRegister) known_.insert(analyst);
   return Status::OK();
 }
 
 Result<LedgerQueryReply> RemoteLedger::QueryOp(
     const std::string& analyst) const {
-  LedgerQueryRequest req;
-  req.analyst = analyst;
-  ByteWriter payload;
-  EncodeLedgerQueryRequest(req, &payload);
   std::lock_guard<std::mutex> lock(mutex_);
-  FEDAQP_ASSIGN_OR_RETURN(RpcFrame reply,
-                          ExchangeLocked(RpcMethod::kLedgerQuery, payload));
-  ByteReader reader(reply.payload);
-  Result<LedgerQueryReply> decoded = DecodeLedgerQueryReply(&reader);
-  if (!decoded.ok() || !ExpectConsumed(reader).ok()) {
-    broken_ = true;
-    return Status::Internal("remote ledger: malformed query reply");
-  }
-  if (decoded->registered != 0) known_.insert(analyst);
-  return decoded;
+  Result<LedgerQueryReply> reply =
+      CallLocked(kLedgerQueryRpc, LedgerQueryRequest{analyst});
+  if (reply.ok() && reply->registered) known_.insert(analyst);
+  return reply;
 }
 
 Status RemoteLedger::Register(const std::string& analyst, double xi,
                               double psi) {
-  return MutateOp(RpcMethod::kLedgerRegister, analyst, xi, psi, /*seq=*/0);
+  return MutateOp(kLedgerRegisterRpc, analyst, xi, psi, /*seq=*/0);
 }
 
 Result<bool> RemoteLedger::Knows(const std::string& analyst) const {
@@ -352,18 +300,18 @@ Result<bool> RemoteLedger::Knows(const std::string& analyst) const {
     if (!broken_ && known_.count(analyst) != 0) return true;
   }
   FEDAQP_ASSIGN_OR_RETURN(LedgerQueryReply reply, QueryOp(analyst));
-  return reply.registered != 0;
+  return reply.registered;
 }
 
 Status RemoteLedger::Charge(const std::string& analyst,
                             const PrivacyBudget& cost, uint64_t seq) {
-  return MutateOp(RpcMethod::kLedgerCharge, analyst, cost.epsilon, cost.delta,
+  return MutateOp(kLedgerChargeRpc, analyst, cost.epsilon, cost.delta,
                   seq);
 }
 
 Status RemoteLedger::Refund(const std::string& analyst,
                             const PrivacyBudget& amount, uint64_t seq) {
-  return MutateOp(RpcMethod::kLedgerRefund, analyst, amount.epsilon,
+  return MutateOp(kLedgerRefundRpc, analyst, amount.epsilon,
                   amount.delta, seq);
 }
 
@@ -371,33 +319,27 @@ void RemoteLedger::RecordSaving(const std::string& analyst,
                                 const PrivacyBudget& amount, uint64_t seq) {
   // Best-effort, like the interface: a saving lost to a dead wire is
   // bookkeeping, not budget.
-  (void)MutateOp(RpcMethod::kLedgerSaving, analyst, amount.epsilon,
+  (void)MutateOp(kLedgerSavingRpc, analyst, amount.epsilon,
                  amount.delta, seq);
 }
 
 Result<PrivacyBudget> RemoteLedger::Remaining(
     const std::string& analyst) const {
   FEDAQP_ASSIGN_OR_RETURN(LedgerQueryReply reply, QueryOp(analyst));
-  if (reply.registered == 0) {
-    return Status::NotFound("ledger: unknown analyst '" + analyst + "'");
-  }
-  return PrivacyBudget{reply.remaining_epsilon, reply.remaining_delta};
+  if (!reply.registered) return UnknownAnalyst(analyst);
+  return reply.remaining;
 }
 
 Result<PrivacyBudget> RemoteLedger::Spent(const std::string& analyst) const {
   FEDAQP_ASSIGN_OR_RETURN(LedgerQueryReply reply, QueryOp(analyst));
-  if (reply.registered == 0) {
-    return Status::NotFound("ledger: unknown analyst '" + analyst + "'");
-  }
-  return PrivacyBudget{reply.spent_epsilon, reply.spent_delta};
+  if (!reply.registered) return UnknownAnalyst(analyst);
+  return reply.spent;
 }
 
 Result<PrivacyBudget> RemoteLedger::Saved(const std::string& analyst) const {
   FEDAQP_ASSIGN_OR_RETURN(LedgerQueryReply reply, QueryOp(analyst));
-  if (reply.registered == 0) {
-    return Status::NotFound("ledger: unknown analyst '" + analyst + "'");
-  }
-  return PrivacyBudget{reply.saved_epsilon, reply.saved_delta};
+  if (!reply.registered) return UnknownAnalyst(analyst);
+  return reply.saved;
 }
 
 }  // namespace serve

@@ -92,6 +92,9 @@ class LedgerService {
  private:
   LedgerService() { ledger_.AttachAuditLog(&audit_); }
 
+  /// The methods this service serves (see ledger_service.cc).
+  struct RequestServer;
+
   /// A live connection and the thread serving it.
   struct Handler {
     std::shared_ptr<TcpConnection> conn;
@@ -103,9 +106,6 @@ class LedgerService {
   /// Run by a handler as it returns: drops its connection and hands its
   /// own thread to finished_ for someone else to join.
   void Reap(uint64_t handler_id);
-  /// One frame in, one reply frame out (echo ack, query reply, or
-  /// kError). Transport errors surface as the returned status.
-  Status HandleFrame(TcpConnection& conn, const RpcFrame& frame);
   /// Applies one mutation under op_mutex_ with idempotency dedupe.
   Status ApplyOp(RpcMethod method, const LedgerOpRequest& req);
   /// Join-idempotent registration body (no dedupe key needed: the grant
@@ -191,12 +191,14 @@ class RemoteLedger final : public LedgerBackend {
 
   /// One mutation round trip: empty echo ack -> OK, kError -> its
   /// Status, transport failure -> poisoned + Unavailable.
-  Status MutateOp(RpcMethod method, const std::string& analyst, double epsilon,
-                  double delta, uint64_t seq) const;
+  Status MutateOp(const RpcRow<LedgerOpRequest, Empty>& row,
+                  const std::string& analyst, double epsilon, double delta,
+                  uint64_t seq) const;
   Result<LedgerQueryReply> QueryOp(const std::string& analyst) const;
-  /// Sends one frame and reads its reply; caller holds mutex_.
-  Result<RpcFrame> ExchangeLocked(RpcMethod method,
-                                  const ByteWriter& payload) const;
+  /// One typed call of a method-table row; caller holds mutex_.
+  template <typename Row>
+  Result<typename Row::Reply> CallLocked(
+      const Row& row, const typename Row::Request& request) const;
 
   /// Guards conn_, broken_ and known_ (mutable: reads are logically
   /// const).

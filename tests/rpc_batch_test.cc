@@ -184,15 +184,11 @@ TEST_F(RpcBatchTest, WireBatchRepliesArriveInRequestOrder) {
   {
     EncodeFrameHeader(RpcMethod::kInfo, 0, &batch);  // Empty payload.
     ByteWriter scan;
-    EncodeExactScanRequest(ExactScanRequest{ScanQuery(10, 150)}, &scan);
-    EncodeFrameHeader(RpcMethod::kExactFullScan,
-                      static_cast<uint32_t>(scan.size()), &batch);
-    batch.PutRaw(scan.bytes().data(), scan.size());
+    Encode(ExactScanRequest{ScanQuery(10, 150)}, &scan);
+    AppendFrame(RpcMethod::kExactFullScan, scan, &batch);
     ByteWriter end;
-    EncodeEndQueryRequest(EndQueryRequest{42}, &end);
-    EncodeFrameHeader(RpcMethod::kEndQuery, static_cast<uint32_t>(end.size()),
-                      &batch);
-    batch.PutRaw(end.bytes().data(), end.size());
+    Encode(EndQueryRequest{42}, &end);
+    AppendFrame(RpcMethod::kEndQuery, end, &batch);
   }
   ASSERT_TRUE(conn->SendFrame(RpcMethod::kBatch, batch).ok());
   Result<RpcFrame> reply = conn->ReceiveFrame();
@@ -205,8 +201,7 @@ TEST_F(RpcBatchTest, WireBatchRepliesArriveInRequestOrder) {
   EXPECT_EQ((*subs)[0].method, RpcMethod::kInfo);
   EXPECT_EQ((*subs)[1].method, RpcMethod::kExactFullScan);
   EXPECT_EQ((*subs)[2].method, RpcMethod::kEndQuery);
-  ByteReader info_reader((*subs)[0].payload);
-  Result<EndpointInfo> info = DecodeEndpointInfo(&info_reader);
+  Result<EndpointInfo> info = Decode<EndpointInfo>((*subs)[0].payload);
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->name, provider_->name());
 }
@@ -228,9 +223,7 @@ TEST_F(RpcBatchTest, MalformedBatchesAreRejectedAndRecoverable) {
   {
     ByteWriter inner;
     EncodeFrameHeader(RpcMethod::kInfo, 0, &inner);
-    EncodeFrameHeader(RpcMethod::kBatch, static_cast<uint32_t>(inner.size()),
-                      &nested);
-    nested.PutRaw(inner.bytes().data(), inner.size());
+    AppendFrame(RpcMethod::kBatch, inner, &nested);
   }
   ASSERT_TRUE(conn->SendFrame(RpcMethod::kBatch, nested).ok());
   reply = conn->ReceiveFrame();
@@ -325,8 +318,7 @@ TEST_F(RpcBatchTest, SlowPeerPartialWritesDoNotBlockOthers) {
     ASSERT_TRUE(reply.ok()) << "reply " << i << ": "
                             << reply.status().ToString();
     ASSERT_EQ(reply->method, RpcMethod::kInfo) << "reply " << i;
-    ByteReader reader(reply->payload);
-    Result<EndpointInfo> info = DecodeEndpointInfo(&reader);
+    Result<EndpointInfo> info = Decode<EndpointInfo>(reply->payload);
     ASSERT_TRUE(info.ok()) << "reply " << i;
     EXPECT_EQ(info->name, provider_->name());
   }
@@ -339,18 +331,17 @@ std::vector<std::pair<RpcMethod, ByteWriter>> SessionStream() {
   std::vector<std::pair<RpcMethod, ByteWriter>> stream;
   for (uint64_t s = 1; s <= 200; ++s) {
     ByteWriter cover;
-    EncodeCoverRequest(
-        CoverRequest{s, s * 7 + 3,
-                     ScanQuery(static_cast<uint32_t>(s % 50),
-                               static_cast<uint32_t>(120 + s % 60))},
-        &cover);
+    Encode(CoverRequest{s, s * 7 + 3,
+                        ScanQuery(static_cast<uint32_t>(s % 50),
+                                  static_cast<uint32_t>(120 + s % 60))},
+           &cover);
     stream.emplace_back(RpcMethod::kCover, std::move(cover));
     ByteWriter summary;
-    EncodeSummaryRequest(SummaryRequest{s, 0.5}, &summary);
+    Encode(SummaryRequest{s, 0.5}, &summary);
     stream.emplace_back(RpcMethod::kPublishSummary, std::move(summary));
     if (s <= 100) {
       ByteWriter end;
-      EncodeEndQueryRequest(EndQueryRequest{s}, &end);
+      Encode(EndQueryRequest{s}, &end);
       stream.emplace_back(RpcMethod::kEndQuery, std::move(end));
     }
   }
@@ -360,9 +351,8 @@ std::vector<std::pair<RpcMethod, ByteWriter>> SessionStream() {
 /// The timing-free content of a reply: compute_seconds varies from run to
 /// run, everything else is a function of the request stream.
 std::vector<double> ReplyContent(const RpcFrame& frame) {
-  ByteReader reader(frame.payload);
   if (frame.method == RpcMethod::kCover) {
-    Result<CoverReply> r = DecodeCoverReply(&reader);
+    Result<CoverReply> r = Decode<CoverReply>(frame.payload);
     EXPECT_TRUE(r.ok());
     if (!r.ok()) return {};
     return {r->should_approximate ? 1.0 : 0.0,
@@ -370,7 +360,7 @@ std::vector<double> ReplyContent(const RpcFrame& frame) {
             static_cast<double>(r->work.rows_scanned)};
   }
   if (frame.method == RpcMethod::kPublishSummary) {
-    Result<SummaryReply> r = DecodeSummaryReply(&reader);
+    Result<SummaryReply> r = Decode<SummaryReply>(frame.payload);
     EXPECT_TRUE(r.ok());
     if (!r.ok()) return {};
     return {r->summary.noisy_avg_r, r->summary.noisy_n_q,
@@ -496,10 +486,8 @@ TEST_F(RpcBatchTest, MidBatchTransportFailureFailsAllCoalescedCallers) {
 TEST(BatchCodecTest, RequestsOnlyRejectsErrorSubFrames) {
   ByteWriter batch;
   ByteWriter status;
-  EncodeStatusPayload(Status::Internal("boom"), &status);
-  EncodeFrameHeader(RpcMethod::kError, static_cast<uint32_t>(status.size()),
-                    &batch);
-  batch.PutRaw(status.bytes().data(), status.size());
+  Encode(ErrorReply{Status::Internal("boom")}, &status);
+  AppendFrame(RpcMethod::kError, status, &batch);
   EXPECT_FALSE(DecodeBatchPayload(batch.bytes(), true).ok());
   // The same payload is legal on the reply side (a failed sub-call).
   EXPECT_TRUE(DecodeBatchPayload(batch.bytes(), false).ok());

@@ -397,18 +397,15 @@ TEST_F(RpcLoopbackTest, MalformedFramesGetErrorRepliesNotCrashes) {
 
   // Well-formed frame, truncated payload: the decoder must reject it and
   // the server must answer with an error frame on a still-healthy stream.
-  ByteWriter payload;
-  EncodeSummaryRequest(SummaryRequest{1, 0.5}, &payload);
   ByteWriter truncated;
   truncated.PutU64(123);  // half a SummaryRequest
   ASSERT_TRUE(conn->SendFrame(RpcMethod::kPublishSummary, truncated).ok());
   Result<RpcFrame> reply = conn->ReceiveFrame();
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->method, RpcMethod::kError);
-  ByteReader reader(reply->payload);
-  Status remote = Status::OK();
-  ASSERT_TRUE(DecodeStatusPayload(&reader, &remote).ok());
-  EXPECT_FALSE(remote.ok());
+  Result<ErrorReply> remote = Decode<ErrorReply>(reply->payload);
+  ASSERT_TRUE(remote.ok());
+  EXPECT_FALSE(remote->status.ok());
 
   // The same connection still serves well-formed requests afterwards.
   ASSERT_TRUE(conn->SendFrame(RpcMethod::kInfo, ByteWriter()).ok());
@@ -419,7 +416,7 @@ TEST_F(RpcLoopbackTest, MalformedFramesGetErrorRepliesNotCrashes) {
   // A client-sent error frame is a protocol breach: the server reports
   // and drops the connection.
   ByteWriter err;
-  EncodeStatusPayload(Status::Internal("q"), &err);
+  Encode(ErrorReply{Status::Internal("q")}, &err);
   ASSERT_TRUE(conn->SendFrame(RpcMethod::kError, err).ok());
   Result<RpcFrame> breach = conn->ReceiveFrame();
   if (breach.ok()) {

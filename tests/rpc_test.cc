@@ -1,14 +1,21 @@
-// Wire-codec robustness suite: round-trip property tests over randomized
-// protocol messages, adversarial frames (truncated, corrupt, hostile
-// lengths) that must fail with Status instead of crashing or
-// over-reading, and the regression pinning SimNetwork's charged sizes to
-// the codec's framed sizes. Also the `host:port` parser every dialler
-// (RemoteEndpoint::ConnectAll, the shell's `ledger connect`) shares.
+// Wire-codec robustness suite. The tests walk the schema (each method
+// table row's request and reply, plus ErrorReply) instead of building
+// messages by hand: seeded random round trips compared field by field, a
+// check that every field list names every member, and seeded prefix and
+// mutation fuzzing of every payload, frame header and kBatch payload,
+// which must fail with a Status, never crash or over-read. Also the one
+// reply writer, unwrapper and dispatcher, the regression pinning
+// SimNetwork's charges to the codec's framed sizes, and the `host:port`
+// parser every dialler shares. The exact bytes are in
+// wire_golden_test.cc.
 
 #include <cstring>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <type_traits>
+#include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,114 +30,126 @@
 namespace fedaqp {
 namespace {
 
-// ------------------------------------------------------------ round trips --
+// ------------------------------------------------- the schema, walked --
 
-RangeQuery RandomQuery(Rng* rng) {
-  std::vector<DimRange> ranges;
-  size_t n = rng->UniformU64(4);
-  for (size_t i = 0; i < n; ++i) {
-    DimRange r;
-    r.dim_index = rng->UniformU64(8);
-    r.lo = rng->UniformInt(-1000, 1000);
-    r.hi = rng->UniformInt(-1000, 1000);
-    ranges.push_back(r);
+/// Calls `fn(message)` once per message type the wire carries.
+template <typename Fn>
+void ForEachMessage(Fn&& fn) {
+  std::apply(
+      [&](const auto&... row) {
+        (fn(typename std::decay_t<decltype(row)>::Request{}), ...);
+        (fn(typename std::decay_t<decltype(row)>::Reply{}), ...);
+      },
+      kRpcMethods);
+  fn(ErrorReply{});
+}
+
+/// Fills every field it visits with seeded random values.
+class RandomFill {
+ public:
+  explicit RandomFill(Rng* rng) : rng_(rng) {}
+
+  template <typename T>
+  void operator()(const char* /*name*/, T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      v = rng_->Bernoulli(0.5);
+    } else if constexpr (std::is_integral_v<T>) {
+      v = static_cast<T>(rng_->NextU64());
+    } else if constexpr (std::is_same_v<T, double>) {
+      v = rng_->Normal() * 1e6;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      v = Word();
+    } else if constexpr (std::is_same_v<T, RangeQuery>) {
+      std::vector<DimRange> ranges(rng_->UniformU64(4));
+      for (DimRange& r : ranges) {
+        r = DimRange{rng_->UniformU64(8), rng_->UniformInt(-1000, 1000),
+                     rng_->UniformInt(-1000, 1000)};
+      }
+      v = RangeQuery(static_cast<Aggregation>(rng_->UniformU64(3)), ranges);
+    } else if constexpr (std::is_same_v<T, Schema>) {
+      v = Schema();
+      for (uint64_t d = rng_->UniformU64(5); d > 0; --d) {
+        ASSERT_TRUE(v.AddDimension(Word() + std::to_string(d),
+                                   rng_->UniformInt(1, 1 << 20))
+                        .ok());
+      }
+    } else if constexpr (std::is_same_v<T, Status>) {
+      const uint64_t codes = static_cast<uint64_t>(StatusCode::kUnavailable);
+      v = Status(static_cast<StatusCode>(1 + rng_->UniformU64(codes)), Word());
+    } else {
+      Fields(*this, v);
+    }
   }
-  return RangeQuery(
-      static_cast<Aggregation>(rng->UniformU64(3)), std::move(ranges));
-}
 
-ProviderWorkStats RandomWork(Rng* rng) {
-  ProviderWorkStats w;
-  w.clusters_scanned = rng->NextU64() >> 16;
-  w.rows_scanned = rng->NextU64() >> 16;
-  w.compute_seconds = rng->UniformDouble() * 1e3;
-  return w;
-}
+ private:
+  std::string Word() {
+    std::string s(rng_->UniformU64(12), 'a');
+    for (char& c : s) c = static_cast<char>('a' + rng_->UniformU64(26));
+    return s;
+  }
 
-LocalEstimate RandomEstimate(Rng* rng) {
-  LocalEstimate e;
-  e.estimate = rng->Normal() * 1e6;
-  e.variance = rng->UniformDouble() * 1e9;
-  e.sensitivity = rng->UniformDouble() * 1e4;
-  e.exact = rng->Bernoulli(0.5);
-  e.noised = rng->Bernoulli(0.5);
-  e.spent = PrivacyBudget{rng->UniformDouble(), rng->UniformDouble() * 1e-3};
-  e.work = RandomWork(rng);
-  return e;
-}
+  Rng* rng_;
+};
 
-/// Bit-exact round-trip check: decode(encode(v)) re-encodes to the same
-/// bytes (catches every field drop/reorder and any lossy conversion,
-/// doubles included, without needing operator== on the structs).
 template <typename T>
-void ExpectRoundTrip(const T& v, void (*encode)(const T&, ByteWriter*),
-                     Result<T> (*decode)(ByteReader*)) {
-  ByteWriter w;
-  encode(v, &w);
-  ByteReader r(w.bytes());
-  Result<T> decoded = decode(&r);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_TRUE(r.AtEnd());
-  ByteWriter w2;
-  encode(*decoded, &w2);
-  EXPECT_EQ(w.bytes(), w2.bytes());
+T RandomMessage(Rng* rng) {
+  T message;
+  RandomFill fill(rng);
+  fill("", message);
+  return message;
 }
+
+/// Lists every leaf field as "path=<its bytes>", so two messages compare
+/// field by field and a mismatch names its field.
+class Leaves {
+ public:
+  template <typename T>
+  static std::vector<std::string> Of(const T& message) {
+    Leaves leaves;
+    leaves("", message);
+    return leaves.out_;
+  }
+
+  template <typename T>
+  void operator()(const char* name, const T& v) {
+    const std::string path = prefix_ + name;
+    if constexpr (kIsWireLeaf<T>) {
+      ByteWriter w;
+      Encode(v, &w);
+      out_.push_back(path + "=" +
+                     std::string(w.bytes().begin(), w.bytes().end()));
+    } else {
+      const std::string saved = prefix_;
+      prefix_ = path.empty() ? path : path + ".";
+      Fields(*this, const_cast<T&>(v));
+      prefix_ = saved;
+    }
+  }
+
+ private:
+  std::string prefix_;
+  std::vector<std::string> out_;
+};
 
 TEST(RpcWireTest, RandomizedMessagesRoundTripBitExact) {
   Rng rng(0xc0dec);
-  for (int i = 0; i < 200; ++i) {
-    CoverRequest cover_req;
-    cover_req.query_id = rng.NextU64();
-    cover_req.session_nonce = rng.NextU64();
-    cover_req.query = RandomQuery(&rng);
-    ExpectRoundTrip(cover_req, EncodeCoverRequest, DecodeCoverRequest);
-
-    CoverReply cover_reply;
-    cover_reply.should_approximate = rng.Bernoulli(0.5);
-    cover_reply.work = RandomWork(&rng);
-    ExpectRoundTrip(cover_reply, EncodeCoverReply, DecodeCoverReply);
-
-    SummaryRequest sum_req{rng.NextU64(), rng.UniformDouble()};
-    ExpectRoundTrip(sum_req, EncodeSummaryRequest, DecodeSummaryRequest);
-
-    SummaryReply sum_reply;
-    sum_reply.summary.noisy_avg_r = rng.Normal() * 100;
-    sum_reply.summary.noisy_n_q = rng.Normal() * 1000;
-    sum_reply.summary.epsilon_spent = rng.UniformDouble();
-    sum_reply.summary.work = RandomWork(&rng);
-    ExpectRoundTrip(sum_reply, EncodeSummaryReply, DecodeSummaryReply);
-
-    ApproximateRequest approx_req;
-    approx_req.query_id = rng.NextU64();
-    approx_req.sample_size = rng.NextU64() >> 32;
-    approx_req.eps_sampling = rng.UniformDouble();
-    approx_req.eps_estimate = rng.UniformDouble();
-    approx_req.delta = rng.UniformDouble() * 1e-3;
-    approx_req.add_noise = rng.Bernoulli(0.5);
-    ExpectRoundTrip(approx_req, EncodeApproximateRequest,
-                    DecodeApproximateRequest);
-
-    ExactAnswerRequest exact_req;
-    exact_req.query_id = rng.NextU64();
-    exact_req.eps_estimate = rng.UniformDouble();
-    exact_req.add_noise = rng.Bernoulli(0.5);
-    ExpectRoundTrip(exact_req, EncodeExactAnswerRequest,
-                    DecodeExactAnswerRequest);
-
-    EstimateReply est_reply{RandomEstimate(&rng)};
-    ExpectRoundTrip(est_reply, EncodeEstimateReply, DecodeEstimateReply);
-
-    ExactScanRequest scan_req{RandomQuery(&rng)};
-    ExpectRoundTrip(scan_req, EncodeExactScanRequest, DecodeExactScanRequest);
-
-    ExactScanReply scan_reply;
-    scan_reply.value = rng.Normal() * 1e7;
-    scan_reply.work = RandomWork(&rng);
-    ExpectRoundTrip(scan_reply, EncodeExactScanReply, DecodeExactScanReply);
-
-    ExpectRoundTrip(EndQueryRequest{rng.NextU64()}, EncodeEndQueryRequest,
-                    DecodeEndQueryRequest);
-  }
+  ForEachMessage([&](auto proto) {
+    using T = decltype(proto);
+    for (int i = 0; i < 50; ++i) {
+      const T message = RandomMessage<T>(&rng);
+      ByteWriter w;
+      Encode(message, &w);
+      EXPECT_EQ(WireSize(message), FramedSize(w.size()));
+      Result<T> decoded = Decode<T>(w.bytes());
+      ASSERT_TRUE(decoded.ok())
+          << typeid(T).name() << ": " << decoded.status().ToString();
+      EXPECT_EQ(Leaves::Of(*decoded), Leaves::Of(message));
+      // Re-encoding is bit-exact too (doubles included).
+      ByteWriter again;
+      Encode(*decoded, &again);
+      EXPECT_EQ(again.bytes(), w.bytes()) << typeid(T).name();
+    }
+  });
 }
 
 TEST(RpcWireTest, EndpointInfoRoundTripsThroughSchemaValidation) {
@@ -141,11 +160,9 @@ TEST(RpcWireTest, EndpointInfoRoundTripsThroughSchemaValidation) {
   info.cluster_capacity = 4096;
   info.n_min = 16;
   ByteWriter w;
-  EncodeEndpointInfo(info, &w);
-  ByteReader r(w.bytes());
-  Result<EndpointInfo> decoded = DecodeEndpointInfo(&r);
+  Encode(info, &w);
+  Result<EndpointInfo> decoded = Decode<EndpointInfo>(w.bytes());
   ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(decoded->name, info.name);
   EXPECT_TRUE(decoded->schema == info.schema);
   EXPECT_EQ(decoded->cluster_capacity, info.cluster_capacity);
@@ -154,12 +171,76 @@ TEST(RpcWireTest, EndpointInfoRoundTripsThroughSchemaValidation) {
 
 TEST(RpcWireTest, StatusPayloadRoundTrips) {
   ByteWriter w;
-  EncodeStatusPayload(Status::BudgetExhausted("xi gone"), &w);
-  ByteReader r(w.bytes());
-  Status decoded = Status::OK();
-  ASSERT_TRUE(DecodeStatusPayload(&r, &decoded).ok());
-  EXPECT_EQ(decoded.code(), StatusCode::kBudgetExhausted);
-  EXPECT_EQ(decoded.message(), "xi gone");
+  Encode(ErrorReply{Status::BudgetExhausted("xi gone")}, &w);
+  Result<ErrorReply> decoded = Decode<ErrorReply>(w.bytes());
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->status.code(), StatusCode::kBudgetExhausted);
+  EXPECT_EQ(decoded->status.message(), "xi gone");
+}
+
+// --------------------------------------------- every member has an entry --
+
+/// Stands in for any member type in a brace initializer.
+struct AnyMember {
+  template <typename T>
+  operator T() const;  // Unevaluated use only.
+};
+
+template <typename T, typename... Members>
+constexpr auto Initializable(int) -> decltype(T{Members{}...}, true) {
+  return true;
+}
+template <typename T, typename... Members>
+constexpr bool Initializable(...) {
+  return false;
+}
+
+/// An aggregate's member count: the most AnyMember values a brace
+/// initializer of T accepts.
+template <typename T, typename... Members>
+constexpr size_t MemberCount() {
+  if constexpr (Initializable<T, Members..., AnyMember>(0)) {
+    return MemberCount<T, Members..., AnyMember>();
+  } else {
+    return sizeof...(Members);
+  }
+}
+
+/// Counts a list's entries and checks every nested struct's list too.
+struct EntryCount {
+  size_t entries = 0;
+
+  template <typename T>
+  static void Check(T& message, const std::string& what) {
+    EntryCount count;
+    Fields(count, message);
+    EXPECT_EQ(count.entries, MemberCount<T>())
+        << what << " (" << typeid(T).name()
+        << "): its field list misses a member, so the wire drops it";
+  }
+
+  template <typename T>
+  void operator()(const char* name, T& v) {
+    ++entries;
+    if constexpr (!kIsWireLeaf<T>) Check(v, name);
+  }
+};
+
+/// Checks the counting itself on member types the schema uses.
+struct CountProbe {
+  bool flag;
+  std::string name;
+  Schema schema;
+  RangeQuery query;
+  PrivacyBudget budget;
+};
+
+TEST(RpcWireTest, EveryFieldListNamesEveryMember) {
+  static_assert(MemberCount<Empty>() == 0);
+  static_assert(MemberCount<CountProbe>() == 5);
+  ForEachMessage([](auto message) {
+    EntryCount::Check(message, typeid(message).name());
+  });
 }
 
 // ------------------------------------------------------ adversarial input --
@@ -167,7 +248,7 @@ TEST(RpcWireTest, StatusPayloadRoundTrips) {
 /// A valid frame around an arbitrary payload, for corrupting.
 std::vector<uint8_t> ValidFrame() {
   ByteWriter payload;
-  EncodeSummaryRequest(SummaryRequest{42, 0.5}, &payload);
+  Encode(SummaryRequest{42, 0.5}, &payload);
   return EncodeFrame(RpcMethod::kPublishSummary, payload);
 }
 
@@ -235,45 +316,90 @@ TEST(RpcWireTest, TruncatedHeaderIsRejected) {
   }
 }
 
-TEST(RpcWireTest, TruncatedPayloadsNeverCrashOrOverRead) {
-  // Every proper prefix of every message must decode to an error.
-  Rng rng(0xbad);
-  for (int i = 0; i < 50; ++i) {
-    ByteWriter w;
-    CoverRequest req;
-    req.query_id = rng.NextU64();
-    req.session_nonce = rng.NextU64();
-    req.query = RandomQuery(&rng);
-    EncodeCoverRequest(req, &w);
-    for (size_t len = 0; len < w.size(); ++len) {
-      ByteReader r(w.bytes().data(), len);
-      Result<CoverRequest> decoded = DecodeCoverRequest(&r);
-      // Prefixes that happen to decode fewer ranges are caught by the
-      // frame layer's ExpectConsumed; all others must error here.
-      if (decoded.ok()) continue;
-      EXPECT_TRUE(decoded.status().code() == StatusCode::kOutOfRange ||
-                  decoded.status().code() == StatusCode::kInvalidArgument ||
-                  decoded.status().code() == StatusCode::kProtocolError)
-          << decoded.status().ToString();
-    }
+/// One seeded mutation: flip a byte, append bytes, or both.
+void Mutate(std::vector<uint8_t>* bytes, Rng* rng) {
+  const uint64_t kind = rng->UniformU64(3);
+  if (kind != 1 && !bytes->empty()) {
+    (*bytes)[rng->UniformU64(bytes->size())] ^=
+        static_cast<uint8_t>(1 + rng->UniformU64(255));
   }
-  ByteWriter w;
-  EncodeEstimateReply(EstimateReply{RandomEstimate(&rng)}, &w);
-  for (size_t len = 0; len < w.size(); ++len) {
-    ByteReader r(w.bytes().data(), len);
-    EXPECT_FALSE(DecodeEstimateReply(&r).ok());
+  for (uint64_t n = kind == 0 ? 0 : 1 + rng->UniformU64(4); n > 0; --n) {
+    bytes->push_back(static_cast<uint8_t>(rng->NextU64()));
+  }
+}
+
+/// Hostile bytes may still decode (a flipped value is still a value), but
+/// may fail only with a codec error.
+void ExpectCleanOutcome(const Status& status, const std::string& what) {
+  EXPECT_TRUE(status.ok() || status.code() == StatusCode::kOutOfRange ||
+              status.code() == StatusCode::kInvalidArgument ||
+              status.code() == StatusCode::kProtocolError)
+      << what << ": " << status.ToString();
+}
+
+TEST(RpcWireTest, EveryPrefixAndSeededMutationFailsCleanly) {
+  constexpr int kMutations = 300;
+  Rng rng(0xf022);
+  ForEachMessage([&](auto proto) {
+    using T = decltype(proto);
+    for (int i = 0; i < kMutations; ++i) {
+      ByteWriter w;
+      Encode(RandomMessage<T>(&rng), &w);
+      // Every proper prefix of the first few is truncated input.
+      for (size_t len = 0; i < 20 && len < w.size(); ++len) {
+        const Status status =
+            Decode<T>({w.bytes().begin(), w.bytes().begin() + len}).status();
+        EXPECT_TRUE(status.code() == StatusCode::kOutOfRange ||
+                    status.code() == StatusCode::kInvalidArgument)
+            << typeid(T).name() << " prefix " << len << ": "
+            << status.ToString();
+      }
+      std::vector<uint8_t> bytes = w.bytes();
+      Mutate(&bytes, &rng);
+      ExpectCleanOutcome(Decode<T>(bytes).status(), typeid(T).name());
+    }
+  });
+  for (int i = 0; i < kMutations; ++i) {
+    std::vector<uint8_t> frame = ValidFrame();
+    Mutate(&frame, &rng);
+    ExpectCleanOutcome(ParseHeader(frame).status(), "frame header");
+  }
+  // A kBatch payload of one to three random requests (kBatch itself
+  // included, which nests), and each sub-frame it splits into decoded as
+  // its method's request.
+  for (int i = 0; i < kMutations; ++i) {
+    ByteWriter batch;
+    for (uint64_t n = 1 + rng.UniformU64(3); n > 0; --n) {
+      const auto method = static_cast<RpcMethod>(1 + rng.UniformU64(13));
+      ByteWriter payload;
+      VisitRow(method, [&](const auto& row) {
+        using Request = typename std::decay_t<decltype(row)>::Request;
+        Encode(RandomMessage<Request>(&rng), &payload);
+        return true;
+      });
+      AppendFrame(method, payload, &batch);
+    }
+    std::vector<uint8_t> bytes = batch.bytes();
+    Mutate(&bytes, &rng);
+    Result<std::vector<RpcFrame>> subs =
+        DecodeBatchPayload(bytes, /*requests_only=*/true);
+    ExpectCleanOutcome(subs.status(), "batch payload");
+    for (const RpcFrame& sub : subs.ok() ? *subs : std::vector<RpcFrame>{}) {
+      VisitRow(sub.method, [&](const auto& row) {
+        using Request = typename std::decay_t<decltype(row)>::Request;
+        ExpectCleanOutcome(Decode<Request>(sub.payload).status(), row.name);
+        return true;
+      });
+    }
   }
 }
 
 TEST(RpcWireTest, TrailingPayloadBytesAreRejected) {
   ByteWriter w;
-  EncodeSummaryRequest(SummaryRequest{7, 0.25}, &w);
+  Encode(SummaryRequest{7, 0.25}, &w);
   w.PutU8(0);  // one stray byte
-  ByteReader r(w.bytes());
-  Result<SummaryRequest> decoded = DecodeSummaryRequest(&r);
-  ASSERT_TRUE(decoded.ok());
-  Status consumed = ExpectConsumed(r);
-  EXPECT_EQ(consumed.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Decode<SummaryRequest>(w.bytes()).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(RpcWireTest, HostileElementCountsDoNotAllocate) {
@@ -290,26 +416,29 @@ TEST(RpcWireTest, HostileElementCountsDoNotAllocate) {
   // Same for a schema with a hostile dimension count.
   ByteWriter s;
   s.PutU32(0x7fffffff);
-  ByteReader sr(s.bytes());
-  EXPECT_FALSE(DecodeSchema(&sr).ok());
+  EXPECT_FALSE(Decode<Schema>(s.bytes()).ok());
 }
 
 TEST(RpcWireTest, CorruptBoolAndStatusBytesAreRejected) {
   ByteWriter w;
-  EncodeExactAnswerRequest(ExactAnswerRequest{1, 0.5, true}, &w);
+  Encode(ExactAnswerRequest{1, 0.5, true}, &w);
   std::vector<uint8_t> bytes = w.bytes();
   bytes.back() = 2;  // add_noise byte must be 0/1
-  ByteReader r(bytes.data(), bytes.size());
-  Result<ExactAnswerRequest> decoded = DecodeExactAnswerRequest(&r);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Decode<ExactAnswerRequest>(bytes).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // The ledger's `registered` flag is a bool like any other.
+  ByteWriter reply;
+  Encode(LedgerQueryReply{}, &reply);
+  std::vector<uint8_t> flag = reply.bytes();
+  flag[0] = 2;
+  EXPECT_EQ(Decode<LedgerQueryReply>(flag).status().code(),
+            StatusCode::kInvalidArgument);
 
   ByteWriter sw;
   sw.PutU8(0);  // an error frame carrying "OK" is corrupt
   sw.PutString("fine");
-  ByteReader sr(sw.bytes());
-  Status out = Status::OK();
-  EXPECT_FALSE(DecodeStatusPayload(&sr, &out).ok());
+  EXPECT_FALSE(Decode<ErrorReply>(sw.bytes()).ok());
 }
 
 TEST(RpcWireTest, CorruptSchemaIsRejectedNotConstructed) {
@@ -319,8 +448,79 @@ TEST(RpcWireTest, CorruptSchemaIsRejectedNotConstructed) {
   w.PutI64(0);  // non-positive domain
   w.PutString("age");
   w.PutI64(5);
-  ByteReader r(w.bytes());
-  EXPECT_FALSE(DecodeSchema(&r).ok());
+  EXPECT_FALSE(Decode<Schema>(w.bytes()).ok());
+}
+
+// ------------------------------------ one writer, one unwrapper, one table --
+
+/// Serves kCover only, echoing the query id as rows scanned.
+struct CoverOnly {
+  int calls = 0;
+  Result<CoverReply> operator()(RpcMethod, CoverRequest& request) {
+    ++calls;
+    CoverReply reply;
+    reply.work.rows_scanned = request.query_id;
+    return reply;
+  }
+};
+
+/// Serves `request` through `serve`, then unwraps the one reply frame the
+/// way a client answering `request.method` does.
+Result<RpcFrame> ServeAndUnwrap(const RpcFrame& request, CoverOnly& serve,
+                                bool* broken) {
+  ByteWriter out;
+  ServeRequest(request, serve, &out);
+  ByteReader r(out.bytes());
+  Result<FrameHeader> header = DecodeFrameHeader(&r);
+  EXPECT_TRUE(header.ok());
+  EXPECT_EQ(header->payload_size + kFrameHeaderBytes, out.size());
+  return UnwrapReply(RpcFrame{header->method,
+                              {out.bytes().begin() + kFrameHeaderBytes,
+                               out.bytes().end()}},
+                     request.method, broken);
+}
+
+TEST(RpcWireTest, OneDispatcherOneReplyWriterOneUnwrapper) {
+  CoverOnly serve;
+  bool broken = false;
+  ByteWriter request;
+  Encode(CoverRequest{77, 1, RangeQuery()}, &request);
+  Result<RpcFrame> served = ServeAndUnwrap(
+      RpcFrame{RpcMethod::kCover, request.bytes()}, serve, &broken);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(Decode<CoverReply>(served->payload)->work.rows_scanned, 77u);
+
+  // A row without an overload, kBatch and kError all get the shared
+  // refusal, and an undecodable request its decode error: each arrives as
+  // itself with the stream intact. The handler never runs for them.
+  for (RpcMethod method : {RpcMethod::kInfo, RpcMethod::kLedgerCharge,
+                           RpcMethod::kBatch, RpcMethod::kError}) {
+    EXPECT_EQ(ServeAndUnwrap(RpcFrame{method, {}}, serve, &broken)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << MethodName(method);
+  }
+  EXPECT_EQ(ServeAndUnwrap(RpcFrame{RpcMethod::kCover, {1, 2, 3}}, serve,
+                           &broken)
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(serve.calls, 1);
+  EXPECT_FALSE(broken);
+
+  // A wrong method and an undecodable error break the protocol.
+  EXPECT_EQ(UnwrapReply(*served, RpcMethod::kInfo, &broken).status().code(),
+            StatusCode::kProtocolError);
+  EXPECT_TRUE(broken);
+  broken = false;
+  EXPECT_EQ(UnwrapReply(RpcFrame{RpcMethod::kError, {0x05, 0x01}},
+                        RpcMethod::kCover, &broken)
+                .status()
+                .code(),
+            StatusCode::kProtocolError);
+  EXPECT_TRUE(broken);
+  EXPECT_STREQ(MethodName(RpcMethod::kExactFullScan), "exact_full_scan");
 }
 
 TEST(RpcWireTest, HostPortParsesOnlyValidPorts) {
@@ -348,49 +548,21 @@ TEST(RpcWireTest, HostPortParsesOnlyValidPorts) {
 // ------------------------------------------- charged sizes == codec sizes --
 
 TEST(RpcWireTest, WireSizeMatchesEncodedFrameForEveryMessageType) {
+  // The round trip above checks WireSize against every message's framed
+  // payload. Sizes must also be value-independent where the orchestrator
+  // charges a default-constructed instance.
   Rng rng(0x512e);
   for (int i = 0; i < 20; ++i) {
-    CoverRequest cover_req;
-    cover_req.query_id = rng.NextU64();
-    cover_req.session_nonce = rng.NextU64();
-    cover_req.query = RandomQuery(&rng);
-    {
-      ByteWriter w;
-      EncodeCoverRequest(cover_req, &w);
-      EXPECT_EQ(WireSize(cover_req),
-                EncodeFrame(RpcMethod::kCover, w).size());
-    }
-    {
-      CoverReply v;
-      v.work = RandomWork(&rng);
-      ByteWriter w;
-      EncodeCoverReply(v, &w);
-      EXPECT_EQ(WireSize(v), EncodeFrame(RpcMethod::kCover, w).size());
-      // Size must be value-independent (the orchestrator charges a
-      // default-constructed instance).
-      EXPECT_EQ(WireSize(v), WireSize(CoverReply{}));
-    }
-    {
-      EstimateReply v{RandomEstimate(&rng)};
-      ByteWriter w;
-      EncodeEstimateReply(v, &w);
-      EXPECT_EQ(WireSize(v), EncodeFrame(RpcMethod::kApproximate, w).size());
-      EXPECT_EQ(WireSize(v), WireSize(EstimateReply{}));
-    }
-    {
-      SummaryReply v;
-      v.summary.work = RandomWork(&rng);
-      EXPECT_EQ(WireSize(v), WireSize(SummaryReply{}));
-    }
-    {
-      ApproximateRequest v;
-      v.sample_size = rng.NextU64();
-      EXPECT_EQ(WireSize(v), WireSize(ApproximateRequest{}));
-    }
+    EXPECT_EQ(WireSize(RandomMessage<CoverReply>(&rng)),
+              WireSize(CoverReply{}));
+    EXPECT_EQ(WireSize(RandomMessage<EstimateReply>(&rng)),
+              WireSize(EstimateReply{}));
+    EXPECT_EQ(WireSize(RandomMessage<SummaryReply>(&rng)),
+              WireSize(SummaryReply{}));
+    EXPECT_EQ(WireSize(RandomMessage<ApproximateRequest>(&rng)),
+              WireSize(ApproximateRequest{}));
   }
-  ByteWriter empty;
-  EXPECT_EQ(kEndQueryAckWireSize,
-            EncodeFrame(RpcMethod::kEndQuery, empty).size());
+  EXPECT_EQ(WireSize(Empty{}), kFrameHeaderBytes);  // The EndQuery ack.
 }
 
 std::unique_ptr<DataProvider> MakeProvider(size_t rows, uint64_t seed,
@@ -449,7 +621,7 @@ TEST(RpcWireTest, OrchestratorChargesExactlyTheCodecSizes) {
         n * (WireSize(CoverRequest{1, 1, q}) + WireSize(CoverReply{}) +
              WireSize(SummaryRequest{}) + WireSize(SummaryReply{}) +
              WireSize(EstimateReply{}) + WireSize(EndQueryRequest{}) +
-             kEndQueryAckWireSize) +
+             WireSize(Empty{})) +
         phase2[0] + phase2[1];
     EXPECT_EQ(resp->breakdown.network_bytes, expected)
         << q.ToString(orch->schema());
