@@ -18,12 +18,16 @@
 //     purchased parts;
 //   * ledger conservation: spent + saved under the cache equals the
 //     no-cache spend;
-//   * total epsilon spent drops by at least 40%.
+//   * total epsilon spent drops by at least 40%;
+//   * plan equals admission (every reuse point): each cached run first
+//     plans its workload with FederationClient::PlanWorkload, and every
+//     predicted hit must match served_from_cache and every planned charge
+//     the audit log's charge for that query.
 //
 // Emits BENCH_dp_cache.json with the hit-rate / budget-saved curve over
 // reuse fractions {0%, 20%, 40%, 60%}. Exit codes: 2 = answer
-// divergence (miss or hit replay), 3 = ledger inconsistency or the
-// savings target missed.
+// divergence (miss or hit replay), 3 = ledger inconsistency, a plan that
+// differs from admission, or the savings target missed.
 //
 //   --rows=N --providers=P --queries=M --threads=T --seed=X
 
@@ -97,6 +101,8 @@ struct RunOutcome {
   PrivacyBudget spent{0.0, 0.0};
   PrivacyBudget saved{0.0, 0.0};
   size_t hits = 0;
+  /// Cached runs: the plan's hits and charges equal admission's.
+  bool plan_matches = true;
   bool ok = false;
 };
 
@@ -135,6 +141,19 @@ int Run(int argc, char** argv) {
                    client.status().ToString().c_str());
       return out;
     }
+    BudgetPlanner::WorkloadPlan plan;
+    if (enable_cache) {
+      std::vector<RangeQuery> workload;
+      for (const Item& item : items) workload.push_back(item.query);
+      Result<BudgetPlanner::WorkloadPlan> planned =
+          (*client)->PlanWorkload("bench", workload);
+      if (!planned.ok()) {
+        std::fprintf(stderr, "plan: %s\n",
+                     planned.status().ToString().c_str());
+        return out;
+      }
+      plan = std::move(planned).value();
+    }
     for (const Item& item : items) {
       QuerySpec spec;
       spec.analyst = "bench";
@@ -150,6 +169,25 @@ int Run(int argc, char** argv) {
       out.estimates.push_back(resp->estimate);
       out.from_cache.push_back(cached);
       if (cached) ++out.hits;
+    }
+    if (enable_cache) {
+      // Query i was admitted as seq i + 1; a predicted hit plans {0, 0}.
+      std::vector<PrivacyBudget> charged(items.size(),
+                                         PrivacyBudget{0.0, 0.0});
+      for (const auto& record : (*client)->audit_log().ForAnalyst("bench")) {
+        if (record.kind == obs::BudgetAuditLog::Kind::kCharge &&
+            record.seq >= 1 && record.seq <= items.size()) {
+          charged[record.seq - 1] = {record.epsilon, record.delta};
+        }
+      }
+      for (size_t i = 0; i < items.size(); ++i) {
+        const BudgetPlanner::PlannedQuery& planned = plan.queries[i];
+        if (planned.predicted_cached != out.from_cache[i] ||
+            planned.budget.epsilon != charged[i].epsilon ||
+            planned.budget.delta != charged[i].delta) {
+          out.plan_matches = false;
+        }
+      }
     }
     Result<PrivacyBudget> spent = (*client)->ledger().Spent("bench");
     Result<PrivacyBudget> saved = (*client)->ledger().Saved("bench");
@@ -181,6 +219,7 @@ int Run(int argc, char** argv) {
 
   bool bit_identical = true;
   bool ledgers_match = true;
+  bool plan_matches = true;
   double final_saved_pct = 0.0;
   std::vector<double> final_estimates;
   std::printf("dp cache: %zu queries on %s[%ld], per-query eps %.2f\n",
@@ -192,6 +231,7 @@ int Run(int argc, char** argv) {
     const RunOutcome base = run_once(items, /*enable_cache=*/false);
     const RunOutcome cached = run_once(items, /*enable_cache=*/true);
     if (!base.ok || !cached.ok) return 1;
+    plan_matches = plan_matches && cached.plan_matches;
 
     for (size_t i = 0; i < items.size(); ++i) {
       if (!cached.from_cache[i]) {
@@ -235,19 +275,22 @@ int Run(int argc, char** argv) {
 
   // >= 40% budget saved on the 30% repeats + 30% overlapping mix.
   const bool savings_met = final_saved_pct >= 40.0;
-  std::printf("  answers %s, ledgers %s, savings target (>=40%%) %s\n",
-              bit_identical ? "bit-identical" : "DIVERGED (bug!)",
-              ledgers_match ? "conserved" : "DIVERGED (bug!)",
-              savings_met ? "met" : "MISSED");
+  std::printf(
+      "  answers %s, ledgers %s, plans %s, savings target (>=40%%) %s\n",
+      bit_identical ? "bit-identical" : "DIVERGED (bug!)",
+      ledgers_match ? "conserved" : "DIVERGED (bug!)",
+      plan_matches ? "match admission" : "DIVERGED (bug!)",
+      savings_met ? "met" : "MISSED");
 
   json.Set("bit_identical", bit_identical ? 1 : 0);
   json.Set("ledgers_match", ledgers_match ? 1 : 0);
+  json.Set("plan_matches_admission", plan_matches ? 1 : 0);
   json.Set("savings_target_met", savings_met ? 1 : 0);
   json.Set("answers_checksum", bench::AnswersChecksum(final_estimates));
   json.Write();
 
   if (!bit_identical) return 2;
-  if (!ledgers_match || !savings_met) return 3;
+  if (!ledgers_match || !plan_matches || !savings_met) return 3;
   return 0;
 }
 

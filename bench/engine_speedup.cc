@@ -76,8 +76,6 @@ int Run(int argc, char** argv) {
   auto make_client = [&](size_t num_threads) {
     FederationClient::Options opts;
     opts.protocol = protocol;
-    opts.protocol.total_xi = 1e18;
-    opts.protocol.total_psi = 1e9;
     opts.protocol.network.latency_seconds = 1e-5;
     opts.protocol.num_threads = num_threads;
     opts.analysts = {{"bench", 1e18, 1e9}};

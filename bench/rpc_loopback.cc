@@ -7,8 +7,8 @@
 // round trip of a raw framed ping-pong over 127.0.0.1 through the same
 // TcpConnection codec (loopback_rtt_us_p50), next to the median of one
 // call through RemoteEndpoint and RpcProviderServer (rpc_call_us_p50,
-// repeated PublishSummary on one open session). Emits
-// BENCH_rpc_loopback.json.
+// repeated PublishSummary on one open session), the two probes
+// interleaved round by round. Emits BENCH_rpc_loopback.json.
 //
 //   --rows=N --providers=P --queries=M --seed=S --threads=T
 
@@ -16,6 +16,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -32,29 +33,41 @@ namespace {
 /// Timed round trips behind each RPC roof median.
 constexpr size_t kPings = 2000;
 
-/// Median of `rounds` timed calls of `round_trip` (after rounds / 10
-/// untimed warm-up calls), in microseconds; negative when a call fails.
-template <typename RoundTrip>
-double MedianMicros(size_t rounds, RoundTrip round_trip) {
+/// Medians of `rounds` timed calls of `a` and of `b`, interleaved round
+/// by round (after rounds / 10 untimed warm-up pairs) so host drift lands
+/// on both medians instead of on their difference; in microseconds,
+/// negative when a call fails.
+template <typename RoundTripA, typename RoundTripB>
+std::pair<double, double> InterleavedMedianMicros(size_t rounds,
+                                                  RoundTripA a,
+                                                  RoundTripB b) {
+  const std::pair<double, double> kFailed{-1.0, -1.0};
   for (size_t i = 0; i < rounds / 10; ++i) {
-    if (!round_trip()) return -1.0;
+    if (!a() || !b()) return kFailed;
   }
-  std::vector<double> micros;
-  micros.reserve(rounds);
+  std::vector<double> micros_a, micros_b;
+  micros_a.reserve(rounds);
+  micros_b.reserve(rounds);
   for (size_t i = 0; i < rounds; ++i) {
-    Stopwatch timer;
-    if (!round_trip()) return -1.0;
-    micros.push_back(timer.ElapsedMicros());
+    Stopwatch timer_a;
+    if (!a()) return kFailed;
+    micros_a.push_back(timer_a.ElapsedMicros());
+    Stopwatch timer_b;
+    if (!b()) return kFailed;
+    micros_b.push_back(timer_b.ElapsedMicros());
   }
-  return bench::Percentile50(std::move(micros));
+  return {bench::Percentile50(std::move(micros_a)),
+          bench::Percentile50(std::move(micros_b))};
 }
 
-/// Median round trip of a raw framed ping-pong over 127.0.0.1: an echo
-/// thread sends every frame straight back, so this is the floor under
-/// any RPC made through the same codec on this host.
-double LoopbackRttMicros(size_t rounds, const ByteWriter& ping) {
+/// Runs `body` on a connection to a raw framed echo peer on 127.0.0.1:
+/// an echo thread sends every frame straight back, so a round trip to it
+/// is the floor under any RPC made through the same codec on this host.
+/// Does nothing when the peer cannot be set up.
+template <typename Body>
+void WithEchoPeer(Body body) {
   Result<TcpListener> listener = TcpListener::Listen(0);
-  if (!listener.ok()) return -1.0;
+  if (!listener.ok()) return;
   std::thread echo([&listener] {
     Result<TcpConnection> peer = listener->Accept();
     if (!peer.ok()) return;
@@ -71,15 +84,11 @@ double LoopbackRttMicros(size_t rounds, const ByteWriter& ping) {
   if (!client.ok()) {
     listener->Interrupt();
     echo.join();
-    return -1.0;
+    return;
   }
-  const double rtt = MedianMicros(rounds, [&] {
-    return client->SendFrame(RpcMethod::kPublishSummary, ping).ok() &&
-           client->ReceiveFrame().ok();
-  });
+  body(*client);
   client->Close();
   echo.join();
-  return rtt;
 }
 
 int Run(int argc, char** argv) {
@@ -188,7 +197,6 @@ int Run(int argc, char** argv) {
   const SummaryRequest summary{1, 0.5};
   ByteWriter ping;
   Encode(summary, &ping);
-  const double loopback_rtt_us = LoopbackRttMicros(kPings, ping);
   Result<std::shared_ptr<RemoteEndpoint>> caller =
       RemoteEndpoint::Connect("127.0.0.1", (*servers)[0]->port());
   if (!caller.ok() ||
@@ -197,8 +205,17 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "rpc call probe: cannot open a session\n");
     return 1;
   }
-  const double rpc_call_us = MedianMicros(
-      kPings, [&] { return (*caller)->PublishSummary(summary).ok(); });
+  double loopback_rtt_us = -1.0;
+  double rpc_call_us = -1.0;
+  WithEchoPeer([&](TcpConnection& raw) {
+    std::tie(loopback_rtt_us, rpc_call_us) = InterleavedMedianMicros(
+        kPings,
+        [&] {
+          return raw.SendFrame(RpcMethod::kPublishSummary, ping).ok() &&
+                 raw.ReceiveFrame().ok();
+        },
+        [&] { return (*caller)->PublishSummary(summary).ok(); });
+  });
   (*caller)->EndQuery(summary.query_id);
   if (loopback_rtt_us < 0 || rpc_call_us < 0) {
     std::fprintf(stderr, "rpc roof probe failed\n");

@@ -9,9 +9,9 @@ namespace fedaqp {
 
 namespace {
 
-/// The registry's `cache.*` counters, the cache's only statistics: every
-/// lookup adds to `lookups` and to exactly one of `exact_hits`,
-/// `full_compositions`, `partial_compositions` and `misses`.
+/// The registry's `cache.*` counters, the cache's only statistics. They
+/// count what admission applies (CountLookup, CountInvalidation), never
+/// what Resolve or Invalidate do on a plan's Snapshot.
 struct CacheCounters {
   obs::MetricRegistry& reg = obs::MetricRegistry::Global();
   obs::Counter* lookups = reg.GetCounter("cache.lookups");
@@ -27,6 +27,8 @@ const CacheCounters& Counters() {
   return counters;
 }
 
+using Tiles = std::vector<std::shared_ptr<CacheEntry>>;
+
 /// Greedy exact-boundary tiling of [a, b] over an interval index: a chain
 /// of cached intervals starting exactly at `a` (each extending coverage
 /// from the first uncovered value) plus a chain ending exactly at `b`,
@@ -35,22 +37,21 @@ const CacheCounters& Counters() {
 /// Returns false when no cached interval tiles either end (pure miss).
 /// Greedy longest-tile-first is deterministic: ties are impossible (one
 /// entry per (lo, hi) pair).
-template <typename E, typename EpsFn>
-bool TilePrefixSuffix(const std::map<Value, std::map<Value, E>>& index,
-                      Value a, Value b, double req_eps, EpsFn eps_of,
-                      std::vector<E>* prefix, std::vector<E>* suffix,
-                      Value* rem_lo, Value* rem_hi, bool* has_rem) {
+bool TilePrefixSuffix(
+    const std::map<Value, std::map<Value, std::shared_ptr<CacheEntry>>>& index,
+    Value a, Value b, double req_eps, Tiles* prefix, Tiles* suffix,
+    Value* rem_lo, Value* rem_hi, bool* has_rem) {
   Value p = a;
   for (;;) {
     if (p > b) break;
     auto at = index.find(p);
     if (at == index.end()) break;
     // Longest eligible tile starting at p (map is ascending by hi).
-    const E* best = nullptr;
+    const std::shared_ptr<CacheEntry>* best = nullptr;
     Value best_hi = 0;
     for (const auto& entry : at->second) {
       if (entry.first > b) break;
-      if (eps_of(entry.second) < req_eps) continue;
+      if (entry.second->budget.epsilon < req_eps) continue;
       best = &entry.second;
       best_hi = entry.first;
     }
@@ -62,12 +63,14 @@ bool TilePrefixSuffix(const std::map<Value, std::map<Value, E>>& index,
   while (s >= p) {
     // Longest eligible tile ending at s: minimum lo >= p (iterate
     // ascending lo, first match wins).
-    const E* best = nullptr;
+    const std::shared_ptr<CacheEntry>* best = nullptr;
     Value best_lo = 0;
     for (auto it = index.lower_bound(p); it != index.end() && it->first <= s;
          ++it) {
       auto hit = it->second.find(s);
-      if (hit == it->second.end() || eps_of(hit->second) < req_eps) continue;
+      if (hit == it->second.end() || hit->second->budget.epsilon < req_eps) {
+        continue;
+      }
       best = &hit->second;
       best_lo = it->first;
       break;
@@ -147,17 +150,16 @@ bool NoisyAnswerCache::SpansSameCells(size_t dim, Value lo, Value hi,
   return cell(lo) == cell(full_lo) && cell(hi) == cell(full_hi);
 }
 
-NoisyAnswerCache::Decision NoisyAnswerCache::ResolveLocked(
+NoisyAnswerCache::Decision NoisyAnswerCache::Resolve(
     const std::string& analyst, const RangeQuery& query,
     const PrivacyBudget& budget, uint64_t seq) {
   const NormalizedQuery norm = NormalizeQuery(query, schema_);
   const std::string key = norm.KeyString(analyst);
   Decision decision;
 
-  Counters().lookups->Add();
+  std::lock_guard<std::mutex> lock(mutex_);
   auto exact = exact_.find(key);
   if (exact != exact_.end() && exact->second->budget.epsilon >= budget.epsilon) {
-    Counters().exact_hits->Add();
     decision.kind = Decision::Kind::kHit;
     decision.hit = exact->second;
     return decision;
@@ -170,13 +172,12 @@ NoisyAnswerCache::Decision NoisyAnswerCache::ResolveLocked(
     GroupKey gk{analyst, static_cast<uint8_t>(norm.agg), want.dim_index};
     auto group = groups_.find(gk);
     if (group != groups_.end()) {
-      std::vector<std::shared_ptr<CacheEntry>> prefix, suffix;
+      Tiles prefix, suffix;
       Value rem_lo = 0, rem_hi = 0;
       bool has_rem = false;
-      bool tiled = TilePrefixSuffix(
-          group->second, want.lo, want.hi, budget.epsilon,
-          [](const std::shared_ptr<CacheEntry>& e) { return e->budget.epsilon; },
-          &prefix, &suffix, &rem_lo, &rem_hi, &has_rem);
+      bool tiled = TilePrefixSuffix(group->second, want.lo, want.hi,
+                                    budget.epsilon, &prefix, &suffix, &rem_lo,
+                                    &rem_hi, &has_rem);
       // A remainder spanning the same metadata cells as the full range
       // saves no cluster work; buying the full range answers with lower
       // variance and caches a more reusable interval (see Options).
@@ -191,7 +192,6 @@ NoisyAnswerCache::Decision NoisyAnswerCache::ResolveLocked(
                               suffix.end());
         decision.has_remainder = has_rem;
         if (has_rem) {
-          Counters().partial_compositions->Add();
           decision.remainder_query = RangeQuery(
               norm.agg, {DimRange{want.dim_index, rem_lo, rem_hi}});
           NormalizedQuery rem_norm;
@@ -204,15 +204,12 @@ NoisyAnswerCache::Decision NoisyAnswerCache::ResolveLocked(
           decision.purchase->budget = budget;
           decision.purchase->purchase_seq = seq;
           RegisterLocked(analyst, rem_norm, decision.purchase);
-        } else {
-          Counters().full_compositions->Add();
         }
         return decision;
       }
     }
   }
 
-  Counters().misses->Add();
   decision.kind = Decision::Kind::kMiss;
   decision.purchase = std::make_shared<CacheEntry>();
   decision.purchase->ranges = norm.ranges;
@@ -222,13 +219,6 @@ NoisyAnswerCache::Decision NoisyAnswerCache::ResolveLocked(
   decision.purchase->purchase_seq = seq;
   RegisterLocked(analyst, norm, decision.purchase);
   return decision;
-}
-
-NoisyAnswerCache::Decision NoisyAnswerCache::Resolve(
-    const std::string& analyst, const RangeQuery& query,
-    const PrivacyBudget& budget, uint64_t seq) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return ResolveLocked(analyst, query, budget, seq);
 }
 
 void NoisyAnswerCache::RegisterLocked(
@@ -274,86 +264,34 @@ void NoisyAnswerCache::Invalidate(const std::shared_ptr<CacheEntry>& entry,
       if (group->second.empty()) groups_.erase(group);
     }
   }
-  Counters().invalidated->Add();
 }
 
-std::vector<bool> NoisyAnswerCache::PredictChargeable(
-    const std::string& analyst, const std::vector<RangeQuery>& workload,
-    const std::vector<PrivacyBudget>& budgets) const {
-  // Shadow of the index: epsilon is all the simulation needs.
-  std::map<std::string, double> shadow_exact;
-  std::map<GroupKey, std::map<Value, std::map<Value, double>>> shadow_groups;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& kv : exact_) {
-      shadow_exact[kv.first] = kv.second->budget.epsilon;
-    }
-    for (const auto& gkv : groups_) {
-      auto& shadow = shadow_groups[gkv.first];
-      for (const auto& lokv : gkv.second) {
-        for (const auto& hikv : lokv.second) {
-          shadow[lokv.first][hikv.first] = hikv.second->budget.epsilon;
-        }
-      }
-    }
-  }
-
-  std::vector<bool> chargeable(workload.size(), true);
-  for (size_t i = 0; i < workload.size(); ++i) {
-    const PrivacyBudget& budget = budgets[i];
-    const NormalizedQuery norm = NormalizeQuery(workload[i], schema_);
-    const std::string key = norm.KeyString(analyst);
-    auto exact = shadow_exact.find(key);
-    if (exact != shadow_exact.end() && exact->second >= budget.epsilon) {
-      chargeable[i] = false;
-      continue;
-    }
-    Value reg_lo = 0, reg_hi = 0;
-    bool register_interval = false;
-    if (norm.ranges.size() == 1) {
-      const DimRange& want = norm.ranges[0];
-      GroupKey gk{analyst, static_cast<uint8_t>(norm.agg), want.dim_index};
-      reg_lo = want.lo;
-      reg_hi = want.hi;
-      register_interval = true;
-      auto group = shadow_groups.find(gk);
-      if (group != shadow_groups.end()) {
-        std::vector<double> prefix, suffix;
-        Value rem_lo = 0, rem_hi = 0;
-        bool has_rem = false;
-        bool tiled = TilePrefixSuffix(
-            group->second, want.lo, want.hi, budget.epsilon,
-            [](double eps) { return eps; }, &prefix, &suffix, &rem_lo,
-            &rem_hi, &has_rem);
-        if (tiled && has_rem &&
-            SpansSameCells(want.dim_index, rem_lo, rem_hi, want.lo, want.hi)) {
-          tiled = false;
-        }
-        if (tiled && !has_rem) {
-          chargeable[i] = false;
-          continue;
-        }
-        if (tiled) {
-          reg_lo = rem_lo;
-          reg_hi = rem_hi;
-          NormalizedQuery rem_norm;
-          rem_norm.agg = norm.agg;
-          rem_norm.ranges = {DimRange{want.dim_index, rem_lo, rem_hi}};
-          shadow_exact[rem_norm.KeyString(analyst)] = budget.epsilon;
-          shadow_groups[gk][reg_lo][reg_hi] = budget.epsilon;
-          continue;  // chargeable (remainder)
-        }
-      }
-    }
-    // Miss: register the full normalized key.
-    shadow_exact[key] = budget.epsilon;
-    if (register_interval) {
-      GroupKey gk{analyst, static_cast<uint8_t>(norm.agg),
-                  norm.ranges[0].dim_index};
-      shadow_groups[gk][reg_lo][reg_hi] = budget.epsilon;
-    }
-  }
-  return chargeable;
+std::unique_ptr<NoisyAnswerCache> NoisyAnswerCache::Snapshot() const {
+  auto copy = std::make_unique<NoisyAnswerCache>(schema_, options_);
+  std::lock_guard<std::mutex> lock(mutex_);
+  copy->exact_ = exact_;
+  copy->groups_ = groups_;
+  return copy;
 }
+
+void NoisyAnswerCache::CountLookup(const Decision& decision) {
+  const CacheCounters& counters = Counters();
+  counters.lookups->Add();
+  switch (decision.kind) {
+    case Decision::Kind::kHit:
+      counters.exact_hits->Add();
+      break;
+    case Decision::Kind::kComposed:
+      (decision.has_remainder ? counters.partial_compositions
+                              : counters.full_compositions)
+          ->Add();
+      break;
+    case Decision::Kind::kMiss:
+      counters.misses->Add();
+      break;
+  }
+}
+
+void NoisyAnswerCache::CountInvalidation() { Counters().invalidated->Add(); }
 
 }  // namespace fedaqp

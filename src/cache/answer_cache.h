@@ -72,8 +72,8 @@ struct CacheEntry {
 /// orchestrator's own contract, the same served bits.
 ///
 /// Threading: mutations (Resolve with registration) happen on the
-/// client's admission thread; `mutex_` additionally allows concurrent
-/// read-only planning (PredictChargeable) from caller threads.
+/// client's admission thread; `mutex_` additionally lets caller threads
+/// take a Snapshot to plan on.
 class NoisyAnswerCache {
  public:
   struct Options {
@@ -110,6 +110,12 @@ class NoisyAnswerCache {
     /// Entry to publish this query's purchased answer into (kMiss, or
     /// kComposed with a remainder).
     std::shared_ptr<CacheEntry> purchase;
+
+    /// True when nothing executes or charges: an exact hit, or a
+    /// composition without a remainder.
+    bool ServedFree() const {
+      return kind == Kind::kHit || (kind == Kind::kComposed && !has_remainder);
+    }
   };
 
   explicit NoisyAnswerCache(Schema schema, Options options = {});
@@ -121,7 +127,8 @@ class NoisyAnswerCache {
   /// epsilon covers the requested one (a previously released answer is
   /// free post-processing, but a *less* accurate one must not silently
   /// substitute for a fresher, higher-eps purchase). Admission-thread
-  /// only; call strictly in admission-seq order.
+  /// only; call strictly in admission-seq order. Counts nothing: the
+  /// step that applies the decision calls CountLookup.
   Decision Resolve(const std::string& analyst, const RangeQuery& query,
                    const PrivacyBudget& budget, uint64_t seq);
 
@@ -129,21 +136,25 @@ class NoisyAnswerCache {
   static void Publish(CacheEntry& entry, const Status& status, double estimate,
                       double variance, bool approximated);
 
-  /// Drops a purchase whose query failed or was cancelled (the refund
-  /// machinery returned its budget, so the answer was never bought).
-  /// Later admissions re-purchase the key. Admission-thread only, after
-  /// the failing round completed.
+  /// Drops a purchase whose query failed, was cancelled or was refused
+  /// by the ledger (the answer was never bought). Later admissions
+  /// re-purchase the key. Admission-thread only. Counts nothing: the
+  /// caller calls CountInvalidation.
   void Invalidate(const std::shared_ptr<CacheEntry>& entry,
                   const std::string& analyst);
 
-  /// Simulates Resolve over `workload` (normalized against the current
-  /// index, then against the simulation's own purchases, in order)
-  /// without mutating the cache: true per query that would charge fresh
-  /// budget. `analyst` scopes the lookup; `default_budget` applies to
-  /// specs without an override. Thread-safe.
-  std::vector<bool> PredictChargeable(
-      const std::string& analyst, const std::vector<RangeQuery>& workload,
-      const std::vector<PrivacyBudget>& budgets) const;
+  /// A copy of the index to plan on: Resolve and Invalidate on the copy
+  /// leave this cache untouched. The copy shares the entries, whose index
+  /// fields never change after registration. Thread-safe.
+  std::unique_ptr<NoisyAnswerCache> Snapshot() const;
+
+  /// The registry's `cache.*` counters count what admission applies, so
+  /// a plan on a Snapshot moves none. CountLookup adds one applied
+  /// decision to `lookups` and to exactly one of `exact_hits`,
+  /// `full_compositions`, `partial_compositions` and `misses`;
+  /// CountInvalidation adds one dropped purchase to `invalidated`.
+  static void CountLookup(const Decision& decision);
+  static void CountInvalidation();
 
   const Schema& schema() const { return schema_; }
 
@@ -160,8 +171,6 @@ class NoisyAnswerCache {
   /// exactly at the last) uncovered value, so overlap never double-counts.
   using IntervalIndex = std::map<Value, std::map<Value, std::shared_ptr<CacheEntry>>>;
 
-  Decision ResolveLocked(const std::string& analyst, const RangeQuery& query,
-                         const PrivacyBudget& budget, uint64_t seq);
   void RegisterLocked(const std::string& analyst, const NormalizedQuery& norm,
                       const std::shared_ptr<CacheEntry>& entry);
   /// True when [lo,hi] starts and ends in the same cut cells as the

@@ -1,15 +1,8 @@
 #include "cache/budget_planner.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace fedaqp {
-
-namespace {
-/// Forgives accumulated floating-point drift when a grant divides into
-/// exactly N default-size charges.
-constexpr double kSlack = 1e-9;
-}  // namespace
 
 PrivacyBudget BudgetPlanner::NextQueryBudget(const PrivacyBudget& remaining,
                                              size_t horizon) const {
@@ -21,73 +14,6 @@ PrivacyBudget BudgetPlanner::NextQueryBudget(const PrivacyBudget& remaining,
     eps = std::max(eps, options_.eps_floor);
   }
   return PrivacyBudget{eps, options_.default_budget.delta};
-}
-
-BudgetPlanner::WorkloadPlan BudgetPlanner::Plan(
-    const std::string& analyst, const std::vector<RangeQuery>& workload,
-    const PrivacyBudget& remaining, const NoisyAnswerCache* cache) const {
-  WorkloadPlan plan;
-  plan.queries.resize(workload.size());
-
-  // Which queries charge fresh budget (the cache serves the rest free).
-  std::vector<bool> chargeable(workload.size(), true);
-  if (cache != nullptr) {
-    std::vector<PrivacyBudget> budgets(workload.size(),
-                                       options_.default_budget);
-    chargeable = cache->PredictChargeable(analyst, workload, budgets);
-  }
-  size_t m = 0;
-  for (bool c : chargeable) m += c ? 1 : 0;
-  plan.predicted_hits = workload.size() - m;
-
-  // Per-query epsilon: the default when the grant covers every
-  // chargeable query at full accuracy, otherwise stretched down toward
-  // the floor so more of the workload fits.
-  const double def_eps = options_.default_budget.epsilon;
-  const double def_delta = options_.default_budget.delta;
-  double eps = def_eps;
-  if (m > 0 && static_cast<double>(m) * def_eps > remaining.epsilon + kSlack) {
-    eps = std::max(options_.eps_floor,
-                   remaining.epsilon / static_cast<double>(m));
-    eps = std::min(eps, def_eps);
-  }
-  plan.eps_per_query = m > 0 ? eps : 0.0;
-
-  // How many chargeable queries the grant covers at that epsilon. Delta
-  // is spent per released estimate and is not stretchable.
-  size_t n_eps = m;
-  if (eps > 0.0) {
-    n_eps = static_cast<size_t>(
-        std::floor(remaining.epsilon / eps + kSlack));
-  }
-  size_t n_delta = m;
-  if (def_delta > 0.0) {
-    n_delta = static_cast<size_t>(
-        std::floor(remaining.delta / def_delta + kSlack));
-  }
-  size_t affordable = std::min({m, n_eps, n_delta});
-
-  size_t granted = 0;
-  for (size_t i = 0; i < workload.size(); ++i) {
-    PlannedQuery& q = plan.queries[i];
-    if (!chargeable[i]) {
-      q.predicted_cached = true;
-      q.answerable = true;
-      ++plan.answerable;
-      continue;
-    }
-    if (granted < affordable) {
-      q.budget = PrivacyBudget{eps, def_delta};
-      q.answerable = true;
-      ++granted;
-      ++plan.answerable;
-      plan.projected_spend.epsilon += eps;
-      plan.projected_spend.delta += def_delta;
-    } else {
-      q.answerable = false;
-    }
-  }
-  return plan;
 }
 
 }  // namespace fedaqp

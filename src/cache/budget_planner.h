@@ -4,19 +4,17 @@
 #include <cstddef>
 #include <vector>
 
-#include "cache/answer_cache.h"
 #include "dp/budget.h"
-#include "storage/range_query.h"
 
 namespace fedaqp {
 
 /// Workload-aware per-query budget planning — the budget/accuracy
 /// trade-off knob (Shrinkwrap, PAPERS.md) over the analyst's (xi, psi)
-/// grant. Given a declared workload (or the observed ticket stream) the
-/// planner predicts which queries the noisy-answer cache will serve for
-/// free and spreads the remaining grant over the chargeable rest,
-/// shrinking per-query epsilon (never below `eps_floor`, never above the
-/// configured default) so as many queries as possible are answered.
+/// grant: the stretch rule that spreads a remaining grant over further
+/// queries, shrinking per-query epsilon (never below `eps_floor`, never
+/// above the configured default) so as many queries as possible are
+/// answered, and the plan FederationClient::PlanWorkload fills by running
+/// admission on a snapshot.
 class BudgetPlanner {
  public:
   struct PlannerOptions {
@@ -32,7 +30,8 @@ class BudgetPlanner {
     /// cache hit (nothing will be charged).
     PrivacyBudget budget{0.0, 0.0};
     bool predicted_cached = false;
-    /// False when the grant cannot cover this query even at eps_floor.
+    /// False when admission would refuse the query: the grant cannot
+    /// cover it even at eps_floor, or the query itself is invalid.
     bool answerable = true;
   };
 
@@ -47,16 +46,7 @@ class BudgetPlanner {
 
   explicit BudgetPlanner(PlannerOptions options) : options_(options) {}
 
-  /// Plans `workload` (in submission order) against `remaining`. `cache`
-  /// (nullable) predicts free queries via NoisyAnswerCache::
-  /// PredictChargeable for `analyst`; without a cache every query is
-  /// chargeable. Deterministic: a pure function of its inputs.
-  WorkloadPlan Plan(const std::string& analyst,
-                    const std::vector<RangeQuery>& workload,
-                    const PrivacyBudget& remaining,
-                    const NoisyAnswerCache* cache) const;
-
-  /// The admission-time knob: the budget for one chargeable query when
+  /// The stretch rule: the budget for one chargeable query when
   /// `horizon` further queries are expected against `remaining` —
   /// remaining epsilon spread over the horizon, clamped to
   /// [eps_floor, default]. Delta stays the configured default (it is

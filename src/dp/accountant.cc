@@ -57,6 +57,14 @@ Status AnalystLedger::Register(const std::string& analyst, double xi,
   return Status::OK();
 }
 
+bool AnalystLedger::Affords(const PrivacyBudget& spent,
+                            const PrivacyBudget& total,
+                            const PrivacyBudget& cost) {
+  return spent.epsilon + cost.epsilon <=
+             total.epsilon * (1.0 + kSlack) + kSlack &&
+         spent.delta + cost.delta <= total.delta * (1.0 + kSlack) + kSlack;
+}
+
 bool AnalystLedger::Knows(const std::string& analyst) const {
   std::lock_guard<std::mutex> lock(mutex_);
   return ledgers_.find(analyst) != ledgers_.end();
@@ -74,12 +82,7 @@ Status AnalystLedger::Charge(const std::string& analyst,
     return Status::InvalidArgument("privacy charge must be non-negative");
   }
   Account& account = it->second;
-  const bool fits =
-      account.spent.epsilon + cost.epsilon <=
-          account.total.epsilon * (1.0 + kSlack) + kSlack &&
-      account.spent.delta + cost.delta <=
-          account.total.delta * (1.0 + kSlack) + kSlack;
-  if (!fits) {
+  if (!Affords(account.spent, account.total, cost)) {
     RefusalsCounter().Add();
     return Status::BudgetExhausted(
         "privacy budget exhausted: spent " + account.spent.ToString() +

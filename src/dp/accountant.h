@@ -47,9 +47,17 @@ class AnalystLedger {
   /// True iff `analyst` holds a grant.
   bool Knows(const std::string& analyst) const;
 
+  /// The one affordability rule: whether charging `cost` on top of
+  /// `spent` stays within `total`, forgiving accumulated floating-point
+  /// drift of 1e-12 (relative and absolute) so a grant divides exactly
+  /// into pieces. Charge applies it to the live account;
+  /// FederationClient::PlanWorkload applies it to a snapshot.
+  static bool Affords(const PrivacyBudget& spent, const PrivacyBudget& total,
+                      const PrivacyBudget& cost);
+
   /// Charges `cost` against `analyst`'s grant, refusing (without
   /// recording) on an unknown analyst, a negative cost (InvalidArgument)
-  /// or an exhausted budget (BudgetExhausted). `seq` is
+  /// or an exhausted budget (Affords; BudgetExhausted). `seq` is
   /// the admission sequence of the causing query, recorded in the audit
   /// log (0 = not part of an admission sequence); `coordinator`
   /// attributes the mutation to a remote coordinator (0 = local).

@@ -116,6 +116,39 @@ bool NonZero(const PrivacyBudget& b) {
   return b.epsilon > 0.0 || b.delta > 0.0;
 }
 
+/// Cached parts folded, in part order, into one answer: estimates and
+/// variances add over disjoint sub-ranges.
+struct FoldedParts {
+  double estimate = 0.0;
+  double variance = 0.0;
+  bool approximated = false;
+  /// Some part has no outcome yet.
+  bool pending = false;
+  /// The first part without a successful outcome (a pending one fails
+  /// as Internal).
+  Status failed = Status::OK();
+};
+
+FoldedParts FoldParts(const std::vector<std::shared_ptr<CacheEntry>>& parts) {
+  FoldedParts folded;
+  for (const auto& part : parts) {
+    std::lock_guard<std::mutex> lock(part->m);
+    if (!part->terminal || !part->status.ok()) {
+      folded.pending = folded.pending || !part->terminal;
+      if (folded.failed.ok()) {
+        folded.failed = part->terminal
+                            ? part->status
+                            : Status::Internal("cache: part not terminal");
+      }
+      continue;
+    }
+    folded.estimate += part->estimate;
+    folded.variance += part->variance;
+    folded.approximated = folded.approximated || part->approximated;
+  }
+  return folded;
+}
+
 /// Publishes a purchased query's outcome into its cache entry.
 void PublishOutcome(CacheEntry& entry, const Status& status,
                     const QueryResponse& response) {
@@ -244,6 +277,13 @@ FederationClient::FederationClient(QueryOrchestrator orchestrator,
                                    std::vector<DataProvider*> providers)
     : options_(std::move(options)),
       orchestrator_(std::move(orchestrator)),
+      live_ledger_{
+          [this](const std::string& analyst) {
+            return budget_->Knows(analyst);
+          },
+          [this](const std::string& analyst) {
+            return budget_->Remaining(analyst);
+          }},
       planner_(BudgetPlanner::PlannerOptions{
           options_.protocol.per_query_budget, options_.plan_eps_floor}),
       providers_(std::move(providers)),
@@ -373,64 +413,138 @@ std::vector<uint64_t> FederationClient::admission_order() const {
   return admitted_order_;
 }
 
-PrivacyBudget FederationClient::QueryCharge(
-    const PrivacyBudget& requested,
-    const std::function<Result<PrivacyBudget>()>& remaining) const {
-  if (requested.epsilon > 0.0) return requested;
-  if (options_.plan_horizon > 0) {
-    Result<PrivacyBudget> left = remaining();
-    if (left.ok()) {
-      return planner_.NextQueryBudget(*left, options_.plan_horizon);
+FederationClient::AdmissionDecision FederationClient::Admit(
+    const QuerySpec& spec, uint64_t seq, bool cancelled, bool expired,
+    const LedgerView& ledger, NoisyAnswerCache* cache) const {
+  AdmissionDecision d;
+  if (cancelled) {
+    d.refusal = Status::Cancelled("client: cancelled before execution");
+    return d;
+  }
+  if (expired) {
+    d.refusal =
+        Status::DeadlineExceeded("client: deadline passed before admission");
+    return d;
+  }
+  if (spec.kind == QueryKind::kProgressive && providers_.empty()) {
+    d.refusal = Status::FailedPrecondition(
+        "client: progressive queries need in-process providers "
+        "(client was built over endpoints)");
+    return d;
+  }
+  const bool exact = spec.kind == QueryKind::kExact;
+  if (!exact) {
+    Result<bool> known = ledger.knows(spec.analyst);
+    if (!known.ok()) {
+      // Shared-ledger backend unreachable: fail with the transport's
+      // status, never "unknown analyst".
+      d.refusal = known.status();
+      return d;
+    }
+    if (!*known) {
+      d.refusal =
+          Status::NotFound("client: unknown analyst '" + spec.analyst + "'");
+      return d;
     }
   }
-  return options_.protocol.per_query_budget;
+  d.refusal = spec.query.Validate(orchestrator_.schema());
+  if (!d.refusal.ok() || exact) return d;
+  // The charge is part of the admission sequence, so replays (which see
+  // the same ledger states in the same order) agree. Remaining is read
+  // only when the horizon rule applies; when it fails, the default does.
+  if (spec.budget.epsilon > 0.0) {
+    d.refusal = spec.budget.Validate();
+    if (!d.refusal.ok()) return d;
+    d.charge = spec.budget;
+  } else {
+    d.charge = options_.protocol.per_query_budget;
+    if (options_.plan_horizon > 0) {
+      Result<PrivacyBudget> left = ledger.remaining(spec.analyst);
+      if (left.ok()) {
+        d.charge = planner_.NextQueryBudget(*left, options_.plan_horizon);
+      }
+    }
+  }
+  // Exact repeats and fully composed ranges are served for zero fresh
+  // budget; a partial overlap executes (and charges) only its uncovered
+  // remainder.
+  if (cache != nullptr && spec.kind == QueryKind::kApproximate) {
+    d.cache = cache->Resolve(spec.analyst, spec.query, d.charge, seq);
+  }
+  return d;
+}
+
+BudgetPlanner::WorkloadPlan FederationClient::PlanOnSnapshot(
+    const std::string& analyst, const std::vector<RangeQuery>& workload,
+    const PrivacyBudget& requested, PrivacyBudget spent,
+    const PrivacyBudget& total) const {
+  std::unique_ptr<NoisyAnswerCache> cache =
+      cache_ != nullptr ? cache_->Snapshot() : nullptr;
+  const LedgerView snapshot{
+      [](const std::string&) -> Result<bool> { return true; },
+      // What AnalystLedger::Remaining reports for this account.
+      [&](const std::string&) -> Result<PrivacyBudget> {
+        return PrivacyBudget{std::max(0.0, total.epsilon - spent.epsilon),
+                             std::max(0.0, total.delta - spent.delta)};
+      }};
+  BudgetPlanner::WorkloadPlan plan;
+  plan.queries.resize(workload.size());
+  for (size_t i = 0; i < workload.size(); ++i) {
+    QuerySpec spec;
+    spec.analyst = analyst;
+    spec.query = workload[i];
+    spec.budget = requested;
+    const AdmissionDecision d =
+        Admit(spec, /*seq=*/0, /*cancelled=*/false, /*expired=*/false,
+              snapshot, cache.get());
+    BudgetPlanner::PlannedQuery& q = plan.queries[i];
+    if (d.refusal.ok() && d.cache.ServedFree()) {
+      q.predicted_cached = true;
+      ++plan.predicted_hits;
+      ++plan.answerable;
+      continue;
+    }
+    if (d.refusal.ok() && plan.eps_per_query == 0.0) {
+      plan.eps_per_query = d.charge.epsilon;
+    }
+    q.answerable =
+        d.refusal.ok() && AnalystLedger::Affords(spent, total, d.charge);
+    if (!q.answerable) {
+      // As RunGroup does when the ledger refuses the charge.
+      if (d.cache.purchase != nullptr) {
+        cache->Invalidate(d.cache.purchase, analyst);
+      }
+      continue;
+    }
+    q.budget = d.charge;
+    ++plan.answerable;
+    plan.projected_spend = plan.projected_spend + d.charge;
+    spent = spent + d.charge;
+  }
+  return plan;
 }
 
 Result<BudgetPlanner::WorkloadPlan> FederationClient::PlanWorkload(
     const std::string& analyst,
     const std::vector<RangeQuery>& workload) const {
-  FEDAQP_ASSIGN_OR_RETURN(PrivacyBudget remaining,
+  FEDAQP_ASSIGN_OR_RETURN(const PrivacyBudget spent,
+                          budget_->Spent(analyst));
+  FEDAQP_ASSIGN_OR_RETURN(const PrivacyBudget remaining,
                           budget_->Remaining(analyst));
+  PrivacyBudget requested{0.0, 0.0};
   if (options_.plan_horizon == 0) {
-    return planner_.Plan(analyst, workload, remaining, cache_.get());
-  }
-  // Under a horizon every charge depends on the grant left when the query
-  // is admitted, so walk the workload in admission order, as RunGroup
-  // will: each query is charged by the same rule, and an answerable one
-  // leaves less for the next.
-  BudgetPlanner::WorkloadPlan plan;
-  plan.queries.resize(workload.size());
-  std::vector<PrivacyBudget> budgets;
-  budgets.reserve(workload.size());
-  for (size_t i = 0; i < workload.size(); ++i) {
-    const PrivacyBudget charge =
-        QueryCharge(PrivacyBudget{0.0, 0.0},
-                    [&] { return Result<PrivacyBudget>(remaining); });
-    budgets.push_back(charge);
-    BudgetPlanner::PlannedQuery& q = plan.queries[i];
-    if (cache_ != nullptr) {
-      // Resolved as admission would: after the purchases planned so far.
-      const std::vector<RangeQuery> prefix(workload.begin(),
-                                           workload.begin() + i + 1);
-      q.predicted_cached =
-          !cache_->PredictChargeable(analyst, prefix, budgets).back();
+    // Spread what is left over the queries that charge at the configured
+    // budget when the grant is no limit.
+    constexpr double kNoLimit = std::numeric_limits<double>::infinity();
+    const BudgetPlanner::WorkloadPlan unlimited = PlanOnSnapshot(
+        analyst, workload, requested, spent, {kNoLimit, kNoLimit});
+    const size_t chargeable = unlimited.answerable - unlimited.predicted_hits;
+    if (chargeable > 0) {
+      requested = planner_.NextQueryBudget(remaining, chargeable);
     }
-    if (q.predicted_cached) {
-      ++plan.predicted_hits;
-      ++plan.answerable;
-      continue;
-    }
-    q.answerable = charge.epsilon <= remaining.epsilon &&
-                   charge.delta <= remaining.delta;
-    if (!q.answerable) continue;
-    q.budget = charge;
-    if (plan.eps_per_query == 0.0) plan.eps_per_query = charge.epsilon;
-    ++plan.answerable;
-    plan.projected_spend = plan.projected_spend + charge;
-    remaining.epsilon -= charge.epsilon;
-    remaining.delta -= charge.delta;
   }
-  return plan;
+  return PlanOnSnapshot(analyst, workload, requested, spent,
+                        spent + remaining);
 }
 
 void FederationClient::AdmissionLoop() {
@@ -555,72 +669,30 @@ void FederationClient::RunGroup(
     admitted_order_.reserve(admitted_order_.size() + group.size());
     for (const auto& ticket : group) admitted_order_.push_back(ticket->seq);
   }
+  // Drops a purchase whose answer was never bought, so later queries
+  // re-purchase instead of linking to it.
+  auto drop_purchase = [this](TicketState* t) {
+    cache_->Invalidate(t->cache.purchase, t->spec.analyst);
+    NoisyAnswerCache::CountInvalidation();
+  };
   for (const auto& ticket : group) {
     TicketState* t = ticket.get();
-    // Admission, strictly in arrival order. Refusals: cancellation and
-    // deadline first (nothing charged), then identity before validation
-    // (unknown callers learn nothing about the schema), then validity
-    // before budget (malformed queries never consume budget).
-    if (t->cancel->cancelled()) {
-      Deliver(t, Status::Cancelled("client: cancelled before execution"),
-              kNoResponse);
-      continue;
-    }
-    if (t->deadline_abs < clock_.ElapsedSeconds()) {
-      Deliver(t,
-              Status::DeadlineExceeded(
-                  "client: deadline passed before admission"),
-              kNoResponse);
+    // Admission, strictly in arrival order; this loop only applies the
+    // decisions.
+    AdmissionDecision admitted =
+        Admit(t->spec, t->seq, t->cancel->cancelled(),
+              t->deadline_abs < clock_.ElapsedSeconds(), live_ledger_,
+              cache_.get());
+    if (!admitted.refusal.ok()) {
+      Deliver(t, admitted.refusal, kNoResponse);
       continue;
     }
     const bool exact = t->spec.kind == QueryKind::kExact;
-    if (!exact) {
-      Result<bool> known = budget_->Knows(t->spec.analyst);
-      if (!known.ok()) {
-        // Shared-ledger backend unreachable: fail with the transport's
-        // status, never "unknown analyst".
-        Deliver(t, known.status(), kNoResponse);
-        continue;
-      }
-      if (!*known) {
-        Deliver(t,
-                Status::NotFound("client: unknown analyst '" +
-                                 t->spec.analyst + "'"),
-                kNoResponse);
-        continue;
-      }
-    }
-    Status valid = t->spec.query.Validate(orchestrator_.schema());
-    if (!valid.ok()) {
-      Deliver(t, valid, kNoResponse);
-      continue;
-    }
-    // Effective per-query budget (QueryCharge). Part of the admission
-    // sequence, so replays (which see the same ledger states in the same
-    // order) agree.
-    if (!exact) {
-      if (t->spec.budget.epsilon > 0.0) {
-        Status budget_ok = t->spec.budget.Validate();
-        if (!budget_ok.ok()) {
-          Deliver(t, budget_ok, kNoResponse);
-          continue;
-        }
-      }
-      t->effective = QueryCharge(t->spec.budget, [&] {
-        return budget_->Remaining(t->spec.analyst);
-      });
-    }
-    // Cache resolve: exact repeats and fully composed ranges are served
-    // for zero fresh budget; a partial overlap executes (and charges)
-    // only its uncovered remainder.
+    t->effective = admitted.charge;
+    t->cache = std::move(admitted.cache);
     if (!exact && cache_ != nullptr) {
-      t->cache = cache_->Resolve(t->spec.analyst, t->spec.query, t->effective,
-                                 t->seq);
-      const bool free_serve =
-          t->cache.kind == NoisyAnswerCache::Decision::Kind::kHit ||
-          (t->cache.kind == NoisyAnswerCache::Decision::Kind::kComposed &&
-           !t->cache.has_remainder);
-      if (free_serve) {
+      NoisyAnswerCache::CountLookup(t->cache);
+      if (t->cache.ServedFree()) {
         t->from_cache = true;
         t->sub_answers =
             t->cache.hit ? 0 : static_cast<uint32_t>(t->cache.parts.size());
@@ -644,10 +716,10 @@ void FederationClient::RunGroup(
     if (!exact) {
       Status charged = budget_->Charge(t->spec.analyst, t->effective, t->seq);
       if (!charged.ok()) {
-        // Resolve registered this query's purchase; drop it so later
+        // Admit registered this query's purchase; drop it so later
         // queries never link to an answer that was never bought.
         if (t->cache.purchase != nullptr) {
-          cache_->Invalidate(t->cache.purchase, t->spec.analyst);
+          drop_purchase(t);
           t->cache.purchase = nullptr;
         }
         Deliver(t, charged, kNoResponse);
@@ -778,14 +850,14 @@ void FederationClient::RunGroup(
   // machinery returned their budget, so the answers were never bought
   // and later admissions must re-purchase, not link.
   if (cache_ != nullptr) {
-    auto invalidate_if_failed = [this](TicketState* t) {
+    auto invalidate_if_failed = [&drop_purchase](TicketState* t) {
       if (t->cache.purchase == nullptr) return;
       bool bought;
       {
         std::lock_guard<std::mutex> lock(t->cache.purchase->m);
         bought = t->cache.purchase->terminal && t->cache.purchase->status.ok();
       }
-      if (!bought) cache_->Invalidate(t->cache.purchase, t->spec.analyst);
+      if (!bought) drop_purchase(t);
     };
     for (TicketState* t : running) invalidate_if_failed(t);
     for (TicketState* t : post) invalidate_if_failed(t);
@@ -794,44 +866,24 @@ void FederationClient::RunGroup(
 
 bool FederationClient::TryServeCached(TicketState* t) {
   const QueryResponse kNoResponse;
-  double estimate = 0.0;
-  double variance = 0.0;
-  bool approximated = false;
-  bool all_terminal = true;
-  Status failed = Status::OK();
-  auto fold = [&](CacheEntry& entry) {
-    std::lock_guard<std::mutex> lock(entry.m);
-    if (!entry.terminal) {
-      all_terminal = false;
-      return;
-    }
-    if (!entry.status.ok()) {
-      if (failed.ok()) failed = entry.status;
-      return;
-    }
-    estimate += entry.estimate;
-    variance += entry.variance;
-    approximated = approximated || entry.approximated;
-  };
-  if (t->cache.hit != nullptr) {
-    fold(*t->cache.hit);
-  } else {
-    for (const auto& part : t->cache.parts) fold(*part);
-  }
-  if (!all_terminal) return false;
-  if (!failed.ok()) {
+  const FoldedParts folded = FoldParts(
+      t->cache.hit != nullptr
+          ? std::vector<std::shared_ptr<CacheEntry>>{t->cache.hit}
+          : t->cache.parts);
+  if (folded.pending) return false;
+  if (!folded.failed.ok()) {
     // The linked same-round purchase never released an answer; nothing
     // was charged here, so there is nothing to refund — just propagate.
     Deliver(t,
             Status::Unavailable("cache: linked purchase failed: " +
-                                failed.message()),
+                                folded.failed.message()),
             kNoResponse);
     return true;
   }
   QueryResponse response;
-  response.estimate = estimate;
-  response.stderr_estimate = std::sqrt(variance);
-  response.approximated = approximated;
+  response.estimate = folded.estimate;
+  response.stderr_estimate = std::sqrt(folded.variance);
+  response.approximated = folded.approximated;
   response.spent = PrivacyBudget{0.0, 0.0};
   budget_->RecordSaving(t->spec.analyst, t->effective, t->seq);
   Deliver(t, Status::OK(), response);
@@ -854,38 +906,23 @@ void FederationClient::FinishComposed(TicketState* t) {
     Deliver(t, rem_status, kNoResponse);
     return;
   }
-  double estimate = 0.0;
-  double variance = 0.0;
-  bool approximated = false;
-  Status failed = Status::OK();
-  for (const auto& part : t->cache.parts) {
-    std::lock_guard<std::mutex> lock(part->m);
-    if (!part->terminal || !part->status.ok()) {
-      if (failed.ok()) {
-        failed = part->terminal ? part->status
-                                : Status::Internal("cache: part not terminal");
-      }
-      continue;
-    }
-    estimate += part->estimate;
-    variance += part->variance;
-    approximated = approximated || part->approximated;
-  }
-  if (!failed.ok()) {
+  const FoldedParts folded = FoldParts(t->cache.parts);
+  if (!folded.failed.ok()) {
     // The remainder was bought (and stays cached for future reuse), but
     // a linked same-round part failed, so this composition cannot be
     // released. The charge stands, like any provider failure.
     Deliver(t,
             Status::Unavailable("cache: composed sub-answer failed: " +
-                                failed.message()),
+                                folded.failed.message()),
             kNoResponse);
     return;
   }
   QueryResponse response = rem_response;
-  response.estimate = estimate + rem_response.estimate;
-  response.stderr_estimate = std::sqrt(
-      variance + rem_response.stderr_estimate * rem_response.stderr_estimate);
-  response.approximated = approximated || rem_response.approximated;
+  response.estimate = folded.estimate + rem_response.estimate;
+  response.stderr_estimate =
+      std::sqrt(folded.variance +
+                rem_response.stderr_estimate * rem_response.stderr_estimate);
+  response.approximated = folded.approximated || rem_response.approximated;
   Deliver(t, Status::OK(), response);
 }
 
@@ -897,52 +934,17 @@ void FederationClient::RunProgressive(
     std::lock_guard<std::mutex> lock(mutex_);
     admitted_order_.push_back(t->seq);
   }
-  if (t->cancel->cancelled()) {
-    Deliver(t, Status::Cancelled("client: cancelled before execution"),
-            kNoResponse);
+  // Progressive queries are admitted like approximate ones, horizon and
+  // overrides included; only the cache is skipped.
+  const AdmissionDecision admitted =
+      Admit(t->spec, t->seq, t->cancel->cancelled(),
+            t->deadline_abs < clock_.ElapsedSeconds(), live_ledger_,
+            /*cache=*/nullptr);
+  if (!admitted.refusal.ok()) {
+    Deliver(t, admitted.refusal, kNoResponse);
     return;
   }
-  if (t->deadline_abs < clock_.ElapsedSeconds()) {
-    Deliver(t,
-            Status::DeadlineExceeded("client: deadline passed before admission"),
-            kNoResponse);
-    return;
-  }
-  if (providers_.empty()) {
-    Deliver(t,
-            Status::FailedPrecondition(
-                "client: progressive queries need in-process providers "
-                "(client was built over endpoints)"),
-            kNoResponse);
-    return;
-  }
-  {
-    Result<bool> known = budget_->Knows(t->spec.analyst);
-    if (!known.ok()) {
-      Deliver(t, known.status(), kNoResponse);
-      return;
-    }
-    if (!*known) {
-      Deliver(t,
-              Status::NotFound("client: unknown analyst '" + t->spec.analyst +
-                               "'"),
-              kNoResponse);
-      return;
-    }
-  }
-  Status valid = t->spec.query.Validate(orchestrator_.schema());
-  if (!valid.ok()) {
-    Deliver(t, valid, kNoResponse);
-    return;
-  }
-  const PrivacyBudget full = t->spec.budget.epsilon > 0.0
-                                 ? t->spec.budget
-                                 : options_.protocol.per_query_budget;
-  Status budget_ok = full.Validate();
-  if (!budget_ok.ok()) {
-    Deliver(t, budget_ok, kNoResponse);
-    return;
-  }
+  const PrivacyBudget full = admitted.charge;
   Status charged = budget_->Charge(t->spec.analyst, full, t->seq);
   if (!charged.ok()) {
     Deliver(t, charged, kNoResponse);

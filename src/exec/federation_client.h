@@ -240,11 +240,11 @@ class FederationClient {
     /// would touch every cluster the full range touches is re-purchased
     /// whole instead. Leave off for shuffled layouts.
     bool cache_align_to_metadata = false;
-    /// Workload-aware budgeting: when > 0, each admitted approximate
-    /// query without an explicit QuerySpec::budget override is charged
-    /// BudgetPlanner::NextQueryBudget(remaining, plan_horizon) instead of
-    /// the configured per-query budget — the grant stretched over an
-    /// expected horizon of further queries. 0 disables.
+    /// Workload-aware budgeting: when > 0, each admitted approximate or
+    /// progressive query without an explicit QuerySpec::budget override
+    /// is charged BudgetPlanner::NextQueryBudget(remaining, plan_horizon)
+    /// instead of the configured per-query budget — the grant stretched
+    /// over an expected horizon of further queries. 0 disables.
     size_t plan_horizon = 0;
     /// Smallest per-query epsilon the planner will stretch down to.
     double plan_eps_floor = 0.05;
@@ -321,11 +321,14 @@ class FederationClient {
   /// Plans `workload` (in intended submission order) for `analyst`
   /// against their remaining grant: which queries the cache would serve
   /// free, what per-query epsilon covers the chargeable rest, and how
-  /// many queries are answerable. With Options::plan_horizon set, each
-  /// chargeable query is planned at the charge admission would apply
-  /// (QueryCharge) to the grant left after the queries before it. Pure
-  /// read — charges nothing. The shell's `plan` verb and the bench
-  /// harness call this. Thread-safe.
+  /// many queries are answerable. Each query runs through admission's own
+  /// decision (Admit) on a snapshot: the real cache Resolve on a copy of
+  /// the index, and the analyst's (Spent, Remaining) checked with
+  /// AnalystLedger::Affords. With Options::plan_horizon set, each query
+  /// is planned at the horizon's charge; without it, at the grant left
+  /// spread over the queries that would charge. Pure read — charges,
+  /// registers and counts nothing. The shell's `plan` verb and
+  /// bench_dp_cache call this. Thread-safe.
   Result<BudgetPlanner::WorkloadPlan> PlanWorkload(
       const std::string& analyst,
       const std::vector<RangeQuery>& workload) const;
@@ -365,14 +368,46 @@ class FederationClient {
   /// their arrival positions. Caller holds mutex_.
   void SelectFairLocked(
       size_t take, std::vector<std::shared_ptr<internal::TicketState>>* round);
-  /// The per-query charge rule, shared by admission and PlanWorkload:
-  /// the spec's override (`requested`, when its epsilon is > 0), else the
-  /// planner's stretch of the remaining grant over Options::plan_horizon,
-  /// else the configured per-query budget. `remaining` is read only when
-  /// the horizon rule applies; when it fails, the default applies.
-  PrivacyBudget QueryCharge(
-      const PrivacyBudget& requested,
-      const std::function<Result<PrivacyBudget>()>& remaining) const;
+  /// The two ledger reads admission makes: the live backend's, or a
+  /// plan's snapshot.
+  struct LedgerView {
+    std::function<Result<bool>(const std::string&)> knows;
+    std::function<Result<PrivacyBudget>(const std::string&)> remaining;
+  };
+  /// What admission decided for one spec.
+  struct AdmissionDecision {
+    /// OK, or the first refusal in admission order.
+    Status refusal = Status::OK();
+    /// What an admitted private query charges (zero for an exact one):
+    /// its QuerySpec::budget override, else the horizon's stretch of the
+    /// remaining grant (Options::plan_horizon), else the configured
+    /// per-query budget. The saving recorded when the cache serves it.
+    PrivacyBudget charge{0.0, 0.0};
+    /// The cache's decision; kMiss without a purchase unless an admitted
+    /// approximate query was resolved against a cache.
+    NoisyAnswerCache::Decision cache;
+  };
+  /// The one admission decision, shared by RunGroup, RunProgressive and
+  /// PlanWorkload. Refusals, in order: cancellation and deadline first
+  /// (nothing charged), a progressive query without in-process
+  /// providers, identity before validation (unknown callers learn
+  /// nothing about the schema), then validity before budget (malformed
+  /// queries never consume budget). An admitted approximate query is
+  /// then resolved against `cache` (nullable: no cache, or a progressive
+  /// query), which registers its purchase. Charges nothing: the caller
+  /// applies the decision — charges it, or invalidates the purchase when
+  /// the ledger refuses.
+  AdmissionDecision Admit(const QuerySpec& spec, uint64_t seq, bool cancelled,
+                          bool expired, const LedgerView& ledger,
+                          NoisyAnswerCache* cache) const;
+  /// Runs `workload` through Admit in order, every query with `requested`
+  /// as its budget override ({0, 0}: none), against a snapshot: a copy of
+  /// the cache index, and a grant of `total` with `spent` used, which
+  /// each answerable query's charge adds to exactly as the ledger would.
+  BudgetPlanner::WorkloadPlan PlanOnSnapshot(
+      const std::string& analyst, const std::vector<RangeQuery>& workload,
+      const PrivacyBudget& requested, PrivacyBudget spent,
+      const PrivacyBudget& total) const;
   /// Admits and executes one contiguous group of batchable specs.
   void RunGroup(std::vector<std::shared_ptr<internal::TicketState>>& group);
   void RunProgressive(const std::shared_ptr<internal::TicketState>& ticket);
@@ -407,6 +442,8 @@ class FederationClient {
   /// overrides it. Every admission-path budget op goes through budget_.
   serve::LocalLedgerBackend local_budget_{&ledger_};
   serve::LedgerBackend* budget_ = nullptr;
+  /// Admission's reads of budget_.
+  const LedgerView live_ledger_;
   /// Present iff Options::enable_cache. Mutated on the admission thread.
   std::unique_ptr<NoisyAnswerCache> cache_;
   BudgetPlanner planner_;

@@ -52,9 +52,11 @@ struct FederationConfig {
   /// Fraction of the global covering set to sample, sr in (0,1).
   double sampling_rate = 0.1;
   ReleaseMode mode = ReleaseMode::kLocalDp;
-  /// The analyst grant (xi, psi) a Federation registers its one analyst
-  /// with (the shell likewise grants each analyst it meets). The
-  /// orchestrator charges nothing; FederationClient's ledger does.
+  /// The analyst grant (xi, psi) Federation::Open registers its one
+  /// analyst with (the shell likewise grants each analyst it meets). The
+  /// orchestrator charges nothing and ignores both; so does a directly
+  /// built FederationClient, whose grants come from Options::analysts
+  /// and RegisterAnalyst.
   double total_xi = 100.0;
   double total_psi = 1.0;
   NetworkOptions network;

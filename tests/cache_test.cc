@@ -1,18 +1,21 @@
 // Tests for the noisy-answer DP cache and the workload-aware budget
 // planner: query normalization, exact-repeat serving with the epsilon
 // gate, greedy prefix/suffix tiling with remainder purchase, cut-point
-// demotion, invalidation, and the planner's stretch/afford arithmetic —
-// plus the client-level property suite: with the cache on, hit/miss
-// patterns and answers are bit-identical to a no-cache replay of the
-// same admission sequence across pool sizes, both schedulers, and
+// demotion, invalidation, and the planner's stretch rule and snapshot
+// plan — plus the client-level property suite: with the cache on,
+// hit/miss patterns and answers are bit-identical to a no-cache replay of
+// the same admission sequence across pool sizes, both schedulers, and
 // loopback RPC; ledgers charge exactly the uncovered-remainder cost; a
 // cancelled remainder purchase leaves the cache consistent; the
 // registry's cache, client and accountant counters reconcile with ticket
-// outcomes. The file runs in the CI ThreadSanitizer job.
+// outcomes; planning races admission safely. The file runs in the CI
+// ThreadSanitizer job.
 
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -191,15 +194,21 @@ TEST(AnswerCacheTest, InvalidateDropsTheEntryForReuse) {
 
 // ---------------------------------------------------------------- prediction --
 
-TEST(AnswerCacheTest, PredictChargeableMatchesActualResolution) {
+TEST(AnswerCacheTest, SnapshotResolutionMatchesActualResolution) {
   const std::vector<RangeQuery> workload = {
       Dim0(10, 99),  Dim0(100, 149), Dim0(10, 99), Dim0(10, 149),
       Dim0(20, 60),  Dim1(30, 80),   Dim0(10, 149)};
   const std::vector<PrivacyBudget> budgets(workload.size(), kEps1);
 
+  // A plan resolves on a copy of the index, never on the live cache.
   NoisyAnswerCache simulated(TestSchema());
-  std::vector<bool> predicted =
-      simulated.PredictChargeable("alice", workload, budgets);
+  std::unique_ptr<NoisyAnswerCache> snapshot = simulated.Snapshot();
+  std::vector<bool> predicted;
+  for (size_t i = 0; i < workload.size(); ++i) {
+    predicted.push_back(
+        !snapshot->Resolve("alice", workload[i], budgets[i], i + 1)
+             .ServedFree());
+  }
 
   NoisyAnswerCache actual(TestSchema());
   for (size_t i = 0; i < workload.size(); ++i) {
@@ -232,39 +241,6 @@ TEST(BudgetPlannerTest, NextQueryBudgetSpreadsTheGrantWithinClamps) {
   EXPECT_EQ(planner.NextQueryBudget({0.1, 1.0}, 0).epsilon, 1.0);
   // Delta is never stretched.
   EXPECT_EQ(planner.NextQueryBudget({2.0, 1.0}, 8).delta, 1e-3);
-}
-
-TEST(BudgetPlannerTest, PlanStretchesEpsilonAndCountsCacheHits) {
-  NoisyAnswerCache cache(TestSchema());
-  auto bought = cache.Resolve("alice", Dim0(10, 99), kEps1, 1);
-  NoisyAnswerCache::Publish(*bought.purchase, Status::OK(), 5.0, 1.0, true);
-
-  BudgetPlanner planner({PrivacyBudget{1.0, 1e-3}, 0.05});
-  const std::vector<RangeQuery> workload = {Dim0(10, 99), Dim0(0, 9),
-                                            Dim1(0, 49), Dim1(50, 80)};
-  // 3 chargeable queries against eps 1.5: stretched to 0.5 each.
-  BudgetPlanner::WorkloadPlan plan =
-      planner.Plan("alice", workload, {1.5, 1e-2}, &cache);
-  EXPECT_EQ(plan.predicted_hits, 1u);
-  EXPECT_EQ(plan.answerable, 4u);
-  EXPECT_NEAR(plan.eps_per_query, 0.5, 1e-12);
-  EXPECT_TRUE(plan.queries[0].predicted_cached);
-  EXPECT_EQ(plan.queries[0].budget.epsilon, 0.0);
-  EXPECT_NEAR(plan.queries[1].budget.epsilon, 0.5, 1e-12);
-  EXPECT_NEAR(plan.projected_spend.epsilon, 1.5, 1e-12);
-
-  // The floor caps stretching: 3 chargeable against eps 0.12 at floor
-  // 0.05 covers only 2.
-  BudgetPlanner::WorkloadPlan tight =
-      planner.Plan("alice", workload, {0.12, 1e-2}, &cache);
-  EXPECT_NEAR(tight.eps_per_query, 0.05, 1e-12);
-  EXPECT_EQ(tight.answerable, 3u);  // the hit plus two charged
-  EXPECT_FALSE(tight.queries[3].answerable);
-
-  // Delta is spent per estimate and bounds affordability on its own.
-  BudgetPlanner::WorkloadPlan delta_bound =
-      planner.Plan("alice", workload, {10.0, 2e-3}, &cache);
-  EXPECT_EQ(delta_bound.answerable, 3u);
 }
 
 // --------------------------------------------------- client property suite --
@@ -309,8 +285,6 @@ FederationConfig BaseConfig(size_t threads, BatchScheduler scheduler) {
   FederationConfig config;
   config.per_query_budget = {1.0, 1e-3};
   config.sampling_rate = 0.3;
-  config.total_xi = 1e6;
-  config.total_psi = 1e3;
   config.seed = 626;
   config.num_threads = threads;
   config.scheduler = scheduler;
@@ -646,6 +620,73 @@ TEST(CacheClientTest, RegistryCountersReconcileWithTickets) {
   EXPECT_EQ(delta("accountant.cache_served"), hits + full);
 }
 
+// PlanWorkload runs admission on a snapshot: the cache index copied, the
+// ledger's (Spent, Remaining) checked with its own affordability rule.
+// Each analyst first buys Dim0(10, 99) at (1, 1e-3), which leaves the
+// grants the three plans below run against: (1.5, 1e-2), (0.12, 1e-2)
+// and (10, 2e-3).
+TEST(BudgetPlannerTest, PlanStretchesEpsilonAndCountsCacheHits) {
+  auto providers = MakeFederation(2);
+  FederationClient::Options copts;
+  copts.protocol = BaseConfig(2, BatchScheduler::kTaskGraph);
+  copts.analysts = {{"roomy", 2.5, 1.1e-2},
+                    {"tight", 1.12, 1.1e-2},
+                    {"delta_bound", 11.0, 3e-3}};
+  copts.enable_cache = true;
+  Result<std::unique_ptr<FederationClient>> client =
+      FederationClient::Create(Ptrs(providers), copts);
+  ASSERT_TRUE(client.ok());
+  for (const char* analyst : {"roomy", "tight", "delta_bound"}) {
+    ASSERT_TRUE(
+        (*client)->Submit(QuerySpec{analyst, Dim0(10, 99)}).Wait().ok());
+  }
+  (*client)->WaitIdle();
+
+  const RegistryDelta delta;
+  const std::vector<RangeQuery> workload = {Dim0(10, 99), Dim0(0, 9),
+                                            Dim1(0, 49), Dim1(50, 80)};
+  // 3 chargeable queries against eps 1.5: stretched to 0.5 each.
+  Result<BudgetPlanner::WorkloadPlan> plan =
+      (*client)->PlanWorkload("roomy", workload);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan->predicted_hits, 1u);
+  EXPECT_EQ(plan->answerable, 4u);
+  EXPECT_NEAR(plan->eps_per_query, 0.5, 1e-12);
+  EXPECT_TRUE(plan->queries[0].predicted_cached);
+  EXPECT_EQ(plan->queries[0].budget.epsilon, 0.0);
+  EXPECT_NEAR(plan->queries[1].budget.epsilon, 0.5, 1e-12);
+  EXPECT_NEAR(plan->projected_spend.epsilon, 1.5, 1e-12);
+
+  // The floor caps stretching: 3 chargeable against eps 0.12 at floor
+  // 0.05 covers only 2.
+  Result<BudgetPlanner::WorkloadPlan> tight =
+      (*client)->PlanWorkload("tight", workload);
+  ASSERT_TRUE(tight.ok());
+  EXPECT_NEAR(tight->eps_per_query, 0.05, 1e-12);
+  EXPECT_EQ(tight->answerable, 3u);  // the hit plus two charged
+  EXPECT_FALSE(tight->queries[3].answerable);
+
+  // Delta is spent per estimate and bounds affordability on its own.
+  Result<BudgetPlanner::WorkloadPlan> delta_bound =
+      (*client)->PlanWorkload("delta_bound", workload);
+  ASSERT_TRUE(delta_bound.ok());
+  EXPECT_EQ(delta_bound->answerable, 3u);
+
+  // Planning counted, charged and registered nothing: Dim0(0, 9), which
+  // the last plan bought at the default eps, is still a live-cache miss.
+  for (const char* prefix : {"cache.", "accountant."}) {
+    for (const obs::MetricSample& sample :
+         obs::MetricRegistry::Global().Snapshot(prefix)) {
+      EXPECT_EQ(delta(sample.name), 0u) << sample.name;
+    }
+  }
+  QueryTicket fresh =
+      (*client)->Submit(QuerySpec{"delta_bound", Dim0(0, 9)});
+  ASSERT_TRUE(fresh.Wait().ok());
+  EXPECT_FALSE(fresh.Stats().served_from_cache);
+  EXPECT_EQ(fresh.Stats().cache_sub_answers, 0u);
+}
+
 TEST(CacheClientTest, PlanHorizonKnobStretchesPerQueryCharge) {
   auto providers = MakeFederation(2);
   FederationClient::Options copts;
@@ -678,6 +719,74 @@ TEST(CacheClientTest, PlanHorizonKnobStretchesPerQueryCharge) {
   spent = (*client)->ledger().Spent("alice");
   ASSERT_TRUE(spent.ok());
   EXPECT_NEAR(spent->epsilon, 1.5, 1e-12);
+}
+
+// The plan checks its snapshot with the ledger's own affordability rule,
+// so on a grant a hair short of three default charges it promises
+// exactly as many answers as admission then gives.
+TEST(CacheClientTest, PlanAnswerabilityMatchesAdmissionAtTheGrantEdge) {
+  auto providers = MakeFederation(2);
+  FederationClient::Options copts;
+  copts.protocol = BaseConfig(1, BatchScheduler::kTaskGraph);
+  copts.analysts = {{"alice", 3.0 - 3e-10, 1.0}};
+  copts.enable_cache = true;
+  Result<std::unique_ptr<FederationClient>> client =
+      FederationClient::Create(Ptrs(providers), copts);
+  ASSERT_TRUE(client.ok());
+  const std::vector<RangeQuery> workload = {Dim0(10, 99), Dim0(100, 149),
+                                            Dim1(30, 80)};
+  Result<BudgetPlanner::WorkloadPlan> plan =
+      (*client)->PlanWorkload("alice", workload);
+  ASSERT_TRUE(plan.ok());
+  size_t admitted = 0;
+  for (size_t i = 0; i < workload.size(); ++i) {
+    QuerySpec spec{"alice", workload[i]};
+    spec.budget = plan->queries[i].budget;
+    if ((*client)->Submit(std::move(spec)).Wait().ok()) ++admitted;
+  }
+  EXPECT_EQ(admitted, plan->answerable);
+}
+
+// PlanWorkload copies the cache index under its lock while the admission
+// thread resolves and invalidates: a caller thread plans in a loop through
+// a burst whose grant covers four queries, so eight purchases are dropped.
+TEST(CacheClientTest, PlanningRacesAdmissionSafely) {
+  auto providers = MakeFederation(2);
+  FederationClient::Options copts;
+  copts.protocol = BaseConfig(2, BatchScheduler::kTaskGraph);
+  copts.analysts = {{"alice", 4.0, 1.0}};
+  copts.enable_cache = true;
+  copts.start_paused = true;
+  copts.max_batch_queries = 1;
+  Result<std::unique_ptr<FederationClient>> client =
+      FederationClient::Create(Ptrs(providers), copts);
+  ASSERT_TRUE(client.ok());
+  std::vector<RangeQuery> burst;
+  std::vector<QuerySpec> specs;
+  for (Value lo = 0; lo < 120; lo += 10) {
+    burst.push_back(Dim0(lo, lo + 9));
+    specs.push_back(QuerySpec{"alice", burst.back()});
+  }
+  std::vector<QueryTicket> tickets = (*client)->SubmitAll(std::move(specs));
+  const RegistryDelta delta;
+  std::atomic<bool> stop{false};
+  std::thread planner([&] {
+    while (!stop.load()) {
+      EXPECT_TRUE((*client)->PlanWorkload("alice", burst).ok());
+    }
+  });
+  (*client)->Resume();
+  size_t answered = 0;
+  for (QueryTicket& ticket : tickets) {
+    if (ticket.Wait().ok()) ++answered;
+  }
+  (*client)->WaitIdle();
+  stop.store(true);
+  planner.join();
+  EXPECT_EQ(answered, 4u);
+  EXPECT_EQ(delta("cache.lookups"), burst.size());
+  EXPECT_EQ(delta("cache.misses"), burst.size());
+  EXPECT_EQ(delta("cache.invalidated"), burst.size() - 4);
 }
 
 }  // namespace

@@ -75,8 +75,6 @@ FederationConfig BaseConfig(size_t threads, BatchScheduler scheduler) {
   FederationConfig config;
   config.per_query_budget = {1.0, 1e-3};
   config.sampling_rate = 0.3;
-  config.total_xi = 1e6;
-  config.total_psi = 1e3;
   config.seed = 626;
   config.num_threads = threads;
   config.scheduler = scheduler;
@@ -763,6 +761,35 @@ TEST(FederationClientPlanTest, PlanWithHorizonMatchesAdmittedCharges) {
     }
   }
   EXPECT_EQ(charged, expected);
+}
+
+// Progressive queries run the same admission decision, so the horizon
+// charges them what the plan predicts, exactly like approximate ones.
+TEST(FederationClientPlanTest, ProgressiveQueryGetsThePlannedHorizonCharge) {
+  auto providers = MakeFederation(2);
+  FederationClient::Options copts;
+  copts.protocol = BaseConfig(1, BatchScheduler::kTaskGraph);
+  copts.analysts = {{"alice", 2.0, 1.0}};
+  copts.plan_horizon = 4;
+  Result<std::unique_ptr<FederationClient>> client =
+      FederationClient::Create(Ptrs(providers), copts);
+  ASSERT_TRUE(client.ok());
+  Result<BudgetPlanner::WorkloadPlan> plan =
+      (*client)->PlanWorkload("alice", {WideQuery(0)});
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan->queries[0].budget.epsilon, 0.5);
+
+  QuerySpec spec{"alice", WideQuery(0)};
+  spec.kind = QueryKind::kProgressive;
+  Result<QueryResponse> resp = (*client)->Submit(std::move(spec)).Wait();
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  std::vector<double> charged;
+  for (const auto& record : (*client)->audit_log().ForAnalyst("alice")) {
+    if (record.kind == obs::BudgetAuditLog::Kind::kCharge) {
+      charged.push_back(record.epsilon);
+    }
+  }
+  EXPECT_EQ(charged, std::vector<double>({0.5}));
 }
 
 }  // namespace

@@ -61,8 +61,6 @@ class FederationFixture : public ::testing::Test {
     FederationConfig config;
     config.per_query_budget = {1.0, 1e-3};
     config.sampling_rate = 0.2;
-    config.total_xi = 1000.0;
-    config.total_psi = 10.0;
     return config;
   }
 

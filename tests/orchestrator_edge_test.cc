@@ -47,8 +47,6 @@ FederationConfig BaseConfig() {
   FederationConfig config;
   config.per_query_budget = {1.0, 1e-3};
   config.sampling_rate = 0.3;
-  config.total_xi = 1e6;
-  config.total_psi = 1e3;
   return config;
 }
 
@@ -207,8 +205,6 @@ TEST(OrchestratorEdgeTest, ResponsesAreDeterministicGivenSeeds) {
     FederationConfig config;
     config.per_query_budget = {1.0, 1e-3};
     config.sampling_rate = 0.3;
-    config.total_xi = 1e6;
-    config.total_psi = 1e3;
     config.seed = 99;
     return std::make_pair(std::move(p), config);
   };

@@ -50,8 +50,6 @@ FederationConfig BaseConfig() {
   FederationConfig config;
   config.per_query_budget = {1.0, 1e-3};
   config.sampling_rate = 0.3;
-  config.total_xi = 1e6;
-  config.total_psi = 1e3;
   config.seed = 77;
   return config;
 }

@@ -595,8 +595,6 @@ TEST(RpcWireTest, OrchestratorChargesExactlyTheCodecSizes) {
   std::unique_ptr<DataProvider> b = MakeProvider(20000, 9);
   FederationConfig config;
   config.sampling_rate = 0.3;
-  config.total_xi = 1e6;
-  config.total_psi = 1e3;
   Result<QueryOrchestrator> orch =
       QueryOrchestrator::Create({a.get(), b.get()}, config);
   ASSERT_TRUE(orch.ok());

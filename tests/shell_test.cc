@@ -173,7 +173,8 @@ quit)",
 
 TEST(ShellTest, PlanPredictsTheChargeAdmissionApplies) {
   // With a horizon, each query is charged remaining / horizon at its
-  // admission; the plan walks the workload the same way.
+  // admission, a progressive one too; the plan walks the workload the
+  // same way.
   ExpectScript("plan", R"(open adult 20000 4 => opened adult: 4 providers
 budget 1 0.001 2 1 => ok (ledgers reset)
 cache on 4 => cache on, planner horizon 4 (ledgers reset)
@@ -182,9 +183,12 @@ plan shell count 0 10 60 / count 0 30 40 => [0] eps=0.5000
   => plan: 2/2 answerable (0 predicted cache hits)
 count 0 10 60 => private =
 count 0 30 40 => private =
+submit shell count 0 20 50 rounds=4 => ticket 3 submitted
+await 3 => ticket 3 =
 audit shell => register eps=2.000000
   => charge   eps=0.500000
   => charge   eps=0.375000
+  => charge   eps=0.281250
 quit)");
 }
 

@@ -526,8 +526,6 @@ FederationConfig BaseConfig(size_t threads, size_t shards,
   FederationConfig config;
   config.per_query_budget = {1.0, 1e-3};
   config.sampling_rate = 0.3;
-  config.total_xi = 1e6;
-  config.total_psi = 1e3;
   config.seed = 515;
   config.num_threads = threads;
   config.num_scan_shards = shards;

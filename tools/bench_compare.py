@@ -22,8 +22,8 @@ answer/ledger divergence, never on timing:
 
 Per bench present in the current directory the gate checks:
   * the bench's own recorded determinism verdicts: any `bit_identical`,
-    `ledgers_match`, or `priority_*`-style 0/1 flag named in GATE_FLAGS
-    that reads 0 is a failure;
+    `ledgers_match`, `plan_matches_admission` or other 0/1 flag named in
+    GATE_FLAGS that reads 0 is a failure;
   * every `*_checksum` key (answers_checksum, fair_admission_checksum,
     ...) against the previous run's file (matched by name): present in
     both but different means this PR changed the actual answers or a
@@ -55,7 +55,7 @@ import sys
 # 0/1 verdicts the emitting bench already computed; 0 means the bench saw
 # divergence in-run (its own exit code should have caught it, the gate
 # re-checks the recorded artifact so a swallowed exit code cannot hide it).
-GATE_FLAGS = ("bit_identical", "ledgers_match")
+GATE_FLAGS = ("bit_identical", "ledgers_match", "plan_matches_admission")
 
 # Substrings that mark a key as timing/rate data. Such keys are shown in
 # the delta tables but can never gate — not even if a bench names one

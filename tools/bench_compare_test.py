@@ -69,6 +69,14 @@ def _(tmp):
     return run("--gate", f"{tmp}/prev", f"{tmp}/curr"), 3
 
 
+@case("plan_matches_admission 0 fails with exit 3")
+def _(tmp):
+    write(f"{tmp}/prev", "BENCH_dp_cache.json", GOOD)
+    write(f"{tmp}/curr", "BENCH_dp_cache.json",
+          dict(GOOD, plan_matches_admission=0))
+    return run("--gate", f"{tmp}/prev", f"{tmp}/curr"), 3
+
+
 @case("missing previous directory is tolerated")
 def _(tmp):
     write(f"{tmp}/curr", "BENCH_a.json", GOOD)

@@ -592,8 +592,8 @@ Status Plan(ShellState& s, std::istringstream& in) {
     if (pq.predicted_cached) {
       std::printf("  [%zu] cached — free\n", i);
     } else if (!pq.answerable) {
-      std::printf("  [%zu] unanswerable (grant exhausted even at the "
-                  "epsilon floor)\n", i);
+      std::printf("  [%zu] unanswerable (an invalid query, or the grant is "
+                  "exhausted even at the epsilon floor)\n", i);
     } else {
       std::printf("  [%zu] eps=%.4f, delta=%.6f\n", i, pq.budget.epsilon,
                   pq.budget.delta);
