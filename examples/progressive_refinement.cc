@@ -7,7 +7,6 @@
 
 #include <cstdio>
 
-#include "core/error_bounded.h"
 #include "core/fedaqp.h"
 
 using namespace fedaqp;  // NOLINT: example brevity
@@ -37,6 +36,14 @@ int main() {
     providers.push_back(std::move(p).value());
   }
 
+  FederationClient::Options options;
+  options.protocol.per_query_budget = {2.0, 1e-3};
+  options.protocol.sampling_rate = 0.3;
+  options.analysts = {{"dashboard", 100.0, 1.0}};
+  Result<std::unique_ptr<FederationClient>> client =
+      FederationClient::Create(ptrs, options);
+  if (!client.ok()) return 1;
+
   RangeQuery q = RangeQueryBuilder(Aggregation::kSum)
                      .Where(0, 90, 270)   // Q2-Q3
                      .Where(2, 10, 50)
@@ -46,41 +53,48 @@ int main() {
     truth += static_cast<double>(p->store().EvaluateExact(q));
   }
 
+  // Runs `q` as a 5-round progressive query stopping at `target` (0: no
+  // target) and prints each released round.
+  auto run = [&](double target) -> Result<QueryResponse> {
+    QuerySpec spec{"dashboard", q};
+    spec.kind = QueryKind::kProgressive;
+    spec.progressive_rounds = 5;
+    spec.target_relative_stderr = target;
+    QueryTicket ticket = (*client)->Submit(std::move(spec));
+    Result<QueryResponse> answer = ticket.Wait();
+    if (!answer.ok()) return answer;
+    std::printf("%-6s %12s %10s %10s %12s %10s\n", "round", "estimate",
+                "stderr", "err%", "eps spent", "clusters");
+    for (const ProgressiveRound& r : ticket.Refinements()) {
+      std::printf("%-6zu %12.0f %10.0f %9.2f%% %12.3f %10zu\n", r.round,
+                  r.estimate, r.stderr_estimate,
+                  100.0 * RelativeError(truth, r.estimate), r.spent.epsilon,
+                  r.clusters_scanned);
+    }
+    std::printf("rows scanned %zu; eps refunded %.3f\n",
+                answer->breakdown.rows_scanned,
+                ticket.Stats().refunded.epsilon);
+    return answer;
+  };
+
   std::printf("== progressive refinement (online aggregation) ==\n");
   std::printf("true answer (for reference): %.0f\n\n", truth);
-  ProgressiveOptions popts;
-  popts.rounds = 5;
-  popts.sampling_rate = 0.3;
-  popts.budget = {2.0, 1e-3};
-  Result<std::vector<ProgressiveRound>> rounds =
-      ExecuteProgressive(ptrs, q, popts);
-  if (!rounds.ok()) {
+  Result<QueryResponse> full = run(0.0);
+  if (!full.ok()) {
     std::fprintf(stderr, "progressive failed: %s\n",
-                 rounds.status().ToString().c_str());
+                 full.status().ToString().c_str());
     return 1;
-  }
-  std::printf("%-6s %12s %10s %10s %12s %10s\n", "round", "estimate",
-              "stderr", "err%", "eps spent", "clusters");
-  for (const auto& r : *rounds) {
-    std::printf("%-6zu %12.0f %10.0f %9.2f%% %12.3f %10zu\n", r.round,
-                r.estimate, r.stderr_estimate,
-                100.0 * RelativeError(truth, r.estimate), r.spent.epsilon,
-                r.clusters_scanned);
   }
 
   std::printf("\n== error-bounded execution (stop at 30%% stderr) ==\n");
-  ErrorBoundedOptions ebo;
-  ebo.target_relative_stderr = 0.30;
-  ebo.progressive = popts;
-  Result<ErrorBoundedResult> eb = ExecuteErrorBounded(ptrs, q, ebo);
-  if (!eb.ok()) return 1;
-  std::printf("estimate %.0f +- %.0f after %zu round(s); target %s; "
-              "eps spent %.3f of %.3f\n",
-              eb->estimate, eb->stderr_estimate, eb->rounds_used,
-              eb->met_target ? "met" : "NOT met", eb->spent.epsilon,
-              popts.budget.epsilon);
-  std::printf("\nstopping early returns unused estimate-release budget to\n"
-              "the analyst: the quick answer cost only a fraction of the\n"
-              "full query's epsilon.\n");
+  Result<QueryResponse> bounded = run(0.30);
+  if (!bounded.ok()) return 1;
+  std::printf("estimate %.0f +- %.0f; eps spent %.3f of %.3f\n",
+              bounded->estimate, bounded->stderr_estimate,
+              bounded->spent.epsilon,
+              options.protocol.per_query_budget.epsilon);
+  std::printf("\nstopping early returns the unreleased rounds' budget to\n"
+              "the analyst and never scans their clusters: the quick answer\n"
+              "cost only a fraction of the full query's epsilon and rows.\n");
   return 0;
 }

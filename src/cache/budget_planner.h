@@ -26,8 +26,9 @@ class BudgetPlanner {
   };
 
   struct PlannedQuery {
-    /// (eps, delta) to submit the query with; {0, 0} for a predicted
-    /// cache hit (nothing will be charged).
+    /// (eps, delta) to submit the query with. For a predicted cache hit,
+    /// the budget admission resolved it at: nothing will be charged, and
+    /// submitted with it the query is served the entry the plan found.
     PrivacyBudget budget{0.0, 0.0};
     bool predicted_cached = false;
     /// False when admission would refuse the query: the grant cannot

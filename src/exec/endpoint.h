@@ -63,7 +63,12 @@ struct SummaryReply {
   ProviderSummary summary;
 };
 
-/// Steps 5-6: sample, scan, estimate, (optionally) noise.
+/// Steps 5-6: sample, scan, estimate, (optionally) noise — round `round`
+/// of `rounds`. A one-shot query is round 1 of 1. A progressive query
+/// sends rounds 1..R in order on one session: round 1 draws the EM sample
+/// of `sample_size` at eps_sampling, and round r releases the estimate
+/// over the first r/R of those draws at (eps_estimate, delta), the
+/// round's share of the estimate budget.
 struct ApproximateRequest {
   uint64_t query_id = 0;
   size_t sample_size = 0;
@@ -71,6 +76,8 @@ struct ApproximateRequest {
   double eps_estimate = 0.0;
   double delta = 0.0;
   bool add_noise = true;
+  uint32_t round = 1;
+  uint32_t rounds = 1;
 };
 
 /// Step 4 bypass: exact scan of the covering set.
@@ -107,8 +114,8 @@ struct ExactScanReply {
 ///
 /// Threading contract: implementations must be safe to call from any
 /// thread, and the caller must order each *session's* calls (Cover before
-/// PublishSummary before Approximate/ExactAnswer before EndQuery — the
-/// task-graph scheduler encodes this as dependency edges). Calls
+/// PublishSummary before Approximate/ExactAnswer, once per round, before
+/// EndQuery — the task-graph scheduler encodes this as dependency edges). Calls
 /// belonging to different sessions may interleave arbitrarily: every
 /// session's randomness is keyed purely by (provider seed, session
 /// nonce), never by arrival order, so answers are bit-identical for every

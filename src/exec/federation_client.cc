@@ -79,6 +79,12 @@ struct TicketState {
   QueryResponse response;
   TicketStats stats;
   std::vector<ProgressiveRound> rounds;
+  /// Progressive only: a cancellation asked refinement to stop after the
+  /// round in flight; and the last released round ends the query (its
+  /// callback declined another). Both guarded by `m`, which orders them
+  /// against Cancel().
+  bool stop_requested = false;
+  bool last_round_released = false;
   /// A composed query's executed-remainder outcome, stashed by its graph
   /// callback and folded into the final answer post-round.
   Status rem_status = Status::OK();
@@ -114,6 +120,11 @@ PrivacyBudget RefundableShare(const FederationConfig& config,
 
 bool NonZero(const PrivacyBudget& b) {
   return b.epsilon > 0.0 || b.delta > 0.0;
+}
+
+/// Rounds a progressive spec runs (0 means 1).
+size_t RoundsOf(const QuerySpec& spec) {
+  return std::max<size_t>(1, spec.progressive_rounds);
 }
 
 /// Cached parts folded, in part order, into one answer: estimates and
@@ -208,18 +219,17 @@ bool QueryTicket::Cancel() {
   const QueryStage stage = state_->cancel->Cancel();
   std::lock_guard<std::mutex> lock(state_->m);
   if (state_->done) return false;  // outcome already delivered
-  if (state_->spec.kind == QueryKind::kProgressive) {
-    // Effective before anything ran (full refund), or while at least
-    // one round beyond the possibly-in-flight one remains to be skipped
-    // (the stop check runs between rounds, so the current round always
-    // completes). With the final round already computing, nothing can
-    // be prevented — the full result will stand.
-    if (stage == QueryStage::kNotStarted) return true;
-    const size_t requested =
-        std::max<size_t>(1, state_->spec.progressive_rounds);
-    return state_->rounds.size() + 1 < requested;
+  if (state_->spec.kind != QueryKind::kProgressive ||
+      stage < QueryStage::kEstimateReleased) {
+    return stage < QueryStage::kEstimateReleased;
   }
-  return stage < QueryStage::kEstimateReleased;
+  // Round 1 is out or in flight: the round callback, which runs under
+  // this lock, stops after the round in flight. That changes the outcome
+  // only when the last released round did not already end the query and
+  // a round remains after the one in flight.
+  if (state_->last_round_released) return false;
+  state_->stop_requested = true;
+  return state_->rounds.size() + 1 < RoundsOf(state_->spec);
 }
 
 TicketStats QueryTicket::Stats() const {
@@ -243,13 +253,13 @@ std::vector<ProgressiveRound> QueryTicket::Refinements() const {
 
 Result<std::unique_ptr<FederationClient>> FederationClient::CreateImpl(
     std::vector<std::shared_ptr<ProviderEndpoint>> endpoints,
-    const Options& options, std::vector<DataProvider*> providers) {
+    const Options& options, std::vector<std::vector<Value>> cut_points) {
   Result<QueryOrchestrator> orchestrator =
       QueryOrchestrator::CreateFromEndpoints(std::move(endpoints),
                                              options.protocol);
   if (!orchestrator.ok()) return orchestrator.status();
   std::unique_ptr<FederationClient> client(new FederationClient(
-      std::move(orchestrator).value(), options, std::move(providers)));
+      std::move(orchestrator).value(), options, std::move(cut_points)));
   for (const auto& grant : options.analysts) {
     FEDAQP_RETURN_IF_ERROR(
         client->RegisterAnalyst(grant.analyst, grant.xi, grant.psi));
@@ -261,7 +271,7 @@ Result<std::unique_ptr<FederationClient>> FederationClient::CreateImpl(
 Result<std::unique_ptr<FederationClient>> FederationClient::Create(
     std::vector<std::shared_ptr<ProviderEndpoint>> endpoints,
     const Options& options) {
-  return CreateImpl(std::move(endpoints), options, /*providers=*/{});
+  return CreateImpl(std::move(endpoints), options, /*cut_points=*/{});
 }
 
 Result<std::unique_ptr<FederationClient>> FederationClient::Create(
@@ -269,12 +279,28 @@ Result<std::unique_ptr<FederationClient>> FederationClient::Create(
   FEDAQP_ASSIGN_OR_RETURN(
       std::vector<std::shared_ptr<ProviderEndpoint>> endpoints,
       MakeInProcessEndpoints(providers));
-  return CreateImpl(std::move(endpoints), options, std::move(providers));
+  std::vector<std::vector<Value>> cut_points;
+  if (options.enable_cache && options.cache_align_to_metadata &&
+      !providers.empty()) {
+    // Union of every provider's cluster cut points per dimension — the
+    // coordinator-visible layout the demotion heuristic aligns to.
+    cut_points.resize(providers[0]->store().schema().num_dims());
+    for (size_t d = 0; d < cut_points.size(); ++d) {
+      std::vector<Value>& merged = cut_points[d];
+      for (DataProvider* provider : providers) {
+        std::vector<Value> pts = provider->metadata().CutPoints(d);
+        merged.insert(merged.end(), pts.begin(), pts.end());
+      }
+      std::sort(merged.begin(), merged.end());
+      merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+    }
+  }
+  return CreateImpl(std::move(endpoints), options, std::move(cut_points));
 }
 
 FederationClient::FederationClient(QueryOrchestrator orchestrator,
                                    Options options,
-                                   std::vector<DataProvider*> providers)
+                                   std::vector<std::vector<Value>> cut_points)
     : options_(std::move(options)),
       orchestrator_(std::move(orchestrator)),
       live_ledger_{
@@ -286,7 +312,6 @@ FederationClient::FederationClient(QueryOrchestrator orchestrator,
           }},
       planner_(BudgetPlanner::PlannerOptions{
           options_.protocol.per_query_budget, options_.plan_eps_floor}),
-      providers_(std::move(providers)),
       paused_(options_.start_paused) {
   // Attach before any registration or charge: the audit log must see the
   // ledger's full history for Replay to reproduce it.
@@ -297,21 +322,7 @@ FederationClient::FederationClient(QueryOrchestrator orchestrator,
                                               : &local_budget_;
   if (options_.enable_cache) {
     NoisyAnswerCache::Options copts;
-    if (options_.cache_align_to_metadata && !providers_.empty()) {
-      // Union of every provider's cluster cut points per dimension — the
-      // coordinator-visible layout the demotion heuristic aligns to.
-      const Schema& schema = orchestrator_.schema();
-      copts.cut_points.resize(schema.num_dims());
-      for (size_t d = 0; d < schema.num_dims(); ++d) {
-        std::vector<Value>& merged = copts.cut_points[d];
-        for (DataProvider* provider : providers_) {
-          std::vector<Value> pts = provider->metadata().CutPoints(d);
-          merged.insert(merged.end(), pts.begin(), pts.end());
-        }
-        std::sort(merged.begin(), merged.end());
-        merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-      }
-    }
+    copts.cut_points = std::move(cut_points);
     cache_ = std::make_unique<NoisyAnswerCache>(orchestrator_.schema(),
                                                 std::move(copts));
   }
@@ -426,12 +437,6 @@ FederationClient::AdmissionDecision FederationClient::Admit(
         Status::DeadlineExceeded("client: deadline passed before admission");
     return d;
   }
-  if (spec.kind == QueryKind::kProgressive && providers_.empty()) {
-    d.refusal = Status::FailedPrecondition(
-        "client: progressive queries need in-process providers "
-        "(client was built over endpoints)");
-    return d;
-  }
   const bool exact = spec.kind == QueryKind::kExact;
   if (!exact) {
     Result<bool> known = ledger.knows(spec.analyst);
@@ -449,6 +454,19 @@ FederationClient::AdmissionDecision FederationClient::Admit(
   }
   d.refusal = spec.query.Validate(orchestrator_.schema());
   if (!d.refusal.ok() || exact) return d;
+  if (spec.kind == QueryKind::kProgressive) {
+    if (spec.progressive_rounds > kMaxProgressiveRounds) {
+      d.refusal = Status::InvalidArgument(
+          "client: progressive_rounds above " +
+          std::to_string(kMaxProgressiveRounds));
+      return d;
+    }
+    if (!(spec.target_relative_stderr >= 0.0)) {
+      d.refusal = Status::InvalidArgument(
+          "client: target_relative_stderr must be >= 0");
+      return d;
+    }
+  }
   // The charge is part of the admission sequence, so replays (which see
   // the same ledger states in the same order) agree. Remaining is read
   // only when the horizon rule applies; when it fails, the default does.
@@ -499,6 +517,9 @@ BudgetPlanner::WorkloadPlan FederationClient::PlanOnSnapshot(
               snapshot, cache.get());
     BudgetPlanner::PlannedQuery& q = plan.queries[i];
     if (d.refusal.ok() && d.cache.ServedFree()) {
+      // Submitted with the budget it was resolved at, the hit resolves
+      // to the same entry; at another budget it may not.
+      q.budget = d.charge;
       q.predicted_cached = true;
       ++plan.predicted_hits;
       ++plan.answerable;
@@ -576,46 +597,15 @@ void FederationClient::AdmissionLoop() {
       }
       busy_ = true;
     }
-    // Process the round in arrival order, batching contiguous
-    // graph-runnable specs; progressive queries act as sequence points
-    // (the admission — and therefore charge — order is preserved
-    // exactly).
-    std::vector<std::shared_ptr<TicketState>> group;
-    for (std::shared_ptr<TicketState>& ticket : round) {
-      if (ticket->spec.kind == QueryKind::kProgressive) {
-        RunGroup(group);
-        group.clear();
-        RunProgressive(ticket);
-        continue;
-      }
-      group.push_back(std::move(ticket));
-    }
-    RunGroup(group);
+    RunGroup(round);
   }
 }
 
 void FederationClient::SelectFairLocked(
     size_t take, std::vector<std::shared_ptr<TicketState>>* round) {
-  // Progressive specs are sequence barriers (RunGroup splits on them);
-  // fairness reorders only within the longest barrier-free prefix of the
-  // backlog, so nothing ever crosses a barrier.
-  size_t prefix = 0;
-  while (prefix < pending_.size() &&
-         pending_[prefix]->spec.kind != QueryKind::kProgressive) {
-    ++prefix;
-  }
-  if (prefix == 0) {
-    // A barrier heads the backlog: admit it alone, in arrival order.
-    // (fair_queue_ is empty here — every query before the barrier was
-    // popped by an earlier round.)
-    round->push_back(std::move(pending_.front()));
-    pending_.pop_front();
-    return;
-  }
-  // Feed newly arrived prefix entries into the persistent DWRR state;
-  // entries behind a barrier wait until the barrier clears.
+  // Feed newly arrived entries into the persistent DWRR state.
   std::map<uint64_t, size_t> position;
-  for (size_t i = 0; i < prefix; ++i) {
+  for (size_t i = 0; i < pending_.size(); ++i) {
     const uint64_t seq = pending_[i]->seq;
     if (seq > fair_enqueued_up_to_) {
       fair_queue_.Push(seq, pending_[i]->spec.analyst);
@@ -623,9 +613,8 @@ void FederationClient::SelectFairLocked(
     }
     position[seq] = i;
   }
-  const std::vector<uint64_t> order = fair_queue_.PopBatch(
-      std::min(prefix, take));
-  std::vector<bool> taken(prefix, false);
+  const std::vector<uint64_t> order = fair_queue_.PopBatch(take);
+  std::vector<bool> taken(pending_.size(), false);
   round->reserve(round->size() + order.size());
   for (uint64_t seq : order) {
     const size_t i = position[seq];
@@ -634,11 +623,8 @@ void FederationClient::SelectFairLocked(
   }
   // Unselected entries keep their arrival positions for the next round.
   std::deque<std::shared_ptr<TicketState>> rest;
-  for (size_t i = 0; i < prefix; ++i) {
+  for (size_t i = 0; i < pending_.size(); ++i) {
     if (!taken[i]) rest.push_back(std::move(pending_[i]));
-  }
-  for (size_t i = prefix; i < pending_.size(); ++i) {
-    rest.push_back(std::move(pending_[i]));
   }
   pending_.swap(rest);
 }
@@ -690,7 +676,9 @@ void FederationClient::RunGroup(
     const bool exact = t->spec.kind == QueryKind::kExact;
     t->effective = admitted.charge;
     t->cache = std::move(admitted.cache);
-    if (!exact && cache_ != nullptr) {
+    // Progressive queries skip the cache (their answer is a sequence of
+    // rounds, not one reusable release).
+    if (t->spec.kind == QueryKind::kApproximate && cache_ != nullptr) {
       NoisyAnswerCache::CountLookup(t->cache);
       if (t->cache.ServedFree()) {
         t->from_cache = true;
@@ -734,6 +722,21 @@ void FederationClient::RunGroup(
     spec.priority = static_cast<uint8_t>(t->spec.priority);
     spec.deadline = t->deadline_abs;
     spec.cancel = t->cancel;
+    if (t->spec.kind == QueryKind::kProgressive) {
+      spec.rounds = RoundsOf(t->spec);
+      spec.on_round = [t, rounds = spec.rounds](const ProgressiveRound& round) {
+        std::lock_guard<std::mutex> lock(t->m);
+        t->rounds.push_back(round);
+        const double target = t->spec.target_relative_stderr;
+        const bool met = target > 0.0 && round.estimate != 0.0 &&
+                         round.stderr_estimate / std::abs(round.estimate) <=
+                             target;
+        t->last_round_released =
+            t->stop_requested || met || round.round >= rounds;
+        t->cv.notify_all();
+        return !t->last_round_released;
+      };
+    }
     if (composed) {
       // Charged in full for the remainder; the cached parts ride along
       // free. The callback only stashes the remainder outcome (and
@@ -755,8 +758,7 @@ void FederationClient::RunGroup(
         if (t->cache.purchase != nullptr) {
           PublishOutcome(*t->cache.purchase, status, response);
         }
-        Deliver(t, status, response, /*precomputed_refund=*/nullptr,
-                /*seal=*/false);
+        Deliver(t, status, response, /*seal=*/false);
       };
       running.push_back(t);
     }
@@ -926,88 +928,17 @@ void FederationClient::FinishComposed(TicketState* t) {
   Deliver(t, Status::OK(), response);
 }
 
-void FederationClient::RunProgressive(
-    const std::shared_ptr<TicketState>& ticket) {
-  TicketState* t = ticket.get();
-  const QueryResponse kNoResponse;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    admitted_order_.push_back(t->seq);
-  }
-  // Progressive queries are admitted like approximate ones, horizon and
-  // overrides included; only the cache is skipped.
-  const AdmissionDecision admitted =
-      Admit(t->spec, t->seq, t->cancel->cancelled(),
-            t->deadline_abs < clock_.ElapsedSeconds(), live_ledger_,
-            /*cache=*/nullptr);
-  if (!admitted.refusal.ok()) {
-    Deliver(t, admitted.refusal, kNoResponse);
-    return;
-  }
-  const PrivacyBudget full = admitted.charge;
-  Status charged = budget_->Charge(t->spec.analyst, full, t->seq);
-  if (!charged.ok()) {
-    Deliver(t, charged, kNoResponse);
-    return;
-  }
-  t->charged = true;
-  t->effective = full;
-  if (!t->cancel->Claim(QueryStage::kSummaryPublished)) {
-    // Cancelled between charge and start: full refund via the frozen
-    // kNotStarted stage.
-    Deliver(t, Status::Cancelled("client: cancelled before execution"),
-            kNoResponse);
-    return;
-  }
-
-  ProgressiveOptions popts;
-  popts.rounds = std::max<size_t>(1, t->spec.progressive_rounds);
-  popts.sampling_rate = options_.protocol.sampling_rate;
-  popts.budget = full;
-  popts.split = options_.protocol.split;
-  popts.num_threads = options_.protocol.num_threads;
-  popts.on_round = [t](const ProgressiveRound& round) {
-    {
-      std::lock_guard<std::mutex> lock(t->m);
-      t->rounds.push_back(round);
-      t->cv.notify_all();
-    }
-    return !t->cancel->cancelled();
-  };
-  Result<std::vector<ProgressiveRound>> rounds =
-      ExecuteProgressive(providers_, t->spec.query, popts);
-  if (!rounds.ok()) {
-    // Provider failures keep the charge, like batch failures do.
-    Deliver(t, rounds.status(), kNoResponse);
-    return;
-  }
-  // At least round 1 was released (on_round can only stop *between*
-  // rounds). A stop before the last round refunds the rounds never
-  // released: full budget minus what the last released round had spent.
-  const ProgressiveRound& last = rounds->back();
-  PrivacyBudget refund{0.0, 0.0};
-  if (rounds->size() < popts.rounds) {
-    refund.epsilon = std::max(0.0, full.epsilon - last.spent.epsilon);
-    refund.delta = std::max(0.0, full.delta - last.spent.delta);
-  }
-  QueryResponse response;
-  response.estimate = last.estimate;
-  response.stderr_estimate = last.stderr_estimate;
-  response.approximated = true;
-  response.spent = last.spent;
-  Deliver(t, Status::OK(), response, &refund);
-}
-
 void FederationClient::Deliver(internal::TicketState* ticket,
                                const Status& status,
-                               const QueryResponse& response,
-                               const PrivacyBudget* precomputed_refund,
-                               bool seal) {
+                               const QueryResponse& response, bool seal) {
   PrivacyBudget refund{0.0, 0.0};
-  if (precomputed_refund != nullptr) {
-    refund = *precomputed_refund;
-  } else if (ticket->charged && !status.ok() &&
-             ticket->cancel->cancelled()) {
+  if (ticket->charged && status.ok()) {
+    // What the released answer did not spend: nothing for a one-shot
+    // query (spent == the charge, bit for bit), the estimate shares of
+    // the rounds a progressive query never released.
+    refund = {std::max(0.0, ticket->effective.epsilon - response.spent.epsilon),
+              std::max(0.0, ticket->effective.delta - response.spent.delta)};
+  } else if (ticket->charged && ticket->cancel->cancelled()) {
     // Refund keys off the token's frozen stage, not the winning status:
     // when a cancellation and a provider failure race, the failure may
     // name the outcome, but a stage the token froze below

@@ -21,7 +21,6 @@
 #include "exec/cancel.h"
 #include "exec/endpoint.h"
 #include "federation/orchestrator.h"
-#include "federation/progressive.h"
 #include "obs/audit_log.h"
 #include "serve/fair_queue.h"
 #include "serve/ledger_backend.h"
@@ -49,8 +48,8 @@ enum class QueryKind : uint8_t {
   /// No analyst budget involved; `analyst` is ignored.
   kExact = 1,
   /// Online aggregation: the answer refines round by round, each round
-  /// surfaced on the ticket as it is released (Refinements()). Requires
-  /// a client built over in-process providers.
+  /// surfaced on the ticket as it is released (Refinements()), until the
+  /// last round or the first that meets QuerySpec::target_relative_stderr.
   kProgressive = 2,
 };
 
@@ -63,6 +62,11 @@ enum class QueryPriority : uint8_t {
   kNormal = 1,
   kLow = 2,
 };
+
+/// Most refinement rounds a progressive query may ask for: each round is
+/// task-graph nodes and per-provider sample state, so admission refuses
+/// more (InvalidArgument, before charging), and so do providers.
+constexpr size_t kMaxProgressiveRounds = 1000;
 
 /// One submitted query: the unified request struct of the async client
 /// API. Approximate, exact, and progressive requests all travel through
@@ -80,8 +84,13 @@ struct QuerySpec {
   /// ready-queue order (earlier deadline first within a priority class).
   /// Deadlines never abort work already admitted.
   double deadline_seconds = 0.0;
-  /// Refinement rounds for kProgressive (ignored otherwise; min 1).
+  /// Refinement rounds for kProgressive (ignored otherwise; 0 means 1, at
+  /// most kMaxProgressiveRounds).
   size_t progressive_rounds = 4;
+  /// kProgressive only: stop after the first round whose released
+  /// stderr / |estimate| is at most this (the error-bounded contract);
+  /// the rounds never released are refunded. 0 runs every round.
+  double target_relative_stderr = 0.0;
   /// Per-query budget override (the planner's output): epsilon > 0
   /// replaces the configured per-query (eps, delta) for this query's
   /// charge and noise calibration; epsilon <= 0 inherits the config (or
@@ -168,13 +177,16 @@ class QueryTicket {
 
   /// Requests cancellation. Returns true when the cancellation
   /// determines the outcome: the query had not yet released its
-  /// estimate, so it will resolve to kCancelled (or, for a progressive
-  /// query, stop refining after the current round) and the unexercised
+  /// estimate, so it will resolve to kCancelled and the unexercised
   /// budget shares flow back to the analyst's grant — the full
   /// (eps, delta) when nothing ran, eps_S + eps_E + delta when only the
-  /// summaries were published. Returns false when it is too late (the
-  /// estimate was already released, or the query already completed);
-  /// the result then stays available and nothing is refunded.
+  /// summaries were published. A progressive query past that point stops
+  /// after the round in flight and is refunded the rounds it never
+  /// releases; true then means such a round remains (a stop target the
+  /// round in flight meets would have ended the query there too). Returns
+  /// false when it is too late (the estimate, or a progressive query's
+  /// last round, was already released or is in flight, or the query
+  /// completed); the result then stands and nothing is refunded.
   bool Cancel();
 
   /// Execution statistics; see TicketStats for field availability.
@@ -270,13 +282,13 @@ class FederationClient {
     std::shared_ptr<serve::LedgerBackend> shared_ledger;
   };
 
-  /// Builds the client over transport-agnostic endpoints. Progressive
-  /// queries are unavailable in this mode (they need raw providers).
+  /// Builds the client over transport-agnostic endpoints.
   static Result<std::unique_ptr<FederationClient>> Create(
       std::vector<std::shared_ptr<ProviderEndpoint>> endpoints,
       const Options& options);
 
-  /// In-process convenience over raw providers; enables kProgressive.
+  /// In-process convenience over raw providers; also reads their cluster
+  /// cut points for Options::cache_align_to_metadata.
   static Result<std::unique_ptr<FederationClient>> Create(
       std::vector<DataProvider*> providers, const Options& options);
 
@@ -349,23 +361,23 @@ class FederationClient {
 
  private:
   FederationClient(QueryOrchestrator orchestrator, Options options,
-                   std::vector<DataProvider*> providers);
+                   std::vector<std::vector<Value>> cut_points);
 
   /// Shared body of the two Create overloads: orchestrator construction
-  /// plus initial analyst registration.
+  /// plus initial analyst registration. `cut_points` feed the cache's
+  /// metadata alignment (empty: none).
   static Result<std::unique_ptr<FederationClient>> CreateImpl(
       std::vector<std::shared_ptr<ProviderEndpoint>> endpoints,
-      const Options& options, std::vector<DataProvider*> providers);
+      const Options& options, std::vector<std::vector<Value>> cut_points);
 
   /// Builds and enqueues one ticket under mutex_ (shared by Submit and
   /// SubmitAll; the caller notifies the admission thread).
   QueryTicket EnqueueLocked(QuerySpec spec);
 
   void AdmissionLoop();
-  /// Fair-admission round selection: DWRR over the longest prefix of
-  /// pending_ without a progressive spec (those stay FIFO barriers).
-  /// Moves up to `take` entries into `round`; unselected entries keep
-  /// their arrival positions. Caller holds mutex_.
+  /// Fair-admission round selection: DWRR over pending_. Moves up to
+  /// `take` entries into `round`; unselected entries keep their arrival
+  /// positions. Caller holds mutex_.
   void SelectFairLocked(
       size_t take, std::vector<std::shared_ptr<internal::TicketState>>* round);
   /// The two ledger reads admission makes: the live backend's, or a
@@ -387,16 +399,16 @@ class FederationClient {
     /// approximate query was resolved against a cache.
     NoisyAnswerCache::Decision cache;
   };
-  /// The one admission decision, shared by RunGroup, RunProgressive and
-  /// PlanWorkload. Refusals, in order: cancellation and deadline first
-  /// (nothing charged), a progressive query without in-process
-  /// providers, identity before validation (unknown callers learn
-  /// nothing about the schema), then validity before budget (malformed
-  /// queries never consume budget). An admitted approximate query is
-  /// then resolved against `cache` (nullable: no cache, or a progressive
-  /// query), which registers its purchase. Charges nothing: the caller
-  /// applies the decision — charges it, or invalidates the purchase when
-  /// the ledger refuses.
+  /// The one admission decision, shared by RunGroup and PlanWorkload.
+  /// Refusals, in order: cancellation and deadline first (nothing
+  /// charged), identity before validation (unknown callers learn nothing
+  /// about the schema), then validity — the query, a progressive query's
+  /// rounds and target, a budget override — before budget (malformed
+  /// queries never consume budget). An admitted approximate query is then
+  /// resolved against `cache` (nullable; progressive queries skip it),
+  /// which registers its purchase. Charges nothing: the caller applies
+  /// the decision — charges it, or invalidates the purchase when the
+  /// ledger refuses.
   AdmissionDecision Admit(const QuerySpec& spec, uint64_t seq, bool cancelled,
                           bool expired, const LedgerView& ledger,
                           NoisyAnswerCache* cache) const;
@@ -408,20 +420,20 @@ class FederationClient {
       const std::string& analyst, const std::vector<RangeQuery>& workload,
       const PrivacyBudget& requested, PrivacyBudget spent,
       const PrivacyBudget& total) const;
-  /// Admits and executes one contiguous group of batchable specs.
+  /// Admits and executes one admission round's specs.
   void RunGroup(std::vector<std::shared_ptr<internal::TicketState>>& group);
-  void RunProgressive(const std::shared_ptr<internal::TicketState>& ticket);
-  /// Delivers the outcome (and any refund) to a ticket. `refund_set`
-  /// passes a precomputed refund; otherwise a cancelled, charged query
-  /// is refunded per its frozen composition stage. `seal` publishes the
-  /// admission-round stats fields along with the outcome; a round-executed
-  /// query is delivered unsealed from its graph-side callback and sealed
-  /// by RunGroup once the round's batch stats exist — Stats()/Wait()
-  /// block on the seal, so readers never race the admission thread.
+  /// Delivers the outcome (and any refund) to a ticket. A charged query is
+  /// refunded by one rule: what its response did not spend (charge −
+  /// response.spent; nothing for a one-shot answer, the rounds never
+  /// released for a progressive one) or, when it was cancelled, the
+  /// shares its frozen composition stage never released. `seal` publishes
+  /// the admission-round stats fields along with the outcome; a
+  /// round-executed query is delivered unsealed from its graph-side
+  /// callback and sealed by RunGroup once the round's batch stats exist —
+  /// Stats()/Wait() block on the seal, so readers never race the
+  /// admission thread.
   void Deliver(internal::TicketState* ticket, const Status& status,
-               const QueryResponse& response,
-               const PrivacyBudget* precomputed_refund = nullptr,
-               bool seal = true);
+               const QueryResponse& response, bool seal = true);
   /// Publishes batch stats into a delivered-unsealed ticket and seals it.
   void SealTicket(internal::TicketState* ticket, double batch_wall_seconds,
                   double critical_path_seconds);
@@ -447,8 +459,6 @@ class FederationClient {
   /// Present iff Options::enable_cache. Mutated on the admission thread.
   std::unique_ptr<NoisyAnswerCache> cache_;
   BudgetPlanner planner_;
-  /// Non-empty only for the in-process overload; backs kProgressive.
-  std::vector<DataProvider*> providers_;
   /// Monotonic clock shared by deadlines and wall stats.
   Stopwatch clock_;
 
@@ -463,9 +473,7 @@ class FederationClient {
   /// points (grant registration, SetAnalystWeight, QuerySpec::weight at
   /// its arrival). Guarded by mutex_.
   serve::DeficitFairQueue fair_queue_;
-  /// Highest seq already pushed into fair_queue_ (entries behind a
-  /// pending progressive barrier are pushed only once the barrier
-  /// clears). Guarded by mutex_.
+  /// Highest seq already pushed into fair_queue_. Guarded by mutex_.
   uint64_t fair_enqueued_up_to_ = 0;
   /// Seqs in executed admission order (see admission_order()).
   std::vector<uint64_t> admitted_order_;

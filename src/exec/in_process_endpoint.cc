@@ -1,6 +1,11 @@
 #include "exec/in_process_endpoint.h"
 
+#include <algorithm>
+#include <cmath>
+#include <string>
 #include <utility>
+
+#include "exec/federation_client.h"
 
 namespace fedaqp {
 
@@ -45,7 +50,8 @@ Result<CoverReply> InProcessEndpoint::Cover(const CoverRequest& request) {
   sessions_.insert_or_assign(
       request.query_id,
       Session{request.query, std::move(cover),
-              SessionRng(provider_->options().seed, request.session_nonce)});
+              SessionRng(provider_->options().seed, request.session_nonce),
+              /*published_n_q=*/0.0, SampleDraw{}});
   return reply;
 }
 
@@ -62,6 +68,7 @@ Result<SummaryReply> InProcessEndpoint::PublishSummary(
       reply.summary,
       provider_->PublishSummary(it->second.query, it->second.cover,
                                 request.eps_allocation, &it->second.rng));
+  it->second.published_n_q = std::max(0.0, std::round(reply.summary.noisy_n_q));
   return reply;
 }
 
@@ -73,13 +80,36 @@ Result<EstimateReply> InProcessEndpoint::Approximate(
     return Status::FailedPrecondition(
         "endpoint: Approximate without a Cover session");
   }
+  Session& session = it->second;
+  // A peer's request is checked before anything is allocated: the rounds
+  // must be the session's next, and sample_size, which sizes the EM draw,
+  // may not exceed what this session's own published ~N^Q (or one draw
+  // per round) can call for.
+  if (request.rounds == 0 || request.rounds > kMaxProgressiveRounds) {
+    return Status::InvalidArgument("endpoint: rounds must be in [1, " +
+                                   std::to_string(kMaxProgressiveRounds) +
+                                   "]");
+  }
+  if (request.round != session.draw.released + 1 ||
+      request.round > request.rounds ||
+      (request.round > 1 && request.rounds != session.draw.rounds)) {
+    return Status::InvalidArgument(
+        "endpoint: round " + std::to_string(request.round) + " of " +
+        std::to_string(request.rounds) + " is not the session's next round");
+  }
+  if (static_cast<double>(request.sample_size) >
+      std::max<double>(request.rounds, session.published_n_q)) {
+    return Status::InvalidArgument(
+        "endpoint: sample_size exceeds the published covering-set size");
+  }
+  session.draw.rounds = request.rounds;
   EstimateReply reply;
   FEDAQP_ASSIGN_OR_RETURN(
       reply.estimate,
-      provider_->Approximate(it->second.query, it->second.cover,
-                             request.sample_size, request.eps_sampling,
-                             request.eps_estimate, request.delta,
-                             request.add_noise, &it->second.rng, &scan_exec_));
+      provider_->Approximate(session.query, session.cover, request.sample_size,
+                             request.eps_sampling, request.eps_estimate,
+                             request.delta, request.add_noise, &session.rng,
+                             &scan_exec_, &session.draw));
   return reply;
 }
 

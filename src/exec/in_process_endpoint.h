@@ -56,6 +56,12 @@ class InProcessEndpoint : public ProviderEndpoint {
     RangeQuery query;
     CoverInfo cover;
     Rng rng;
+    /// The published ~N^Q, rounded and clamped at 0 as the allocation
+    /// solver reads it: no allocation asks for more draws (0 before
+    /// PublishSummary).
+    double published_n_q = 0.0;
+    /// The approximate path's sample and scanned values, across rounds.
+    SampleDraw draw;
   };
 
   DataProvider* provider_;

@@ -15,11 +15,13 @@ namespace fedaqp {
 
 namespace {
 
-/// The graph whose task body is running on this thread. Set around body
+/// The graph, and the node, whose task body is running on this thread
+/// (TaskGraph::Current, TaskGraph::CurrentTask). Set around body
 /// execution (including on an endpoint's dispatch thread), restored on
 /// exit, so nested graphs — not that anything nests them today — would
 /// unwind correctly.
 thread_local TaskGraph* tls_current_graph = nullptr;
+thread_local TaskGraph::TaskId tls_current_task = TaskGraph::kNoTask;
 
 /// The graph this thread is currently draining for, and its shard slot —
 /// how PushItemLocked knows whether the pusher owns a LIFO local slot.
@@ -134,6 +136,8 @@ bool TaskGraph::LessUrgent::operator()(const ReadyItem& a,
 }
 
 TaskGraph* TaskGraph::Current() { return tls_current_graph; }
+
+TaskGraph::TaskId TaskGraph::CurrentTask() { return tls_current_task; }
 
 TaskGraph::TaskGraph(ThreadPool* pool, ReadyQueueKind queue) : pool_(pool) {
   sharded_ = queue != ReadyQueueKind::kCentralized && pool != nullptr &&
@@ -457,7 +461,9 @@ void TaskGraph::ExecuteNode(TaskId id) {
   }
   auto execute = [this, id, node] {
     TaskGraph* prev = tls_current_graph;
+    const TaskId prev_task = tls_current_task;
     tls_current_graph = this;
+    tls_current_task = id;
     Stopwatch timer;
     Status status = Status::OK();
     {
@@ -474,6 +480,7 @@ void TaskGraph::ExecuteNode(TaskId id) {
     }
     double seconds = timer.ElapsedSeconds();
     tls_current_graph = prev;
+    tls_current_task = prev_task;
     if (obs::MetricsEnabled()) {
       PhaseHistogram(node->key.phase).Record(seconds);
       CompletedCounter().Add();

@@ -203,6 +203,11 @@ class TaskGraph {
   /// of nesting a second ParallelFor layer.
   static TaskGraph* Current();
 
+  /// The node whose body is executing on the current thread; kNoTask
+  /// outside task bodies. A body that adds its own successors names it
+  /// as their dependency.
+  static TaskId CurrentTask();
+
  private:
   struct Node {
     TaskKey key;

@@ -27,6 +27,15 @@ struct QueryState {
   bool exact = false;
   /// Consumed a session id for cache determinism but runs nothing.
   bool reserved = false;
+  /// Providers noise their estimates (local-DP mode, and every
+  /// progressive round); otherwise the SMC combine releases.
+  bool local_noise = true;
+  /// The round steps 4-7 are running (1-based) of the query's rounds (1
+  /// unless progressive); `refining` is set by RunCombine when another
+  /// round follows the one it combined.
+  size_t round = 1;
+  size_t rounds = 1;
+  bool refining = false;
   uint64_t id = 0;
   uint64_t nonce = 0;
   /// Effective per-query budget (config default or the spec's override)
@@ -37,6 +46,9 @@ struct QueryState {
   double eps_s = 0.0;
   double eps_e = 0.0;
   double delta = 0.0;
+  /// One round's share of (eps_e, delta).
+  double eps_e_round = 0.0;
+  double delta_round = 0.0;
   /// The driving spec (owned by the ExecuteBatchSpecs caller, alive for
   /// the whole batch): query text, urgency, cancel token, callback.
   const QueryExecSpec* spec = nullptr;
@@ -65,10 +77,22 @@ struct BatchContext {
   const std::vector<std::shared_ptr<ProviderEndpoint>>* endpoints = nullptr;
   Aggregator* aggregator = nullptr;
   const FederationConfig* config = nullptr;
-  bool local_noise = true;
 
   size_t num_endpoints() const { return endpoints->size(); }
 };
+
+/// Steps 4-5 requests out, once per round: the allocation travels inside
+/// the Approximate frame; providers below N_min get the (smaller) exact
+/// bypass frame instead — a per-link Round, not a uniform one.
+void ChargeEstimateRequests(const BatchContext& ctx, QueryState& st) {
+  std::vector<size_t> request_bytes(ctx.num_endpoints());
+  for (size_t e = 0; e < request_bytes.size(); ++e) {
+    request_bytes[e] = st.covers[e].should_approximate
+                           ? WireSize(ApproximateRequest{})
+                           : WireSize(ExactAnswerRequest{});
+  }
+  st.network->Round(request_bytes);
+}
 
 /// Steps 1-2 for one (query, endpoint): cover identification + DP summary.
 /// Any exception an endpoint lets escape — e.g. a sharded scan rethrowing
@@ -148,24 +172,16 @@ void RunAllocation(const BatchContext& ctx, QueryState& st) {
   }
   st.plan = std::move(plan).value();
   st.response.allocation = st.plan.sample_sizes;
-  // Steps 4-5 requests out: the allocation travels inside the
-  // Approximate frame; providers below N_min get the (smaller) exact
-  // bypass frame instead — a per-link Round, not a uniform one.
-  std::vector<size_t> request_bytes(num_endpoints);
-  for (size_t e = 0; e < num_endpoints; ++e) {
-    request_bytes[e] = st.covers[e].should_approximate
-                           ? WireSize(ApproximateRequest{})
-                           : WireSize(ExactAnswerRequest{});
-  }
-  st.network->Round(request_bytes);
+  ChargeEstimateRequests(ctx, st);
 }
 
-/// Steps 4-6 for one (query, endpoint): sample/scan/estimate or the exact
-/// bypass — or, for exact-flavored specs, the sessionless full scan.
-/// Requires this query's allocation to be final (approximate only).
-/// Claims the kEstimateReleased composition stage first: past this point
-/// the whole per-query budget is spent and cancellation can refund
-/// nothing.
+/// Steps 4-6 for one (query, endpoint) and the query's current round:
+/// sample/scan/estimate or the exact bypass — or, for exact-flavored
+/// specs, the sessionless full scan. Requires this query's allocation
+/// (and its previous round) to be final (approximate only). Claims the
+/// kEstimateReleased composition stage first: past this point the
+/// estimate budget of every round that runs is spent, and cancellation
+/// can refund only the rounds a progressive query never releases.
 void RunPhase2(const BatchContext& ctx, QueryState& st, size_t e) {
   if (!st.active) return;
   ProviderEndpoint* endpoint = (*ctx.endpoints)[e].get();
@@ -197,21 +213,23 @@ void RunPhase2(const BatchContext& ctx, QueryState& st, size_t e) {
       if (!st.covers[e].should_approximate) {
         ExactAnswerRequest req;
         req.query_id = st.id;
-        req.eps_estimate = st.eps_e;
-        req.add_noise = ctx.local_noise;
+        req.eps_estimate = st.eps_e_round;
+        req.add_noise = st.local_noise;
         return endpoint->ExactAnswer(req);
       }
       // Eq. 6 bounds every participating provider's allocation below by
       // 1; noisy ~N^Q can zero out a provider's solver share, in which
       // case the provider still samples minimally rather than falling
-      // back to a full covering-set scan.
+      // back to a full covering-set scan — one draw per round.
       ApproximateRequest req;
       req.query_id = st.id;
-      req.sample_size = std::max<size_t>(st.plan.sample_sizes[e], 1);
+      req.sample_size = std::max<size_t>(st.plan.sample_sizes[e], st.rounds);
       req.eps_sampling = st.eps_s;
-      req.eps_estimate = st.eps_e;
-      req.delta = st.delta;
-      req.add_noise = ctx.local_noise;
+      req.eps_estimate = st.eps_e_round;
+      req.delta = st.delta_round;
+      req.add_noise = st.local_noise;
+      req.round = static_cast<uint32_t>(st.round);
+      req.rounds = static_cast<uint32_t>(st.rounds);
       return endpoint->Approximate(req);
     }();
     if (!reply.ok()) {
@@ -269,13 +287,16 @@ void RunExactCombine(const BatchContext& ctx, QueryState& st) {
   st.response.breakdown.network_messages = st.network->stats().messages;
 }
 
-/// Step 7 for one query: estimate gather, combination, session-release
-/// accounting, response finalization. Coordinator-side; requires every
-/// phase-2 slot of this query to be final. CombineSmc draws from the
-/// aggregator's one RNG stream, so in SMC mode combines must run in
-/// submission order across queries — the task graph chains them
-/// explicitly (local-DP combines are pure sums and stay unchained).
+/// Step 7 for one query's current round: estimate gather, combination,
+/// then either the next round (a progressive query whose callback asked
+/// for more sets `refining`) or session-release accounting and response
+/// finalization. Coordinator-side; requires every phase-2 slot of this
+/// query to be final. CombineSmc draws from the aggregator's one RNG
+/// stream, so in SMC mode combines must run in submission order across
+/// queries — the task graph chains them explicitly (local-DP combines are
+/// pure sums and stay unchained).
 void RunCombine(const BatchContext& ctx, QueryState& st) {
+  st.refining = false;
   if (!st.active) return;
   if (st.exact) {
     RunExactCombine(ctx, st);
@@ -302,7 +323,7 @@ void RunCombine(const BatchContext& ctx, QueryState& st) {
   // its share exchanges on top).
   st.network->UniformRound(num_endpoints, WireSize(EstimateReply{}));
   Stopwatch agg_timer;
-  if (ctx.local_noise) {
+  if (st.local_noise) {
     st.response.estimate = ctx.aggregator->CombineNoisy(st.estimates);
     double variance = 0.0;
     for (const auto& est : st.estimates) variance += est.variance;
@@ -318,6 +339,22 @@ void RunCombine(const BatchContext& ctx, QueryState& st) {
     st.response.estimate = *combined;
   }
   st.response.breakdown.aggregator_compute_seconds += agg_timer.ElapsedSeconds();
+  // The budget less the estimate shares of the rounds not yet released:
+  // the whole budget once the last round is out.
+  const double unreleased = static_cast<double>(st.rounds - st.round);
+  st.response.spent = {st.budget.epsilon - unreleased * st.eps_e_round,
+                       st.budget.delta - unreleased * st.delta_round};
+  if (st.spec->on_round != nullptr) {
+    const bool more = st.spec->on_round(ProgressiveRound{
+        st.round, st.response.estimate, st.response.stderr_estimate,
+        st.response.spent, st.response.breakdown.clusters_scanned});
+    if (more && st.round < st.rounds) {
+      ++st.round;
+      ChargeEstimateRequests(ctx, st);
+      st.refining = true;
+      return;
+    }
+  }
 
   // Session release: EndQuery request + empty ack per endpoint. The
   // calls are issued in the cleanup loop after the batch; charged here so
@@ -328,7 +365,6 @@ void RunCombine(const BatchContext& ctx, QueryState& st) {
   st.response.breakdown.network_seconds = st.network->stats().seconds;
   st.response.breakdown.network_bytes = st.network->stats().bytes;
   st.response.breakdown.network_messages = st.network->stats().messages;
-  st.response.spent = st.budget;
 }
 
 /// Lock-step reference scheduler: two ParallelFor phase barriers with
@@ -347,15 +383,20 @@ void RunBatchBarrier(const BatchContext& ctx, ThreadPool* pool,
   });
   // Step 3 at the aggregator (coordinator, submission order).
   for (QueryState& st : states) RunAllocation(ctx, st);
-  // Steps 4-6 provider side.
-  ParallelFor(pool, num_endpoints, [&](size_t e) {
-    for (size_t q = 0; q < states.size(); ++q) {
-      RunPhase2(ctx, states[q], e);
-    }
-  });
-  // Step 7 (coordinator, submission order — the aggregator's own RNG
-  // stream stays deterministic).
-  for (QueryState& st : states) RunCombine(ctx, st);
+  // Steps 4-6 provider side, then step 7 (coordinator, submission order —
+  // the aggregator's own RNG stream stays deterministic); once more per
+  // further round of a progressive query.
+  std::vector<QueryState*> live;
+  for (QueryState& st : states) live.push_back(&st);
+  while (!live.empty()) {
+    ParallelFor(pool, num_endpoints, [&](size_t e) {
+      for (QueryState* st : live) RunPhase2(ctx, *st, e);
+    });
+    for (QueryState* st : live) RunCombine(ctx, *st);
+    live.erase(std::remove_if(live.begin(), live.end(),
+                              [](const QueryState* st) { return !st->refining; }),
+               live.end());
+  }
   // Per-query delivery, submission order (the graph scheduler instead
   // delivers each query the moment its combine finishes).
   for (QueryState& st : states) {
@@ -372,10 +413,100 @@ void RunBatchBarrier(const BatchContext& ctx, ThreadPool* pool,
   }
 }
 
+/// A query's node urgency; `claim_stage` above kNotStarted also attaches
+/// its cancel token. The token rides ONLY the endpoint-bound phase and
+/// release nodes, whose bodies self-skip via their stage claim — the
+/// graph's dispatch bypass (TaskOptions::claim_stage) assumes exactly
+/// that. Coordinator nodes keep running normally.
+TaskOptions NodeOptions(const QueryState& st,
+                        QueryStage claim_stage = QueryStage::kNotStarted) {
+  TaskOptions opts;
+  opts.priority = st.spec->priority;
+  opts.deadline = st.spec->deadline;
+  if (claim_stage != QueryStage::kNotStarted) {
+    opts.cancel = st.spec->cancel;
+    opts.claim_stage = claim_stage;
+  }
+  return opts;
+}
+
+/// Adds the nodes that finish query `st` after `combine`: the outcome
+/// callback and the pipelined session release (EndQuery per endpoint),
+/// which overlaps other queries' phases instead of running in a
+/// post-batch loop (RunCombine already charged these rounds to
+/// SimNetwork). claim_stage = kSummaryPublished makes the dispatch bypass
+/// fire exactly when NoSessionWasOpened() — the body is then a guaranteed
+/// no-op and runs inline; a cancellation that may have left real sessions
+/// still dispatches the release normally.
+void AddTail(TaskGraph& graph, const BatchContext& ctx, QueryState& st,
+             TaskGraph::TaskId combine) {
+  const QueryExecSpec& spec = *st.spec;
+  if (spec.on_done) {
+    graph.Add(TaskKey{st.id, TaskPhase::kDeliver, TaskKey::kCoordinator, 0},
+              [&st, &spec] {
+                spec.on_done(st.status, st.response);
+                return Status::OK();
+              },
+              {combine}, nullptr, NodeOptions(st));
+  }
+  if (st.exact) return;
+  const TaskOptions release_opts =
+      NodeOptions(st, QueryStage::kSummaryPublished);
+  for (size_t e = 0; e < ctx.num_endpoints(); ++e) {
+    graph.Add(TaskKey{st.id, TaskPhase::kRelease, static_cast<uint32_t>(e), 0},
+              [&ctx, &st, e] {
+                if (!NoSessionWasOpened(st)) {
+                  (*ctx.endpoints)[e]->EndQuery(st.id);
+                }
+                return Status::OK();
+              },
+              {combine}, (*ctx.endpoints)[e].get(), release_opts);
+  }
+}
+
+/// Adds one round of query `st`'s steps 4-7: an estimate node per
+/// endpoint after `deps`, then the combine after them (and after
+/// `prev_combine`, when given). A progressive query's combine adds the
+/// next round after itself, or its tail after the last round, from
+/// inside the running graph; the caller adds a one-shot query's tail.
+TaskGraph::TaskId AddRound(TaskGraph& graph, const BatchContext& ctx,
+                           QueryState& st,
+                           const std::vector<TaskGraph::TaskId>& deps,
+                           TaskGraph::TaskId prev_combine) {
+  const size_t num_endpoints = ctx.num_endpoints();
+  const TaskOptions estimate_opts =
+      NodeOptions(st, QueryStage::kEstimateReleased);
+  std::vector<TaskGraph::TaskId> combine_deps(num_endpoints);
+  for (size_t e = 0; e < num_endpoints; ++e) {
+    combine_deps[e] = graph.Add(
+        TaskKey{st.id, TaskPhase::kEstimate, static_cast<uint32_t>(e), 0},
+        [&ctx, &st, e] {
+          RunPhase2(ctx, st, e);
+          return st.phase2_status[e];
+        },
+        deps, (*ctx.endpoints)[e].get(), estimate_opts);
+  }
+  if (prev_combine != TaskGraph::kNoTask) combine_deps.push_back(prev_combine);
+  return graph.Add(
+      TaskKey{st.id, TaskPhase::kCombine, TaskKey::kCoordinator, 0},
+      [&graph, &ctx, &st] {
+        RunCombine(ctx, st);
+        if (st.refining) {
+          AddRound(graph, ctx, st, {TaskGraph::CurrentTask()},
+                   TaskGraph::kNoTask);
+        } else if (st.spec->on_round != nullptr) {
+          AddTail(graph, ctx, st, TaskGraph::CurrentTask());
+        }
+        return st.status;
+      },
+      combine_deps, nullptr, NodeOptions(st));
+}
+
 /// Barrier-free scheduler: one dependency graph over every (query,
 /// provider, phase) node of the batch, drained by the shared pool. Within
 /// an approximate query: phase1(e) -> allocate -> phase2(e) -> combine ->
-/// {deliver, endquery(e)}; an exact query is just scan(e) -> combine ->
+/// {deliver, endquery(e)}, with phase2(e) -> combine repeated per round
+/// of a progressive query; an exact query is just scan(e) -> combine ->
 /// deliver. Across queries, only SMC-mode combines are chained (the
 /// aggregator's single RNG stream); everything else overlaps freely, in
 /// ready-queue urgency order (per-spec priority, then deadline). Shard
@@ -387,8 +518,7 @@ void RunBatchTaskGraph(const BatchContext& ctx, ThreadPool* pool,
   const size_t num_endpoints = ctx.num_endpoints();
   TaskGraph graph(pool);
   TaskGraph::TaskId prev_combine = TaskGraph::kNoTask;
-  for (size_t q = 0; q < states.size(); ++q) {
-    QueryState& st = states[q];
+  for (QueryState& st : states) {
     if (!st.active) {
       // Refused at admission (or a cache reservation): nothing to
       // schedule, deliver immediately (the barrier path delivers these
@@ -398,33 +528,10 @@ void RunBatchTaskGraph(const BatchContext& ctx, ThreadPool* pool,
       }
       continue;
     }
-    const QueryExecSpec& spec = *st.spec;
-    TaskOptions opts;
-    opts.priority = spec.priority;
-    opts.deadline = spec.deadline;
-    // The cancel token rides ONLY the endpoint-bound phase nodes, whose
-    // bodies self-skip via their stage claim — the graph's dispatch
-    // bypass (TaskOptions::claim_stage) assumes exactly that.
-    // Coordinator and release nodes keep running normally (release may
-    // have a real session to close).
-    TaskOptions summary_opts = opts;
-    summary_opts.cancel = spec.cancel;
-    summary_opts.claim_stage = QueryStage::kSummaryPublished;
-    TaskOptions estimate_opts = opts;
-    estimate_opts.cancel = spec.cancel;
-    estimate_opts.claim_stage = QueryStage::kEstimateReleased;
-    std::vector<TaskGraph::TaskId> combine_deps(num_endpoints);
-    if (st.exact) {
-      for (size_t e = 0; e < num_endpoints; ++e) {
-        combine_deps[e] = graph.Add(
-            TaskKey{st.id, TaskPhase::kEstimate, static_cast<uint32_t>(e), 0},
-            [&ctx, &st, e] {
-              RunPhase2(ctx, st, e);
-              return st.phase2_status[e];
-            },
-            {}, (*ctx.endpoints)[e].get(), estimate_opts);
-      }
-    } else {
+    std::vector<TaskGraph::TaskId> estimate_deps;
+    if (!st.exact) {
+      const TaskOptions summary_opts =
+          NodeOptions(st, QueryStage::kSummaryPublished);
       std::vector<TaskGraph::TaskId> phase1(num_endpoints);
       for (size_t e = 0; e < num_endpoints; ++e) {
         phase1[e] = graph.Add(
@@ -435,69 +542,23 @@ void RunBatchTaskGraph(const BatchContext& ctx, ThreadPool* pool,
             },
             {}, (*ctx.endpoints)[e].get(), summary_opts);
       }
-      TaskGraph::TaskId alloc = graph.Add(
+      estimate_deps.push_back(graph.Add(
           TaskKey{st.id, TaskPhase::kAllocate, TaskKey::kCoordinator, 0},
           [&ctx, &st] {
             RunAllocation(ctx, st);
             return st.status;
           },
-          phase1, nullptr, opts);
-      for (size_t e = 0; e < num_endpoints; ++e) {
-        combine_deps[e] = graph.Add(
-            TaskKey{st.id, TaskPhase::kEstimate, static_cast<uint32_t>(e), 0},
-            [&ctx, &st, e] {
-              RunPhase2(ctx, st, e);
-              return st.phase2_status[e];
-            },
-            {alloc}, (*ctx.endpoints)[e].get(), estimate_opts);
-      }
-      // Chain combines only when the combine itself draws from the
-      // aggregator's RNG (SMC mode): the local-DP combine is a pure sum,
-      // so a high-priority query's release never waits behind earlier
-      // submissions.
-      if (!ctx.local_noise && prev_combine != TaskGraph::kNoTask) {
-        combine_deps.push_back(prev_combine);
-      }
+          phase1, nullptr, NodeOptions(st)));
     }
-    TaskGraph::TaskId combine = graph.Add(
-        TaskKey{st.id, TaskPhase::kCombine, TaskKey::kCoordinator, 0},
-        [&ctx, &st] {
-          RunCombine(ctx, st);
-          return st.status;
-        },
-        combine_deps, nullptr, opts);
-    if (!st.exact && !ctx.local_noise) prev_combine = combine;
-    if (spec.on_done) {
-      graph.Add(TaskKey{st.id, TaskPhase::kDeliver, TaskKey::kCoordinator, 0},
-                [&st, &spec] {
-                  spec.on_done(st.status, st.response);
-                  return Status::OK();
-                },
-                {combine}, nullptr, opts);
-    }
-    if (!st.exact) {
-      // Pipelined EndQuery: the session-release round rides the same
-      // graph as per-endpoint kRelease nodes instead of a sequential
-      // post-batch loop, so one query's cleanup overlaps other queries'
-      // phases (RunCombine already charged these rounds to SimNetwork).
-      // claim_stage = kSummaryPublished makes the dispatch bypass fire
-      // exactly when NoSessionWasOpened() — the body is then a
-      // guaranteed no-op and runs inline; a cancellation that may have
-      // left real sessions still dispatches the release normally.
-      TaskOptions release_opts = opts;
-      release_opts.cancel = spec.cancel;
-      release_opts.claim_stage = QueryStage::kSummaryPublished;
-      for (size_t e = 0; e < num_endpoints; ++e) {
-        graph.Add(TaskKey{st.id, TaskPhase::kRelease, static_cast<uint32_t>(e), 0},
-                  [&ctx, &st, e] {
-                    if (!NoSessionWasOpened(st)) {
-                      (*ctx.endpoints)[e]->EndQuery(st.id);
-                    }
-                    return Status::OK();
-                  },
-                  {combine}, (*ctx.endpoints)[e].get(), release_opts);
-      }
-    }
+    // Chain combines only when the combine itself draws from the
+    // aggregator's RNG (SMC mode): the local-DP combine is a pure sum,
+    // so a high-priority query's release never waits behind earlier
+    // submissions.
+    const bool smc = !st.exact && !st.local_noise;
+    const TaskGraph::TaskId combine = AddRound(
+        graph, ctx, st, estimate_deps, smc ? prev_combine : TaskGraph::kNoTask);
+    if (smc) prev_combine = combine;
+    if (st.spec->on_round == nullptr) AddTail(graph, ctx, st, combine);
   }
   graph.Run();
   stats->critical_path_seconds = graph.CriticalPathSeconds();
@@ -576,7 +637,6 @@ std::vector<BatchOutcome> QueryOrchestrator::ExecuteBatchSpecs(
   ctx.endpoints = &endpoints_;
   ctx.aggregator = &aggregator_;
   ctx.config = &config_;
-  ctx.local_noise = config_.mode == ReleaseMode::kLocalDp;
 
   // Admission (coordinator, in submission order — deterministic). The
   // re-validation is defense-in-depth for direct callers; queries routed
@@ -600,6 +660,13 @@ std::vector<BatchOutcome> QueryOrchestrator::ExecuteBatchSpecs(
     st.eps_s = config_.split.hp_sampling * st.budget.epsilon;
     st.eps_e = config_.split.hp_estimate * st.budget.epsilon;
     st.delta = st.budget.delta;
+    if (specs[q].on_round != nullptr) {
+      st.rounds = std::max<size_t>(1, specs[q].rounds);
+    } else {
+      st.local_noise = config_.mode == ReleaseMode::kLocalDp;
+    }
+    st.eps_e_round = st.eps_e / static_cast<double>(st.rounds);
+    st.delta_round = st.delta / static_cast<double>(st.rounds);
     if (specs[q].reserve_session_only) {
       // Cache-served query: burn the session id it would have used so
       // every later query's (provider seed, session id)-keyed noise

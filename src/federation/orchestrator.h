@@ -145,6 +145,20 @@ struct BatchOutcome {
   bool ok() const { return status.ok(); }
 };
 
+/// One released round of a progressive query.
+struct ProgressiveRound {
+  size_t round = 0;
+  /// Noisy running estimate over the draws released so far.
+  double estimate = 0.0;
+  /// Standard error (sampling + this round's noise), for stop decisions.
+  double stderr_estimate = 0.0;
+  /// Cumulative privacy consumed up to and including this round: the
+  /// query's budget less the estimate shares of the rounds not released.
+  PrivacyBudget spent{0.0, 0.0};
+  /// Cumulative clusters scanned across providers.
+  size_t clusters_scanned = 0;
+};
+
 /// One query of a spec-level batch — the unit the async session layer
 /// (FederationClient) feeds the scheduler. Extends the plain RangeQuery
 /// batch with the execution hints the client API threads through: the
@@ -170,6 +184,18 @@ struct QueryExecSpec {
   /// schedules no provider work, charges no network, and invokes no
   /// callback — the session layer delivers the cached answer itself.
   bool reserve_session_only = false;
+  /// Progressive refinement (online aggregation) when set: the estimate
+  /// is released in `rounds` rounds over one EM sample per provider,
+  /// every provider noising locally in both release modes at
+  /// (eps_E / rounds, delta / rounds) per round. Each round's estimate and
+  /// combine nodes run after the previous round's combine, which hands
+  /// the released round here (from whichever thread ran it; must be
+  /// thread-safe). Returning false stops the query: it resolves with that
+  /// round's answer, whose `spent` leaves out the rounds never released.
+  /// The last round's return value is ignored. Null: a one-shot query.
+  std::function<bool(const ProgressiveRound&)> on_round;
+  /// Rounds of a progressive query (0 means 1; ignored without on_round).
+  size_t rounds = 1;
   /// 0 = most urgent; the client maps high/normal/low to 0/1/2.
   uint8_t priority = 1;
   /// Absolute deadline on the caller's clock, used only for ready-queue

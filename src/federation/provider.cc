@@ -1,7 +1,6 @@
 #include "federation/provider.h"
 
 #include <cmath>
-#include <unordered_map>
 
 #include "common/stopwatch.h"
 #include "dp/laplace.h"
@@ -84,69 +83,82 @@ Result<ProviderSummary> DataProvider::PublishSummary(const RangeQuery& query,
 Result<LocalEstimate> DataProvider::Approximate(
     const RangeQuery& query, const CoverInfo& cover, size_t sample_size,
     double eps_sampling, double eps_estimate, double delta, bool add_noise,
-    Rng* rng, const ShardedScanExecutor* exec) {
+    Rng* rng, const ShardedScanExecutor* exec, SampleDraw* draw) {
   if (rng == nullptr) rng = &rng_;
+  SampleDraw one_shot;
+  if (draw == nullptr) draw = &one_shot;
   if (cover.NumClusters() == 0) {
     return Status::FailedPrecondition("approximate: empty covering set");
   }
+  if (draw->released >= draw->rounds) {
+    return Status::FailedPrecondition("approximate: every round released");
+  }
   Stopwatch timer;
   LocalEstimate out;
-
-  // Step 5: DP cluster sampling (Algorithm 2).
-  EmSamplerOptions em_opts;
-  em_opts.epsilon = eps_sampling;
-  em_opts.n_min = options_.n_min;
-  em_opts.with_replacement = true;
-  FEDAQP_ASSIGN_OR_RETURN(
-      EmSample sample,
-      EmSampleClusters(cover.proportions, sample_size, em_opts, rng));
+  const bool first_round = draw->released == 0;
+  if (first_round) {
+    // Step 5: DP cluster sampling (Algorithm 2), drawn once for every
+    // round.
+    EmSamplerOptions em_opts;
+    em_opts.epsilon = eps_sampling;
+    em_opts.n_min = options_.n_min;
+    em_opts.with_replacement = true;
+    FEDAQP_ASSIGN_OR_RETURN(
+        draw->sample,
+        EmSampleClusters(cover.proportions, sample_size, em_opts, rng));
+    draw->values.reserve(draw->sample.chosen.size());
+  }
+  const std::vector<size_t>& chosen = draw->sample.chosen;
+  const std::vector<double>& pps = draw->sample.pps;
+  const size_t round = draw->released + 1;
+  const size_t begin = draw->released * chosen.size() / draw->rounds;
+  const size_t end = round * chosen.size() / draw->rounds;
   const double pre_scan_seconds = timer.ElapsedSeconds();
 
   // Step 6: scan only the sampled clusters and estimate (Eq. 3). Draws are
   // made with replacement (the Hansen-Hurwitz sampling design), but a
-  // cluster drawn several times is scanned once and its result reused —
-  // the estimator consumes all draws while the I/O cost is bounded by the
-  // number of distinct clusters. The distinct clusters (in first-draw
-  // order, a pure function of the sample) are scanned sharded: each shard
-  // writes disjoint slots, so the assembled results are bit-identical for
-  // any shard count.
-  std::unordered_map<size_t, size_t> slot_of;  // cover idx -> distinct slot
-  slot_of.reserve(sample.chosen.size());
-  std::vector<size_t> distinct;  // cover indices, first-draw order
-  for (size_t cover_idx : sample.chosen) {
-    if (slot_of.emplace(cover_idx, distinct.size()).second) {
-      distinct.push_back(cover_idx);
+  // cluster drawn several times — in this round or an earlier one — is
+  // scanned once and its result reused: the estimator consumes all draws
+  // while the I/O cost is bounded by the number of distinct clusters. The
+  // clusters first drawn in this round (in first-draw order, a pure
+  // function of the sample) are scanned sharded: each shard writes
+  // disjoint slots, so the values are bit-identical for any shard count.
+  std::vector<size_t> fresh;  // cover indices, first-draw order
+  std::vector<double*> slots;
+  for (size_t i = begin; i < end; ++i) {
+    auto [it, inserted] = draw->values.try_emplace(chosen[i], 0.0);
+    if (inserted) {
+      fresh.push_back(chosen[i]);
+      slots.push_back(&it->second);
     }
   }
-  std::vector<double> cluster_value(distinct.size(), 0.0);
   const ShardedScanExecutor& ex = ScanExec(exec);
   const ScanProfile profile = ProfileFor(query.aggregation());
-  std::vector<ScanScratch> scratches(ex.NumShardsFor(distinct.size()));
+  std::vector<ScanScratch> scratches(ex.NumShardsFor(fresh.size()));
   std::vector<double> shard_seconds =
-      ex.ForEachShard(distinct.size(), [&](size_t shard, ShardRange range) {
+      ex.ForEachShard(fresh.size(), [&](size_t shard, ShardRange range) {
         for (size_t k = range.begin; k < range.end; ++k) {
-          cluster_value[k] = static_cast<double>(
-              store_.ScanCluster(cover.cluster_ids[distinct[k]], query,
-                                 profile, &scratches[shard])
+          *slots[k] = static_cast<double>(
+              store_.ScanCluster(cover.cluster_ids[fresh[k]], query, profile,
+                                 &scratches[shard])
                   .For(query.aggregation()));
         }
       });
   size_t sampled_rows = 0;
-  for (size_t cover_idx : distinct) {
-    out.work.clusters_scanned += 1;
+  for (size_t cover_idx : fresh) {
     sampled_rows += store_.ClusterRows(cover.cluster_ids[cover_idx]);
   }
+  out.work.clusters_scanned += fresh.size();
   out.work.rows_scanned += sampled_rows;
   RecordStoreScan(sampled_rows,
                   ShardedScanExecutor::MaxSeconds(shard_seconds));
   Stopwatch post_scan;
 
-  std::vector<double> results(sample.chosen.size());
-  std::vector<double> probs(sample.chosen.size());
-  for (size_t i = 0; i < sample.chosen.size(); ++i) {
-    size_t cover_idx = sample.chosen[i];
-    results[i] = cluster_value[slot_of[cover_idx]];
-    probs[i] = sample.pps[cover_idx];
+  std::vector<double> results(end);
+  std::vector<double> probs(end);
+  for (size_t i = 0; i < end; ++i) {
+    results[i] = draw->values.find(chosen[i])->second;
+    probs[i] = pps[chosen[i]];
     if (probs[i] <= 0.0) {
       // The EM's DP exploration can draw a cluster whose approximated
       // proportion is zero. A zero product proportion certifies that some
@@ -162,8 +174,8 @@ Result<LocalEstimate> DataProvider::Approximate(
   out.estimate = hh.estimate;
   out.variance = hh.variance;
 
-  // Smooth sensitivity of the estimator, averaged over the sample (Eq. 9,
-  // Algorithm 3 lines 2-6).
+  // Smooth sensitivity of the estimator, averaged over the released draws
+  // (Eq. 9, Algorithm 3 lines 2-6).
   FEDAQP_ASSIGN_OR_RETURN(SmoothSensitivity framework,
                           SmoothSensitivity::Create(eps_estimate, delta));
   double delta_r = DeltaR(options_.storage.cluster_capacity,
@@ -171,19 +183,19 @@ Result<LocalEstimate> DataProvider::Approximate(
   double sum_r = cover.SumR();
   double sens_acc = 0.0;
   const double unit_change = UnitChange(query.aggregation());
-  for (size_t i = 0; i < sample.chosen.size(); ++i) {
+  for (size_t i = 0; i < end; ++i) {
     EstimatorClusterState state;
     state.cluster_result = results[i];
-    state.proportion = cover.proportions[sample.chosen[i]];
+    state.proportion = cover.proportions[chosen[i]];
     state.sum_proportions = sum_r;
     state.delta_r = delta_r;
     // The original pps probability (zero-probability draws are guarded to
     // contribute zero sensitivity, matching their zero estimator term).
-    state.sampling_probability = sample.pps[sample.chosen[i]];
+    state.sampling_probability = pps[chosen[i]];
     state.unit_change = unit_change;
     sens_acc += EstimatorSmoothSensitivity(framework, state);
   }
-  out.sensitivity = sens_acc / static_cast<double>(sample.chosen.size());
+  out.sensitivity = sens_acc / static_cast<double>(end);
 
   if (add_noise) {
     // Algorithm 3 line 10: Lap(2 * S_LS / eps_E). A zero sensitivity (all
@@ -197,16 +209,19 @@ Result<LocalEstimate> DataProvider::Approximate(
     out.noised = true;
   }
   out.exact = false;
-  // With local noise the provider itself consumed (eps_S + eps_E, delta);
-  // in SMC mode it only consumed eps_S here — the (eps_E, delta) release
-  // happens once, collectively, at the aggregator.
-  out.spent = add_noise ? PrivacyBudget{eps_sampling + eps_estimate, delta}
-                        : PrivacyBudget{eps_sampling, 0.0};
+  // With local noise the provider itself consumed (eps_E, delta) for this
+  // round, plus eps_S on round 1; in SMC mode it only consumed eps_S here —
+  // the (eps_E, delta) release happens once, collectively, at the
+  // aggregator.
+  const double eps_s = first_round ? eps_sampling : 0.0;
+  out.spent = add_noise ? PrivacyBudget{eps_s + eps_estimate, delta}
+                        : PrivacyBudget{eps_s, 0.0};
   // Sequential phases (sampling, estimation) at wall time; the scan phase
   // at its slowest shard — what a parallel deployment would observe.
   out.work.compute_seconds += pre_scan_seconds +
                               ShardedScanExecutor::MaxSeconds(shard_seconds) +
                               post_scan.ElapsedSeconds();
+  draw->released = round;
   return out;
 }
 

@@ -3,12 +3,14 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
 #include "dp/budget.h"
 #include "metadata/metadata_store.h"
+#include "sampling/em_sampler.h"
 #include "storage/cluster_store.h"
 #include "storage/table.h"
 
@@ -62,6 +64,21 @@ struct LocalEstimate {
   /// approximate path, eps_E on the exact path.
   PrivacyBudget spent{0.0, 0.0};
   ProviderWorkStats work;
+};
+
+/// The approximate path's state across the rounds of one query: the EM
+/// sample drawn on round 1, and the value of every sampled cluster scanned
+/// so far, so a cluster drawn in several rounds is scanned once. A one-shot
+/// query is round 1 of 1; a progressive query keeps this in its endpoint
+/// session between rounds.
+struct SampleDraw {
+  /// R, the number of rounds the draws are released in.
+  size_t rounds = 1;
+  /// Rounds released so far.
+  size_t released = 0;
+  EmSample sample;
+  /// Cover index -> the cluster's scanned Q(C).
+  std::unordered_map<size_t, double> values;
 };
 
 /// One data provider of the horizontal federation: owns its cluster store
@@ -129,17 +146,22 @@ class DataProvider {
     return cover.NumClusters() >= options_.n_min;
   }
 
-  /// Protocol steps 5-6: EM-sample `sample_size` clusters (eps_sampling),
-  /// scan them, estimate with Hansen-Hurwitz and compute the smooth
-  /// sensitivity for (eps_estimate, delta). When `add_noise` (DP mode) the
-  /// estimate is released with Laplace noise; otherwise (SMC mode) it is
-  /// returned clean for oblivious aggregation.
+  /// Protocol steps 5-6 for round `draw->released + 1` of `draw->rounds`
+  /// (round 1 of 1 when `draw` is null): round 1 EM-samples `sample_size`
+  /// clusters (eps_sampling); each round scans the clusters first drawn in
+  /// its share of the draws, estimates with Hansen-Hurwitz over the draws
+  /// released so far (the first round * sample_size / rounds) and computes
+  /// the smooth sensitivity for (eps_estimate, delta), the round's share.
+  /// When `add_noise` (DP mode) the estimate is released with Laplace
+  /// noise; otherwise (SMC mode) it is returned clean for oblivious
+  /// aggregation.
   Result<LocalEstimate> Approximate(const RangeQuery& query,
                                     const CoverInfo& cover, size_t sample_size,
                                     double eps_sampling, double eps_estimate,
                                     double delta, bool add_noise,
                                     Rng* rng = nullptr,
-                                    const ShardedScanExecutor* exec = nullptr);
+                                    const ShardedScanExecutor* exec = nullptr,
+                                    SampleDraw* draw = nullptr);
 
   /// Exact local answer over the covering clusters (step 4 bypass),
   /// released with Laplace noise under the aggregate's global sensitivity

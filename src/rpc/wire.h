@@ -90,7 +90,7 @@ struct RpcFrame {
 };
 
 constexpr uint32_t kWireMagic = 0xfeda09c1u;
-constexpr uint8_t kWireVersion = 3;
+constexpr uint8_t kWireVersion = 4;
 constexpr size_t kFrameHeaderBytes = 10;
 /// Upper bound on a frame payload. Protocol messages are tiny (a query is
 /// a handful of ranges); the cap exists so a corrupt or hostile length
@@ -256,6 +256,8 @@ void Fields(V& v, ApproximateRequest& m) {
   v("eps_estimate", m.eps_estimate);
   v("delta", m.delta);
   v("add_noise", m.add_noise);
+  v("round", m.round);
+  v("rounds", m.rounds);
 }
 
 template <typename V>

@@ -29,8 +29,7 @@ enum class ArrivalProcess : uint8_t {
 struct LoadMix {
   /// Fraction of arrivals submitted as exact (non-private) queries.
   double exact_fraction = 0.0;
-  /// Fraction submitted as progressive refinements (in-process clients
-  /// only; arrivals in this slice serialize the admission pipeline).
+  /// Fraction submitted as progressive refinements (2 rounds each).
   double progressive_fraction = 0.0;
   /// Fractions of arrivals tagged high / low priority (the rest normal).
   double high_fraction = 0.2;

@@ -63,8 +63,8 @@ struct ScanScratch {
 /// Publishes one logical scan (storage.rows_scanned / storage.scan_seconds)
 /// to the metric registry. EvaluateExact and ScanClusters call it
 /// themselves; callers that drive ScanCluster directly (the sampled
-/// approximate path, progressive rounds) record their own aggregate here
-/// so `stats storage` sees every scanned row, whichever path ran.
+/// approximate path, once per round) record their own aggregate here so
+/// `stats storage` sees every scanned row, whichever path ran.
 void RecordStoreScan(size_t rows, double seconds);
 
 /// A provider's local storage: the table split into fixed-capacity clusters

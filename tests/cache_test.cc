@@ -499,7 +499,7 @@ TEST(CacheClientTest, CancelledRemainderLeavesCacheConsistent) {
       MakeInProcessEndpoints(Ptrs(providers));
   ASSERT_TRUE(inner.ok());
   // Closed only around the doomed query, whose Cover on provider 0 waits.
-  auto gate = std::make_shared<CoverGate>();
+  auto gate = std::make_shared<CallGate>();
   std::vector<std::shared_ptr<ProviderEndpoint>> endpoints = {
       std::make_shared<GatedEndpoint>((*inner)[0], gate), (*inner)[1]};
   FederationClient::Options copts;
@@ -653,7 +653,8 @@ TEST(BudgetPlannerTest, PlanStretchesEpsilonAndCountsCacheHits) {
   EXPECT_EQ(plan->answerable, 4u);
   EXPECT_NEAR(plan->eps_per_query, 0.5, 1e-12);
   EXPECT_TRUE(plan->queries[0].predicted_cached);
-  EXPECT_EQ(plan->queries[0].budget.epsilon, 0.0);
+  // A hit carries the budget it was resolved at (nothing is charged).
+  EXPECT_NEAR(plan->queries[0].budget.epsilon, 0.5, 1e-12);
   EXPECT_NEAR(plan->queries[1].budget.epsilon, 0.5, 1e-12);
   EXPECT_NEAR(plan->projected_spend.epsilon, 1.5, 1e-12);
 
@@ -745,6 +746,41 @@ TEST(CacheClientTest, PlanAnswerabilityMatchesAdmissionAtTheGrantEdge) {
     if ((*client)->Submit(std::move(spec)).Wait().ok()) ++admitted;
   }
   EXPECT_EQ(admitted, plan->answerable);
+}
+
+// A predicted hit carries the budget admission resolved it at: submitted
+// with its planned budget, it is served the entry the plan bought at the
+// stretched epsilon instead of missing it at the configured one.
+TEST(CacheClientTest, PlannedCacheHitIsServedAtItsPlannedBudget) {
+  auto providers = MakeFederation(2);
+  FederationClient::Options copts;
+  copts.protocol = BaseConfig(1, BatchScheduler::kTaskGraph);
+  copts.analysts = {{"alice", 1.5, 1.0}};
+  copts.enable_cache = true;
+  Result<std::unique_ptr<FederationClient>> client =
+      FederationClient::Create(Ptrs(providers), copts);
+  ASSERT_TRUE(client.ok());
+  const std::vector<RangeQuery> workload = {Dim0(10, 99), Dim0(100, 149),
+                                            Dim0(10, 99)};
+  Result<BudgetPlanner::WorkloadPlan> plan =
+      (*client)->PlanWorkload("alice", workload);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan->queries[0].budget.epsilon, 0.75);
+  EXPECT_EQ(plan->queries[1].budget.epsilon, 0.75);
+  EXPECT_TRUE(plan->queries[2].predicted_cached);
+  EXPECT_EQ(plan->answerable, 3u);
+  size_t admitted = 0;
+  bool last_cached = false;
+  for (size_t i = 0; i < workload.size(); ++i) {
+    QuerySpec spec{"alice", workload[i]};
+    spec.budget = plan->queries[i].budget;
+    QueryTicket ticket = (*client)->Submit(std::move(spec));
+    if (ticket.Wait().ok()) ++admitted;
+    last_cached = ticket.Stats().served_from_cache;
+  }
+  EXPECT_EQ(admitted, 3u);
+  EXPECT_TRUE(last_cached);
+  EXPECT_EQ((*client)->ledger().Spent("alice")->epsilon, 1.5);
 }
 
 // PlanWorkload copies the cache index under its lock while the admission

@@ -22,7 +22,6 @@
 #include "exec/in_process_endpoint.h"
 #include "exec/thread_pool.h"
 #include "federation/orchestrator.h"
-#include "federation/progressive.h"
 #include "storage/sharded_scan_executor.h"
 #include "workload/datagen.h"
 #include "execute_query.h"
@@ -631,31 +630,6 @@ TEST(ParallelDeterminismTest, DistinctOrchestratorSeedsDrawDistinctNoise) {
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_NE(r1->estimate, r2->estimate);
-}
-
-TEST(ParallelDeterminismTest, ProgressiveIdenticalAcrossPoolSizes) {
-  const std::vector<size_t> pool_sizes = {1, 2, 8};
-  std::vector<std::vector<double>> estimates_by_pool;
-  for (size_t threads : pool_sizes) {
-    auto providers = MakeFederation(3);
-    ProgressiveOptions opts;
-    opts.rounds = 3;
-    opts.sampling_rate = 0.3;
-    opts.num_threads = threads;
-    Result<std::vector<ProgressiveRound>> rounds =
-        ExecuteProgressive(Ptrs(providers), WideQuery(), opts);
-    ASSERT_TRUE(rounds.ok());
-    std::vector<double> estimates;
-    for (const auto& round : *rounds) estimates.push_back(round.estimate);
-    estimates_by_pool.push_back(std::move(estimates));
-  }
-  for (size_t i = 1; i < estimates_by_pool.size(); ++i) {
-    ASSERT_EQ(estimates_by_pool[0].size(), estimates_by_pool[i].size());
-    for (size_t r = 0; r < estimates_by_pool[0].size(); ++r) {
-      EXPECT_DOUBLE_EQ(estimates_by_pool[0][r], estimates_by_pool[i][r])
-          << "pool=" << pool_sizes[i] << " round=" << r;
-    }
-  }
 }
 
 // With intra-provider scan sharding enabled, the PR-1 guarantees must

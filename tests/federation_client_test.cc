@@ -25,7 +25,6 @@
 #include "exec/task_graph.h"
 #include "exec/thread_pool.h"
 #include "federation/orchestrator.h"
-#include "federation/progressive.h"
 #include "execute_query.h"
 #include "gate_endpoint.h"
 #include "rpc/remote_endpoint.h"
@@ -372,7 +371,7 @@ TEST(FederationClientCancelTest, MidQueryCancelRefundsUnexercisedShares) {
       MakeInProcessEndpoints(Ptrs(providers));
   ASSERT_TRUE(inner.ok());
   // Every Cover on provider 0 waits until the gate is released.
-  auto gate = std::make_shared<CoverGate>();
+  auto gate = std::make_shared<CallGate>();
   gate->Close();
   std::vector<std::shared_ptr<ProviderEndpoint>> endpoints = {
       std::make_shared<GatedEndpoint>((*inner)[0], gate), (*inner)[1]};
@@ -613,52 +612,9 @@ TEST(FederationClientReleaseTest, GraphBatchReleasesEverySession) {
 
 // -------------------------------------------------------------- progressive --
 
-TEST(FederationClientProgressiveTest, TicketSurfacesRoundsBitIdentically) {
-  const RangeQuery q = WideQuery();
-  FederationClient::Options copts;
-  copts.protocol = BaseConfig(2, BatchScheduler::kTaskGraph);
-  copts.analysts = {{"alice", 1e6, 1e3}};
-
-  auto client_providers = MakeFederation(3);
-  Result<std::unique_ptr<FederationClient>> client =
-      FederationClient::Create(Ptrs(client_providers), copts);
-  ASSERT_TRUE(client.ok());
-  QuerySpec spec;
-  spec.analyst = "alice";
-  spec.query = q;
-  spec.kind = QueryKind::kProgressive;
-  spec.progressive_rounds = 3;
-  QueryTicket ticket = (*client)->Submit(std::move(spec));
-  Result<QueryResponse> resp = ticket.Wait();
-  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-  std::vector<ProgressiveRound> rounds = ticket.Refinements();
-  ASSERT_EQ(rounds.size(), 3u);
-  EXPECT_EQ(resp->estimate, rounds.back().estimate);
-  // Full consumption: the whole per-query budget is spent, no refund.
-  Result<PrivacyBudget> spent = (*client)->ledger().Spent("alice");
-  ASSERT_TRUE(spent.ok());
-  EXPECT_NEAR(spent->epsilon, 1.0, 1e-9);
-  EXPECT_EQ(ticket.Stats().refunded.epsilon, 0.0);
-
-  // Bit-identical to the direct progressive runner on an identical
-  // federation with the same options.
-  auto direct_providers = MakeFederation(3);
-  ProgressiveOptions popts;
-  popts.rounds = 3;
-  popts.sampling_rate = copts.protocol.sampling_rate;
-  popts.budget = copts.protocol.per_query_budget;
-  popts.split = copts.protocol.split;
-  popts.num_threads = copts.protocol.num_threads;
-  Result<std::vector<ProgressiveRound>> direct =
-      ExecuteProgressive(Ptrs(direct_providers), q, popts);
-  ASSERT_TRUE(direct.ok());
-  ASSERT_EQ(direct->size(), rounds.size());
-  for (size_t r = 0; r < rounds.size(); ++r) {
-    EXPECT_EQ(rounds[r].estimate, (*direct)[r].estimate) << "round " << r;
-  }
-}
-
-TEST(FederationClientProgressiveTest, EndpointBackedClientRefusesProgressive) {
+// A client built over endpoints serves progressive queries: every round is
+// released and the whole budget charged.
+TEST(FederationClientProgressiveTest, EndpointBackedClientServesProgressive) {
   auto providers = MakeFederation(2);
   Result<std::vector<std::shared_ptr<ProviderEndpoint>>> endpoints =
       MakeInProcessEndpoints(Ptrs(providers));
@@ -673,13 +629,13 @@ TEST(FederationClientProgressiveTest, EndpointBackedClientRefusesProgressive) {
   spec.analyst = "alice";
   spec.query = WideQuery();
   spec.kind = QueryKind::kProgressive;
-  Result<QueryResponse> resp = (*client)->Submit(std::move(spec)).Wait();
-  ASSERT_FALSE(resp.ok());
-  EXPECT_EQ(resp.status().code(), StatusCode::kFailedPrecondition);
-  // Refused before charging.
-  Result<PrivacyBudget> spent = (*client)->ledger().Spent("alice");
-  ASSERT_TRUE(spent.ok());
-  EXPECT_EQ(spent->epsilon, 0.0);
+  spec.progressive_rounds = 3;
+  QueryTicket ticket = (*client)->Submit(std::move(spec));
+  Result<QueryResponse> resp = ticket.Wait();
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  ASSERT_EQ(ticket.Refinements().size(), 3u);
+  EXPECT_EQ(resp->estimate, ticket.Refinements().back().estimate);
+  EXPECT_EQ((*client)->ledger().Spent("alice")->epsilon, 1.0);
 }
 
 // ------------------------------------------------------------- lifecycle --

@@ -1,17 +1,26 @@
-// Tests for progressive (online) aggregation and error-bounded execution.
+// Tests for progressive (online) aggregation and its error-bounded stop:
+// progressive queries run on the one protocol engine — admitted, charged
+// and audited by FederationClient, each round a set of estimate and
+// combine nodes that reach the providers through their endpoints.
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/math.h"
-#include "core/error_bounded.h"
-#include "federation/progressive.h"
+#include "exec/federation_client.h"
+#include "exec/in_process_endpoint.h"
+#include "gate_endpoint.h"
+#include "registry_delta.h"
 #include "workload/datagen.h"
 
 namespace fedaqp {
 namespace {
+
+constexpr double kEpsilon = 2.0;
+constexpr double kDelta = 1e-3;
 
 class ProgressiveFixture : public ::testing::Test {
  protected:
@@ -45,6 +54,61 @@ class ProgressiveFixture : public ::testing::Test {
     return out;
   }
 
+  static FederationClient::Options Options(
+      size_t threads = 2,
+      BatchScheduler scheduler = BatchScheduler::kTaskGraph) {
+    FederationClient::Options o;
+    o.protocol.per_query_budget = {kEpsilon, kDelta};
+    o.protocol.sampling_rate = 0.3;
+    o.protocol.num_threads = threads;
+    o.protocol.scheduler = scheduler;
+    o.analysts = {{"alice", 1e6, 1e3}};
+    return o;
+  }
+
+  std::unique_ptr<FederationClient> Client(
+      const FederationClient::Options& options) {
+    Result<std::unique_ptr<FederationClient>> client =
+        FederationClient::Create(Ptrs(), options);
+    EXPECT_TRUE(client.ok()) << client.status().ToString();
+    return client.ok() ? std::move(client).value() : nullptr;
+  }
+
+  /// A client whose endpoints hold `gated` calls of provider 0 at `gate`
+  /// and count every provider's Approximate calls.
+  std::unique_ptr<FederationClient> GatedClient(
+      const std::shared_ptr<CallGate>& gate, GatedCall gated) {
+    Result<std::vector<std::shared_ptr<ProviderEndpoint>>> inner =
+        MakeInProcessEndpoints(Ptrs());
+    EXPECT_TRUE(inner.ok());
+    std::vector<std::shared_ptr<ProviderEndpoint>> endpoints;
+    gated_.clear();
+    for (size_t i = 0; i < inner->size(); ++i) {
+      auto endpoint = std::make_shared<GatedEndpoint>(
+          (*inner)[i], i == 0 ? gate : std::make_shared<CallGate>(), gated);
+      gated_.push_back(endpoint.get());
+      endpoints.push_back(std::move(endpoint));
+    }
+    Result<std::unique_ptr<FederationClient>> client =
+        FederationClient::Create(std::move(endpoints), Options());
+    EXPECT_TRUE(client.ok()) << client.status().ToString();
+    return client.ok() ? std::move(client).value() : nullptr;
+  }
+
+  size_t ApproximateCalls() const {
+    size_t calls = 0;
+    for (const GatedEndpoint* e : gated_) calls += e->approximate_calls();
+    return calls;
+  }
+
+  static QuerySpec Progressive(size_t rounds, double target = 0.0) {
+    QuerySpec spec{"alice", BroadQuery()};
+    spec.kind = QueryKind::kProgressive;
+    spec.progressive_rounds = rounds;
+    spec.target_relative_stderr = target;
+    return spec;
+  }
+
   double Truth(const RangeQuery& q) {
     double total = 0.0;
     for (auto& p : providers_) {
@@ -53,7 +117,7 @@ class ProgressiveFixture : public ::testing::Test {
     return total;
   }
 
-  RangeQuery BroadQuery() {
+  static RangeQuery BroadQuery() {
     return RangeQueryBuilder(Aggregation::kSum)
         .Where(0, 5, 45)
         .Where(1, 0, 20)
@@ -61,146 +125,288 @@ class ProgressiveFixture : public ::testing::Test {
   }
 
   std::vector<std::unique_ptr<DataProvider>> providers_;
+  std::vector<GatedEndpoint*> gated_;
 };
 
-TEST_F(ProgressiveFixture, Validation) {
-  ProgressiveOptions opts;
-  EXPECT_FALSE(ExecuteProgressive({}, BroadQuery(), opts).ok());
-  ProgressiveOptions zero_rounds;
-  zero_rounds.rounds = 0;
-  EXPECT_FALSE(ExecuteProgressive(Ptrs(), BroadQuery(), zero_rounds).ok());
-  ProgressiveOptions bad_rate;
-  bad_rate.sampling_rate = 1.5;
-  EXPECT_FALSE(ExecuteProgressive(Ptrs(), BroadQuery(), bad_rate).ok());
-}
-
-TEST_F(ProgressiveFixture, ProducesOneEntryPerRound) {
-  ProgressiveOptions opts;
-  opts.rounds = 5;
-  opts.sampling_rate = 0.3;
-  opts.budget = {2.0, 1e-3};
-  Result<std::vector<ProgressiveRound>> rounds =
-      ExecuteProgressive(Ptrs(), BroadQuery(), opts);
-  ASSERT_TRUE(rounds.ok());
-  ASSERT_EQ(rounds->size(), 5u);
-  for (size_t i = 0; i < rounds->size(); ++i) {
-    EXPECT_EQ((*rounds)[i].round, i + 1);
-    EXPECT_GT((*rounds)[i].stderr_estimate, 0.0);
+/// Every record of `kind` for alice.
+size_t CountRecords(const FederationClient& client,
+                    obs::BudgetAuditLog::Kind kind) {
+  size_t n = 0;
+  for (const auto& record : client.audit_log().ForAnalyst("alice")) {
+    if (record.kind == kind) ++n;
   }
+  return n;
 }
 
-TEST_F(ProgressiveFixture, WorkAndBudgetGrowMonotonically) {
-  ProgressiveOptions opts;
-  opts.rounds = 4;
-  opts.sampling_rate = 0.3;
-  opts.budget = {2.0, 1e-3};
-  Result<std::vector<ProgressiveRound>> rounds =
-      ExecuteProgressive(Ptrs(), BroadQuery(), opts);
-  ASSERT_TRUE(rounds.ok());
-  for (size_t i = 1; i < rounds->size(); ++i) {
-    EXPECT_GE((*rounds)[i].clusters_scanned, (*rounds)[i - 1].clusters_scanned);
-    EXPECT_GT((*rounds)[i].spent.epsilon, (*rounds)[i - 1].spent.epsilon);
-    EXPECT_GT((*rounds)[i].spent.delta, (*rounds)[i - 1].spent.delta);
+/// The audit log replays the live ledger bit for bit.
+void ExpectLedgerReplays(const FederationClient& client) {
+  AnalystLedger replayed;
+  ASSERT_TRUE(client.audit_log().Replay(&replayed).ok());
+  EXPECT_EQ(replayed.Spent("alice")->epsilon,
+            client.ledger().Spent("alice")->epsilon);
+  EXPECT_EQ(replayed.Spent("alice")->delta,
+            client.ledger().Spent("alice")->delta);
+  EXPECT_EQ(replayed.Remaining("alice")->epsilon,
+            client.ledger().Remaining("alice")->epsilon);
+}
+
+TEST_F(ProgressiveFixture, RoundsAndTargetAreCheckedAtAdmission) {
+  std::unique_ptr<FederationClient> client = Client(Options());
+  ASSERT_NE(client, nullptr);
+  for (QuerySpec spec : {Progressive(kMaxProgressiveRounds + 1),
+                         Progressive(4, /*target=*/-0.1)}) {
+    Result<QueryResponse> refused = client->Submit(std::move(spec)).Wait();
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
   }
+  // Refused before charging.
+  EXPECT_EQ(client->ledger().Spent("alice")->epsilon, 0.0);
+
+  // A count of 0 means one round.
+  QueryTicket one = client->Submit(Progressive(0));
+  ASSERT_TRUE(one.Wait().ok());
+  EXPECT_EQ(one.Refinements().size(), 1u);
 }
 
-TEST_F(ProgressiveFixture, FullRunCostsTheOneShotBudget) {
-  ProgressiveOptions opts;
-  opts.rounds = 4;
-  opts.sampling_rate = 0.3;
-  opts.budget = {1.0, 1e-3};
-  Result<std::vector<ProgressiveRound>> rounds =
-      ExecuteProgressive(Ptrs(), BroadQuery(), opts);
-  ASSERT_TRUE(rounds.ok());
-  const ProgressiveRound& last = rounds->back();
-  EXPECT_NEAR(last.spent.epsilon, 1.0, 1e-9);
-  EXPECT_NEAR(last.spent.delta, 1e-3, 1e-12);
+// A run with an unreachable stop target releases every round — numbered,
+// with work and spend growing — and costs the one-shot budget exactly:
+// nothing refunded, no refund record.
+TEST_F(ProgressiveFixture, UnreachableTargetRunsEveryRoundAtTheOneShotCost) {
+  std::unique_ptr<FederationClient> client = Client(Options());
+  ASSERT_NE(client, nullptr);
+  QueryTicket ticket = client->Submit(Progressive(5, /*target=*/1e-9));
+  Result<QueryResponse> resp = ticket.Wait();
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  const std::vector<ProgressiveRound> rounds = ticket.Refinements();
+  ASSERT_EQ(rounds.size(), 5u);
+  for (size_t i = 0; i < rounds.size(); ++i) {
+    EXPECT_EQ(rounds[i].round, i + 1);
+    EXPECT_GT(rounds[i].stderr_estimate, 0.0);
+    if (i == 0) continue;
+    EXPECT_GE(rounds[i].clusters_scanned, rounds[i - 1].clusters_scanned);
+    EXPECT_GT(rounds[i].spent.epsilon, rounds[i - 1].spent.epsilon);
+    EXPECT_GT(rounds[i].spent.delta, rounds[i - 1].spent.delta);
+  }
+  EXPECT_EQ(resp->estimate, rounds.back().estimate);
+  EXPECT_EQ(resp->stderr_estimate, rounds.back().stderr_estimate);
+  EXPECT_EQ(rounds.back().spent.epsilon, kEpsilon);
+  EXPECT_EQ(rounds.back().spent.delta, kDelta);
+  EXPECT_EQ(client->ledger().Spent("alice")->epsilon, kEpsilon);
+  EXPECT_EQ(ticket.Stats().refunded.epsilon, 0.0);
+  EXPECT_EQ(CountRecords(*client, obs::BudgetAuditLog::Kind::kRefund), 0u);
 }
 
-TEST_F(ProgressiveFixture, LaterRoundsConvergeTowardTruth) {
-  // Average over repetitions: the final round's mean error should not
-  // exceed the first round's (more draws, same per-round noise scale
-  // structure).
-  ProgressiveOptions opts;
-  opts.rounds = 4;
-  opts.sampling_rate = 0.4;
-  opts.budget = {4.0, 1e-3};
-  double truth = Truth(BroadQuery());
-  RunningStats first_err, last_err;
+TEST_F(ProgressiveFixture, LaterRoundsConvergeAndStderrShrinks) {
+  // Average over repetitions (each query its own session, so its own
+  // noise): the final round's mean error should not exceed the first
+  // round's (more draws, same per-round noise scale structure).
+  FederationClient::Options options = Options();
+  options.protocol.per_query_budget = {4.0, kDelta};
+  options.protocol.sampling_rate = 0.4;
+  std::unique_ptr<FederationClient> client = Client(options);
+  ASSERT_NE(client, nullptr);
+  const double truth = Truth(BroadQuery());
+  std::vector<QueryTicket> tickets;
   for (int rep = 0; rep < 12; ++rep) {
-    Result<std::vector<ProgressiveRound>> rounds =
-        ExecuteProgressive(Ptrs(), BroadQuery(), opts);
-    ASSERT_TRUE(rounds.ok());
-    first_err.Add(RelativeError(truth, rounds->front().estimate));
-    last_err.Add(RelativeError(truth, rounds->back().estimate));
+    tickets.push_back(client->Submit(Progressive(4)));
+  }
+  RunningStats first_err, last_err;
+  for (QueryTicket& ticket : tickets) {
+    ASSERT_TRUE(ticket.Wait().ok());
+    first_err.Add(RelativeError(truth, ticket.Refinements().front().estimate));
+    last_err.Add(RelativeError(truth, ticket.Refinements().back().estimate));
   }
   EXPECT_LT(last_err.mean(), first_err.mean() * 1.5 + 0.05);
   EXPECT_LT(last_err.mean(), 0.5);
-}
-
-TEST_F(ProgressiveFixture, StderrShrinksAcrossRounds) {
-  ProgressiveOptions opts;
-  opts.rounds = 4;
-  opts.sampling_rate = 0.4;
-  opts.budget = {4.0, 1e-3};
-  Result<std::vector<ProgressiveRound>> rounds =
-      ExecuteProgressive(Ptrs(), BroadQuery(), opts);
-  ASSERT_TRUE(rounds.ok());
   // Sampling variance decreases with draws; the noise component is equal
   // per round, so the total stderr should not grow much.
-  EXPECT_LE(rounds->back().stderr_estimate,
-            rounds->front().stderr_estimate * 1.5);
+  const std::vector<ProgressiveRound> first = tickets.front().Refinements();
+  EXPECT_LE(first.back().stderr_estimate,
+            first.front().stderr_estimate * 1.5);
 }
 
-// ---------------------------------------------------------- ErrorBounded --
+// Stopping early saves what it promises: only round 1's Approximate calls
+// reach the providers, only round 1's rows are scanned, and the ledger
+// keeps eps_O + eps_S + eps_E / R.
+TEST_F(ProgressiveFixture, LooseTargetStopsAfterRoundOne) {
+  std::unique_ptr<FederationClient> client =
+      GatedClient(std::make_shared<CallGate>(), {});
+  ASSERT_NE(client, nullptr);
+  const RegistryDelta delta;
+  constexpr size_t kRounds = 6;
+  QueryTicket ticket = client->Submit(Progressive(kRounds, /*target=*/10.0));
+  Result<QueryResponse> resp = ticket.Wait();
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  ASSERT_EQ(ticket.Refinements().size(), 1u);
+  EXPECT_EQ(ApproximateCalls(), providers_.size());
+  EXPECT_EQ(delta("storage.rows_scanned"), resp->breakdown.rows_scanned);
 
-TEST_F(ProgressiveFixture, ErrorBoundedValidation) {
-  ErrorBoundedOptions opts;
-  opts.target_relative_stderr = 0.0;
-  EXPECT_FALSE(ExecuteErrorBounded(Ptrs(), BroadQuery(), opts).ok());
+  const BudgetSplit split;
+  const double kept = split.hp_allocation * kEpsilon +
+                      split.hp_sampling * kEpsilon +
+                      split.hp_estimate * kEpsilon / kRounds;
+  EXPECT_NEAR(client->ledger().Spent("alice")->epsilon, kept, 1e-12);
+  EXPECT_NEAR(client->ledger().Spent("alice")->delta, kDelta / kRounds,
+              1e-15);
+  EXPECT_EQ(resp->spent.epsilon, ticket.Refinements()[0].spent.epsilon);
+  EXPECT_NEAR(ticket.Stats().refunded.epsilon, kEpsilon - kept, 1e-12);
+  EXPECT_EQ(CountRecords(*client, obs::BudgetAuditLog::Kind::kRefund), 1u);
+  ExpectLedgerReplays(*client);
+
+  // The full run does more of both.
+  const uint64_t stopped_rows = delta("storage.rows_scanned");
+  const RegistryDelta full_delta;
+  QueryTicket full = client->Submit(Progressive(kRounds));
+  ASSERT_TRUE(full.Wait().ok());
+  EXPECT_EQ(full.Refinements().size(), kRounds);
+  EXPECT_EQ(ApproximateCalls(), providers_.size() * (1 + kRounds));
+  EXPECT_GT(full_delta("storage.rows_scanned"), stopped_rows);
 }
 
-TEST_F(ProgressiveFixture, LooseTargetStopsEarly) {
-  ErrorBoundedOptions opts;
-  opts.target_relative_stderr = 10.0;  // trivially loose
-  opts.progressive.rounds = 6;
-  opts.progressive.sampling_rate = 0.3;
-  opts.progressive.budget = {2.0, 1e-3};
-  Result<ErrorBoundedResult> r =
-      ExecuteErrorBounded(Ptrs(), BroadQuery(), opts);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r->met_target);
-  EXPECT_EQ(r->rounds_used, 1u);
-  // Early stop spends less than the full budget.
-  EXPECT_LT(r->spent.epsilon, 2.0);
+TEST_F(ProgressiveFixture, StopTargetMatchesTheReleasedStderr) {
+  std::unique_ptr<FederationClient> client = Client(Options());
+  ASSERT_NE(client, nullptr);
+  constexpr double kTarget = 0.5;
+  QueryTicket ticket = client->Submit(Progressive(4, kTarget));
+  ASSERT_TRUE(ticket.Wait().ok());
+  const std::vector<ProgressiveRound> rounds = ticket.Refinements();
+  ASSERT_FALSE(rounds.empty());
+  auto meets = [&](const ProgressiveRound& r) {
+    return r.estimate != 0.0 &&
+           r.stderr_estimate / std::abs(r.estimate) <= kTarget;
+  };
+  // Every round before the last missed the target; the last met it or
+  // was round 4.
+  for (size_t i = 0; i + 1 < rounds.size(); ++i) EXPECT_FALSE(meets(rounds[i]));
+  EXPECT_TRUE(meets(rounds.back()) || rounds.size() == 4u);
 }
 
-TEST_F(ProgressiveFixture, ImpossibleTargetExhaustsRounds) {
-  ErrorBoundedOptions opts;
-  opts.target_relative_stderr = 1e-9;
-  opts.progressive.rounds = 3;
-  opts.progressive.sampling_rate = 0.3;
-  opts.progressive.budget = {2.0, 1e-3};
-  Result<ErrorBoundedResult> r =
-      ExecuteErrorBounded(Ptrs(), BroadQuery(), opts);
-  ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(r->met_target);
-  EXPECT_EQ(r->rounds_used, 3u);
-  EXPECT_NEAR(r->spent.epsilon, 2.0, 1e-9);
+// A cancellation while round 2 is in flight stops after round 2: of four
+// rounds, rounds 3 and 4 are refunded and Cancel() says so; of two, the
+// round in flight is the last, so Cancel() returns false and nothing
+// changes.
+TEST_F(ProgressiveFixture, CancelStopsAfterTheRoundInFlight) {
+  for (size_t rounds : {4, 2}) {
+    auto gate = std::make_shared<CallGate>();
+    std::unique_ptr<FederationClient> client =
+        GatedClient(gate, {GatedCall::Kind::kApproximate, /*round=*/2});
+    ASSERT_NE(client, nullptr);
+    gate->Close();
+    QueryTicket ticket = client->Submit(Progressive(rounds));
+    gate->WaitEntered();
+    EXPECT_EQ(ticket.Cancel(), rounds > 2);
+    gate->Release();
+    ASSERT_TRUE(ticket.Wait().ok());
+    ASSERT_EQ(ticket.Refinements().size(), 2u);
+    EXPECT_EQ(ApproximateCalls(), 2 * providers_.size());
+    const double unreleased =
+        (rounds - 2) * BudgetSplit().hp_estimate * kEpsilon / rounds;
+    EXPECT_NEAR(ticket.Stats().refunded.epsilon, unreleased, 1e-12);
+    EXPECT_NEAR(client->ledger().Spent("alice")->epsilon,
+                kEpsilon - unreleased, 1e-12);
+    EXPECT_FALSE(ticket.Cancel());  // delivered: too late
+    ExpectLedgerReplays(*client);
+  }
 }
 
-TEST_F(ProgressiveFixture, AchievedMatchesReportedComponents) {
-  ErrorBoundedOptions opts;
-  opts.target_relative_stderr = 0.5;
-  opts.progressive.rounds = 4;
-  opts.progressive.sampling_rate = 0.4;
-  opts.progressive.budget = {2.0, 1e-3};
-  Result<ErrorBoundedResult> r =
-      ExecuteErrorBounded(Ptrs(), BroadQuery(), opts);
-  ASSERT_TRUE(r.ok());
-  if (r->estimate != 0.0) {
-    EXPECT_NEAR(r->achieved, r->stderr_estimate / std::abs(r->estimate),
-                1e-12);
+// Cancelled after its summaries but before round 1's estimate, a
+// progressive query resolves and refunds exactly as a one-shot query
+// cancelled at the same stage: kCancelled, eps_S + eps_E + delta back.
+TEST_F(ProgressiveFixture, CancelBeforeRoundOneRefundsLikeAOneShotQuery) {
+  std::vector<PrivacyBudget> refunds;
+  for (QueryKind kind : {QueryKind::kApproximate, QueryKind::kProgressive}) {
+    auto gate = std::make_shared<CallGate>();
+    std::unique_ptr<FederationClient> client =
+        GatedClient(gate, {GatedCall::Kind::kSummary, 0});
+    ASSERT_NE(client, nullptr);
+    gate->Close();
+    QuerySpec spec = Progressive(4);
+    spec.kind = kind;
+    QueryTicket ticket = client->Submit(std::move(spec));
+    gate->WaitEntered();
+    EXPECT_TRUE(ticket.Cancel());
+    gate->Release();
+    Result<QueryResponse> resp = ticket.Wait();
+    ASSERT_FALSE(resp.ok());
+    EXPECT_EQ(resp.status().code(), StatusCode::kCancelled);
+    EXPECT_EQ(ApproximateCalls(), 0u);
+    EXPECT_TRUE(ticket.Refinements().empty());
+    refunds.push_back(ticket.Stats().refunded);
+    ExpectLedgerReplays(*client);
+  }
+  const BudgetSplit split;
+  EXPECT_EQ(refunds[0].epsilon, refunds[1].epsilon);
+  EXPECT_EQ(refunds[0].delta, refunds[1].delta);
+  EXPECT_NEAR(refunds[1].epsilon,
+              (split.hp_sampling + split.hp_estimate) * kEpsilon, 1e-12);
+  EXPECT_EQ(refunds[1].delta, kDelta);
+}
+
+// In local-DP mode with the cache off, a 1-round progressive query is the
+// one-shot query: same estimate, stderr, spent and charge bits as an
+// approximate query admitted at the same position.
+TEST_F(ProgressiveFixture, OneRoundEqualsTheOneShotQuery) {
+  std::vector<QueryResponse> answers;
+  std::vector<double> charges;
+  for (QueryKind kind : {QueryKind::kApproximate, QueryKind::kProgressive}) {
+    std::unique_ptr<FederationClient> client = Client(Options());
+    ASSERT_NE(client, nullptr);
+    ASSERT_TRUE(client->Submit(QuerySpec{"alice", BroadQuery()}).Wait().ok());
+    QuerySpec spec = Progressive(1);
+    spec.kind = kind;
+    Result<QueryResponse> resp = client->Submit(std::move(spec)).Wait();
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    answers.push_back(*resp);
+    charges.push_back(client->audit_log().ForAnalyst("alice").back().epsilon);
+  }
+  EXPECT_EQ(answers[0].estimate, answers[1].estimate);
+  EXPECT_EQ(answers[0].stderr_estimate, answers[1].stderr_estimate);
+  EXPECT_EQ(answers[0].spent.epsilon, answers[1].spent.epsilon);
+  EXPECT_EQ(answers[0].spent.delta, answers[1].spent.delta);
+  EXPECT_EQ(charges[0], charges[1]);
+}
+
+// Rounds ride the one scheduler: bit-identical across pool sizes, both
+// schedulers and admission-round splits of the same admission sequence.
+TEST_F(ProgressiveFixture, RoundsIdenticalAcrossPoolsSchedulersAndSplits) {
+  auto run = [&](size_t threads, BatchScheduler scheduler, size_t split) {
+    FederationClient::Options options = Options(threads, scheduler);
+    options.start_paused = true;
+    options.max_batch_queries = split;
+    std::unique_ptr<FederationClient> client = Client(options);
+    std::vector<QuerySpec> specs = {QuerySpec{"alice", BroadQuery()},
+                                    Progressive(3), Progressive(2),
+                                    QuerySpec{"alice", BroadQuery()}};
+    std::vector<QueryTicket> tickets = client->SubmitAll(std::move(specs));
+    client->Resume();
+    std::vector<double> bits;
+    for (QueryTicket& ticket : tickets) {
+      Result<QueryResponse> resp = ticket.Wait();
+      EXPECT_TRUE(resp.ok()) << resp.status().ToString();
+      if (!resp.ok()) continue;
+      bits.push_back(resp->estimate);
+      bits.push_back(resp->stderr_estimate);
+      for (const ProgressiveRound& r : ticket.Refinements()) {
+        bits.push_back(r.estimate);
+        bits.push_back(r.stderr_estimate);
+        bits.push_back(r.spent.epsilon);
+        bits.push_back(static_cast<double>(r.clusters_scanned));
+      }
+    }
+    return bits;
+  };
+  const std::vector<double> base = run(1, BatchScheduler::kTaskGraph, 0);
+  ASSERT_EQ(base.size(), 2 * 4 + 4 * (3 + 2));
+  for (size_t threads : {1, 2, 4}) {
+    for (BatchScheduler scheduler :
+         {BatchScheduler::kTaskGraph, BatchScheduler::kPhaseBarrier}) {
+      for (size_t split : {0, 1}) {
+        EXPECT_EQ(run(threads, scheduler, split), base)
+            << "threads=" << threads << " barrier="
+            << (scheduler == BatchScheduler::kPhaseBarrier)
+            << " split=" << split;
+      }
+    }
   }
 }
 

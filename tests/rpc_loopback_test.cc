@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <memory>
+#include <utility>
 #include <thread>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/federation_client.h"
+#include "exec/in_process_endpoint.h"
 #include "federation/orchestrator.h"
 #include "rpc/remote_endpoint.h"
 #include "rpc/server.h"
@@ -156,6 +158,45 @@ TEST_F(RpcLoopbackTest, LoopbackFederationIsBitIdenticalToInProcess) {
   }
 }
 
+// Progressive rounds cross the wire like one-shot estimates: a client over
+// loopback endpoints releases the in-process client's rounds bit for bit,
+// exact-path providers included.
+TEST_F(RpcLoopbackTest, ProgressiveRoundsAreBitIdenticalOverLoopback) {
+  Result<std::vector<std::shared_ptr<ProviderEndpoint>>> remote =
+      ConnectRemote();
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  Result<std::vector<std::shared_ptr<ProviderEndpoint>>> local =
+      MakeInProcessEndpoints(Ptrs());
+  ASSERT_TRUE(local.ok());
+  FederationClient::Options options;
+  options.protocol = BaseConfig();
+  options.analysts = {{"alice", 1e6, 1e3}};
+  std::vector<std::vector<double>> bits;
+  for (auto* endpoints : {&*local, &*remote}) {
+    Result<std::unique_ptr<FederationClient>> client =
+        FederationClient::Create(*endpoints, options);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    bits.emplace_back();
+    for (const RangeQuery& q : Workload()) {
+      QuerySpec spec{"alice", q};
+      spec.kind = QueryKind::kProgressive;
+      spec.progressive_rounds = 3;
+      QueryTicket ticket = (*client)->Submit(std::move(spec));
+      Result<QueryResponse> resp = ticket.Wait();
+      ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+      ASSERT_EQ(ticket.Refinements().size(), 3u);
+      for (const ProgressiveRound& r : ticket.Refinements()) {
+        bits.back().push_back(r.estimate);
+        bits.back().push_back(r.stderr_estimate);
+        bits.back().push_back(r.spent.epsilon);
+        bits.back().push_back(static_cast<double>(r.clusters_scanned));
+      }
+      bits.back().push_back(static_cast<double>(resp->breakdown.network_bytes));
+    }
+  }
+  EXPECT_EQ(bits[0], bits[1]);
+}
+
 TEST_F(RpcLoopbackTest, BatchedEnginePathIsBitIdenticalOverLoopback) {
   Result<std::vector<std::shared_ptr<ProviderEndpoint>>> remote =
       ConnectRemote();
@@ -297,6 +338,53 @@ TEST_F(RpcLoopbackTest, SessionErrorsTravelAsStatusAndConnectionSurvives) {
   Result<CoverReply> reply = endpoint->Cover(cover);
   EXPECT_TRUE(reply.ok()) << reply.status().ToString();
   endpoint->EndQuery(1);
+}
+
+// A peer asking for a sample no session can need (2^62 draws) is refused
+// before anything is allocated, and the server keeps serving: the same
+// server then answers a well-formed query.
+TEST_F(RpcLoopbackTest, HostileSampleSizeIsRefusedAndTheServerSurvives) {
+  Result<std::vector<std::shared_ptr<ProviderEndpoint>>> remote =
+      ConnectRemote();
+  ASSERT_TRUE(remote.ok());
+  ProviderEndpoint* endpoint = (*remote)[0].get();
+  CoverRequest cover;
+  cover.query_id = 31;
+  cover.session_nonce = 5;
+  cover.query = RangeQueryBuilder(Aggregation::kCount).Where(0, 0, 199).Build();
+  ASSERT_TRUE(endpoint->Cover(cover).ok());
+  ASSERT_TRUE(endpoint->PublishSummary(SummaryRequest{31, 0.2}).ok());
+  ApproximateRequest hostile;
+  hostile.query_id = 31;
+  hostile.sample_size = size_t{1} << 62;
+  hostile.eps_sampling = 0.1;
+  hostile.eps_estimate = 0.5;
+  hostile.delta = 1e-3;
+  Result<EstimateReply> refused = endpoint->Approximate(hostile);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  // Rounds out of range or out of order are refused the same way.
+  ApproximateRequest bad_round = hostile;
+  bad_round.sample_size = 1;
+  for (auto [round, rounds] :
+       {std::pair<uint32_t, uint32_t>{1, 0}, {1, 1001}, {2, 4}, {3, 2}}) {
+    bad_round.round = round;
+    bad_round.rounds = rounds;
+    Result<EstimateReply> r = endpoint->Approximate(bad_round);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
+  endpoint->EndQuery(31);
+
+  FederationClient::Options options;
+  options.protocol = BaseConfig();
+  options.analysts = {{"alice", 1e6, 1e3}};
+  Result<std::unique_ptr<FederationClient>> client =
+      FederationClient::Create(*remote, options);
+  ASSERT_TRUE(client.ok());
+  Result<QueryResponse> answer =
+      (*client)->Submit(QuerySpec{"alice", Workload()[0]}).Wait();
+  EXPECT_TRUE(answer.ok()) << answer.status().ToString();
 }
 
 TEST_F(RpcLoopbackTest, IndependentCoordinatorsDoNotCollideOnSessionIds) {

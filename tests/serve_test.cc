@@ -276,7 +276,7 @@ TEST(DeadlineEvictionTest, EvictedQueriesRefundFullyAndAuditReplays) {
       MakeInProcessEndpoints(Ptrs(providers));
   ASSERT_TRUE(inner.ok());
   // One gate shared by every provider decides when any query can start.
-  auto gate = std::make_shared<CoverGate>();
+  auto gate = std::make_shared<CallGate>();
   gate->Close();
   std::vector<std::shared_ptr<ProviderEndpoint>> endpoints;
   for (auto& e : *inner) {

@@ -39,7 +39,7 @@ RangeQuery TwoRangeSum() {
                     {DimRange{0, -5, 60}, DimRange{1, 2, 3}});
 }
 
-TEST(WireGoldenTest, VersionIsThree) { EXPECT_EQ(kWireVersion, 3); }
+TEST(WireGoldenTest, VersionIsFour) { EXPECT_EQ(kWireVersion, 4); }
 
 TEST(WireGoldenTest, ProviderPayloads) {
   EndpointInfo info;
@@ -66,9 +66,9 @@ TEST(WireGoldenTest, ProviderPayloads) {
             "000000000000f83f00000000000045409a9999999999b93f0100000000000000"
             "0200000000000000000000000000e03f");
 
-  EXPECT_EQ(PayloadHex(ApproximateRequest{11, 128, 0.2, 0.3, 1e-5, true}),
+  EXPECT_EQ(PayloadHex(ApproximateRequest{11, 128, 0.2, 0.3, 1e-5, true, 2, 5}),
             "0b0000000000000080000000000000009a9999999999c93f333333333333d33f"
-            "f168e388b5f8e43e01");
+            "f168e388b5f8e43e010200000005000000");
 
   EXPECT_EQ(PayloadHex(ExactAnswerRequest{12, 0.7, false}),
             "0c00000000000000666666666666e63f00");
@@ -108,12 +108,12 @@ TEST(WireGoldenTest, Frames) {
   ByteWriter payload;
   Encode(SummaryRequest{7, 0.5}, &payload);
   EXPECT_EQ(Hex(EncodeFrame(RpcMethod::kPublishSummary, payload)),
-            "c109dafe0303100000000700000000000000000000000000e03f");
+            "c109dafe0403100000000700000000000000000000000000e03f");
 
   ByteWriter error;
   Encode(ErrorReply{Status::InvalidArgument("bad")}, &error);
   EXPECT_EQ(Hex(EncodeFrame(RpcMethod::kError, error)),
-            "c109dafe030f080000000103000000626164");
+            "c109dafe040f080000000103000000626164");
 
   // A doorbell batch: an empty kInfo request and an EndQuery request.
   ByteWriter batch;
@@ -124,7 +124,7 @@ TEST(WireGoldenTest, Frames) {
                     static_cast<uint32_t>(end_payload.size()), &batch);
   batch.PutRaw(end_payload.bytes().data(), end_payload.size());
   EXPECT_EQ(Hex(EncodeFrame(RpcMethod::kBatch, batch)),
-            "c109dafe03081c000000c109dafe030100000000c109dafe0307080000002a00"
+            "c109dafe04081c000000c109dafe040100000000c109dafe0407080000002a00"
             "000000000000");
 }
 

@@ -42,14 +42,14 @@ constexpr const char* kNoSession =
 constexpr const char* kSettingsReport = "ok (ledgers reset)";
 /// Caps on counts that become threads or up-front allocations: `threads`
 /// starts that many OS threads, `open` generates rows for that many
-/// providers, `batch` builds k specs, `rounds=` sizes per-round state.
-/// A planner horizon past remaining eps / floor only repeats the floor.
+/// providers, `batch` builds k specs (`rounds=` takes the client's own
+/// kMaxProgressiveRounds). A planner horizon past remaining eps / floor
+/// only repeats the floor.
 constexpr uint64_t kMaxThreads = 256;
 constexpr uint64_t kMaxHorizon = 1000000;
 constexpr uint64_t kMaxRows = 100000000;
 constexpr uint64_t kMaxProviders = 256;
 constexpr uint64_t kMaxBatch = 100000;
-constexpr uint64_t kMaxRounds = 1000;
 
 /// A handler's "arguments do not parse": the dispatcher prints the verb's
 /// usage line instead of an error.
@@ -496,7 +496,8 @@ Status Submit(ShellState& s, std::istringstream& in) {
       }
       spec.kind = QueryKind::kProgressive;
       FEDAQP_ASSIGN_OR_RETURN(spec.progressive_rounds,
-                              ParseCount("rounds", opt.substr(7), kMaxRounds));
+                              ParseCount("rounds", opt.substr(7),
+                                         kMaxProgressiveRounds));
     } else {
       return Status::InvalidArgument("unknown option '" + opt + "'");
     }
