@@ -6,14 +6,14 @@ namespace fedaqp {
 
 PrivacyBudget BudgetPlanner::NextQueryBudget(const PrivacyBudget& remaining,
                                              size_t horizon) const {
-  const double def = options_.default_budget.epsilon;
+  const double def = default_budget_.epsilon;
   double eps = def;
   if (horizon > 0) {
     eps = remaining.epsilon / static_cast<double>(horizon);
     eps = std::min(eps, def);
-    eps = std::max(eps, options_.eps_floor);
+    eps = std::max(eps, kPlanEpsFloor);
   }
-  return PrivacyBudget{eps, options_.default_budget.delta};
+  return PrivacyBudget{eps, default_budget_.delta};
 }
 
 }  // namespace fedaqp

@@ -8,22 +8,19 @@
 
 namespace fedaqp {
 
+/// Smallest per-query epsilon still considered useful: the planner never
+/// stretches a grant below this accuracy.
+constexpr double kPlanEpsFloor = 0.05;
+
 /// Workload-aware per-query budget planning — the budget/accuracy
 /// trade-off knob (Shrinkwrap, PAPERS.md) over the analyst's (xi, psi)
 /// grant: the stretch rule that spreads a remaining grant over further
-/// queries, shrinking per-query epsilon (never below `eps_floor`, never
+/// queries, shrinking per-query epsilon (never below kPlanEpsFloor, never
 /// above the configured default) so as many queries as possible are
 /// answered, and the plan FederationClient::PlanWorkload fills by running
 /// admission on a snapshot.
 class BudgetPlanner {
  public:
-  struct PlannerOptions {
-    /// Configured default per-query charge.
-    PrivacyBudget default_budget{1.0, 1e-3};
-    /// Smallest per-query epsilon still considered useful; the planner
-    /// refuses to stretch the grant below this accuracy.
-    double eps_floor = 0.05;
-  };
 
   struct PlannedQuery {
     /// (eps, delta) to submit the query with. For a predicted cache hit,
@@ -32,7 +29,7 @@ class BudgetPlanner {
     PrivacyBudget budget{0.0, 0.0};
     bool predicted_cached = false;
     /// False when admission would refuse the query: the grant cannot
-    /// cover it even at eps_floor, or the query itself is invalid.
+    /// cover it even at kPlanEpsFloor, or the query itself is invalid.
     bool answerable = true;
   };
 
@@ -45,20 +42,20 @@ class BudgetPlanner {
     PrivacyBudget projected_spend{0.0, 0.0};
   };
 
-  explicit BudgetPlanner(PlannerOptions options) : options_(options) {}
+  /// `default_budget`: the configured per-query charge.
+  explicit BudgetPlanner(PrivacyBudget default_budget)
+      : default_budget_(default_budget) {}
 
   /// The stretch rule: the budget for one chargeable query when
   /// `horizon` further queries are expected against `remaining` —
   /// remaining epsilon spread over the horizon, clamped to
-  /// [eps_floor, default]. Delta stays the configured default (it is
+  /// [kPlanEpsFloor, default]. Delta stays the configured default (it is
   /// consumed per released estimate, not scaled by accuracy).
   PrivacyBudget NextQueryBudget(const PrivacyBudget& remaining,
                                 size_t horizon) const;
 
-  const PlannerOptions& options() const { return options_; }
-
  private:
-  PlannerOptions options_;
+  PrivacyBudget default_budget_;
 };
 
 }  // namespace fedaqp

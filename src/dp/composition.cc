@@ -1,43 +1,8 @@
 #include "dp/composition.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace fedaqp {
-
-PrivacyBudget SequentialComposition(const std::vector<PrivacyBudget>& parts) {
-  PrivacyBudget total{0.0, 0.0};
-  for (const auto& p : parts) {
-    total.epsilon += p.epsilon;
-    total.delta += p.delta;
-  }
-  return total;
-}
-
-PrivacyBudget ParallelComposition(const std::vector<PrivacyBudget>& parts) {
-  PrivacyBudget total{0.0, 0.0};
-  for (const auto& p : parts) {
-    total.epsilon = std::max(total.epsilon, p.epsilon);
-    total.delta = std::max(total.delta, p.delta);
-  }
-  return total;
-}
-
-Result<PrivacyBudget> AdvancedComposition(double per_query_epsilon,
-                                          double per_query_delta,
-                                          size_t num_queries,
-                                          double delta_slack) {
-  if (per_query_epsilon <= 0.0 || delta_slack <= 0.0 || delta_slack >= 1.0) {
-    return Status::InvalidArgument(
-        "advanced composition: need eps > 0 and delta' in (0,1)");
-  }
-  double k = static_cast<double>(num_queries);
-  double eps = std::sqrt(2.0 * k * std::log(1.0 / delta_slack)) *
-                   per_query_epsilon +
-               k * per_query_epsilon * (std::exp(per_query_epsilon) - 1.0);
-  double delta = k * per_query_delta + delta_slack;
-  return PrivacyBudget{eps, delta};
-}
 
 Result<PrivacyBudget> PerQuerySequential(double xi, double psi,
                                          size_t num_queries) {

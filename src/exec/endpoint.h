@@ -40,9 +40,11 @@ struct CoverRequest {
   /// Coordinator-chosen session nonce (a function of the orchestrator's
   /// seed and the query id). The endpoint folds it into the session's
   /// noise stream, so two coordinators over the same provider draw
-  /// distinct noise even when their query ids coincide — identical draws
-  /// across queries would let an analyst cancel the DP noise by
-  /// differencing releases.
+  /// distinct noise when their FederationConfig::seeds differ. With equal
+  /// seeds (the default is 42 for every coordinator) equal query ids get
+  /// equal nonces and replay one noise stream, which lets an analyst
+  /// cancel the DP noise by differencing releases; no provider refuses a
+  /// nonce it has seen (ROADMAP item 1).
   uint64_t session_nonce = 0;
   RangeQuery query;
 };
@@ -120,7 +122,7 @@ struct ExactScanReply {
 /// session's randomness is keyed purely by (provider seed, session
 /// nonce), never by arrival order, so answers are bit-identical for every
 /// schedule — the property the barrier-free scheduler rests on and that
-/// tests/task_graph_test.cc pins.
+/// tests/determinism_matrix_test.cc pins.
 class ProviderEndpoint {
  public:
   virtual ~ProviderEndpoint() = default;

@@ -310,8 +310,7 @@ FederationClient::FederationClient(QueryOrchestrator orchestrator,
           [this](const std::string& analyst) {
             return budget_->Remaining(analyst);
           }},
-      planner_(BudgetPlanner::PlannerOptions{
-          options_.protocol.per_query_budget, options_.plan_eps_floor}),
+      planner_(options_.protocol.per_query_budget),
       paused_(options_.start_paused) {
   // Attach before any registration or charge: the audit log must see the
   // ledger's full history for Replay to reproduce it.

@@ -258,8 +258,6 @@ class FederationClient {
     /// instead of the configured per-query budget — the grant stretched
     /// over an expected horizon of further queries. 0 disables.
     size_t plan_horizon = 0;
-    /// Smallest per-query epsilon the planner will stretch down to.
-    double plan_eps_floor = 0.05;
     /// Weighted-fair admission: each round is ordered by deficit-
     /// weighted round-robin across analysts (serve::DeficitFairQueue)
     /// instead of strict arrival order. The fair schedule is a pure

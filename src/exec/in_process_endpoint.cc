@@ -11,10 +11,12 @@ namespace fedaqp {
 
 namespace {
 
-/// Independent per-(provider, session) noise stream: the provider's seed
-/// mixed with the coordinator's session nonce (which itself encodes the
-/// coordinator seed and query id). Collision-free per session and
-/// decorrelated from the provider's own persistent stream.
+/// Per-(provider, session) noise stream: the provider's seed mixed with
+/// the coordinator's session nonce (which itself encodes the coordinator
+/// seed and query id), decorrelated from the provider's own persistent
+/// stream. Distinct sessions get distinct streams only while their
+/// nonces differ: two coordinators with equal seeds send equal nonces
+/// for equal query ids and replay each other's noise (ROADMAP item 1).
 Rng SessionRng(uint64_t provider_seed, uint64_t session_nonce) {
   return Rng(MixSeeds(provider_seed, session_nonce));
 }

@@ -80,7 +80,7 @@ struct FederationConfig {
   size_t num_scan_shards = 0;
   /// Batch scheduling strategy. Answers, ledgers, and simulated network
   /// accounting are bit-identical across schedulers (pinned by
-  /// tests/task_graph_test.cc); only wall-clock scheduling differs.
+  /// tests/determinism_matrix_test.cc); only wall-clock scheduling differs.
   BatchScheduler scheduler = BatchScheduler::kTaskGraph;
 };
 

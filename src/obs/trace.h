@@ -46,7 +46,7 @@ struct TraceSpan {
 ///
 /// Tracing never perturbs determinism: it reads wall clocks and copies
 /// names, but touches no RNG stream, no session-id assignment, and no
-/// admission ordering — pinned by tests/obs_test.cc.
+/// admission ordering — pinned by tests/determinism_matrix_test.cc.
 class TraceRecorder {
  public:
   static TraceRecorder& Global();

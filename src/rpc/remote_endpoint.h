@@ -40,7 +40,7 @@ namespace fedaqp {
 /// outer frame header per batched send and one per batched reply;
 /// batch_overhead_bytes() reports exactly those, so
 ///   bytes_moved == protocol_charged + batch_overhead_bytes
-/// holds to the byte (pinned by tests/rpc_loopback_test.cc and
+/// holds to the byte (pinned by tests/determinism_matrix_test.cc and
 /// tests/rpc_batch_test.cc).
 ///
 /// After a transport error the connection is poisoned: sessionful calls

@@ -6,6 +6,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <exception>
 #include <string>
 #include <utility>
 
@@ -422,7 +423,17 @@ bool RpcProviderServer::HandleFrame(const RpcFrame& frame, uint64_t conn_id,
     return false;
   }
   if (frame.method != RpcMethod::kBatch) {
-    ServeRequest(frame, FrameServer{*this, conn_id, *live_sessions, span}, out);
+    // A handler that throws (say, an allocation a peer-chosen size made
+    // too large) fails its own frame, not the provider process.
+    try {
+      ServeRequest(frame, FrameServer{*this, conn_id, *live_sessions, span},
+                   out);
+    } catch (const std::exception& e) {
+      AppendReply<Empty>(
+          frame.method,
+          Status::Internal(std::string("rpc: request failed: ") + e.what()),
+          out);
+    }
     return true;
   }
   // Doorbell batch: unpack, dispatch in order, answer with one kBatch

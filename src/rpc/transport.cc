@@ -118,10 +118,6 @@ Status TcpConnection::ReadAll(uint8_t* data, size_t size, bool* clean_eof) {
     ssize_t n = ::recv(fd_, data + off, size - off, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // SO_RCVTIMEO expired (see SetReceiveTimeout).
-        return Status::Internal("rpc: receive timed out");
-      }
       return Errno("recv failed");
     }
     if (n == 0) {
@@ -173,14 +169,6 @@ Result<RpcFrame> TcpConnection::ReceiveFrame() {
     FEDAQP_RETURN_IF_ERROR(ReadAll(frame.payload.data(), frame.payload.size()));
   }
   return frame;
-}
-
-void TcpConnection::SetReceiveTimeout(double seconds) {
-  if (fd_ < 0 || seconds <= 0) return;
-  struct timeval tv;
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec = static_cast<suseconds_t>((seconds - tv.tv_sec) * 1e6);
-  ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 }
 
 void TcpConnection::SetNonBlocking() {

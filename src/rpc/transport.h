@@ -60,12 +60,6 @@ class TcpConnection {
   /// or a malformed header reports the codec/transport error.
   Result<RpcFrame> ReceiveFrame();
 
-  /// Bounds how long a blocking read waits for peer bytes (SO_RCVTIMEO);
-  /// an expired wait surfaces from ReceiveFrame as an Internal "receive
-  /// timed out" error. <= 0 leaves reads unbounded. Set before handing
-  /// the connection to its reader thread.
-  void SetReceiveTimeout(double seconds);
-
   /// Half-closes both directions, unblocking a peer thread stuck in a
   /// blocking read/write on this connection. Does not release the fd
   /// (Close/destructor does).

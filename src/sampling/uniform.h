@@ -1,24 +1,11 @@
 #ifndef FEDAQP_SAMPLING_UNIFORM_H_
 #define FEDAQP_SAMPLING_UNIFORM_H_
 
-#include <cstdint>
-#include <vector>
-
 #include "common/result.h"
 #include "common/rng.h"
 #include "storage/cluster_store.h"
 
 namespace fedaqp {
-
-/// Baseline samplers the paper compares against conceptually (Sec. 2/4):
-/// uniform cluster-level sampling (no distribution awareness) and
-/// Bernoulli row-level sampling (which still touches every row).
-
-/// Uniformly samples `sample_size` indices from [0, population); with or
-/// without replacement.
-Result<std::vector<size_t>> UniformIndices(size_t population,
-                                           size_t sample_size,
-                                           bool with_replacement, Rng* rng);
 
 /// Row-level Bernoulli sampling estimate: scans the WHOLE store, keeps each
 /// row with probability `rate`, scales the aggregate by 1/rate. Linear cost
@@ -32,18 +19,6 @@ struct BernoulliEstimate {
 Result<BernoulliEstimate> BernoulliRowEstimate(const ClusterStore& store,
                                                const RangeQuery& query,
                                                double rate, Rng* rng);
-
-/// Uniform cluster-sampling estimate: draws clusters uniformly with
-/// replacement and applies the Hansen-Hurwitz estimator with equal
-/// probabilities (the "local/uniform" strawman).
-struct UniformClusterEstimate {
-  double estimate = 0.0;
-  size_t clusters_scanned = 0;
-};
-Result<UniformClusterEstimate> UniformClusterSample(const ClusterStore& store,
-                                                    const RangeQuery& query,
-                                                    size_t sample_size,
-                                                    Rng* rng);
 
 }  // namespace fedaqp
 

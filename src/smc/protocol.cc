@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "smc/shamir.h"
 #include "smc/shares.h"
 
 namespace fedaqp {
@@ -65,67 +64,6 @@ Result<SmcAggregate> SmcProtocol::SumAndMax(
     }
   }
   return out;
-}
-
-Result<double> SmcProtocol::SecureSumWithDropouts(
-    const std::vector<double>& inputs, size_t threshold,
-    const std::vector<size_t>& dropped, SimNetwork* network, Rng* rng) const {
-  const size_t n = inputs.size();
-  if (n == 0) {
-    return Status::InvalidArgument("shamir sum: no parties");
-  }
-  if (threshold == 0 || threshold > n) {
-    return Status::InvalidArgument("shamir sum: bad threshold");
-  }
-  std::vector<bool> alive(n, true);
-  size_t survivors = n;
-  for (size_t d : dropped) {
-    if (d >= n) {
-      return Status::InvalidArgument("shamir sum: dropout index out of range");
-    }
-    if (alive[d]) {
-      alive[d] = false;
-      --survivors;
-    }
-  }
-  if (survivors < threshold) {
-    return Status::FailedPrecondition(
-        "shamir sum: dropouts exceed the threshold's tolerance");
-  }
-
-  // Every party shares its input BEFORE the crash point (the paper's
-  // step-7 failure model: estimates are produced, then a provider dies
-  // mid-aggregation). Fixed-point values are non-negative field elements.
-  std::vector<std::vector<ShamirShares::Share>> sharings(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (inputs[i] < 0.0) {
-      return Status::InvalidArgument(
-          "shamir sum: inputs must be non-negative (field encoding)");
-    }
-    FEDAQP_ASSIGN_OR_RETURN(
-        sharings[i],
-        ShamirShares::Split(encoding_.Encode(inputs[i]), threshold, n, rng));
-  }
-  if (network != nullptr && n > 1) {
-    network->UniformRound(n, (n - 1) * 2 * kShareBytes);
-  }
-  // Surviving party j aggregates the j-th share of every sharing and
-  // forwards it; the aggregator interpolates at 0 from the survivor set.
-  std::vector<ShamirShares::Share> partials;
-  for (size_t j = 0; j < n; ++j) {
-    if (!alive[j]) continue;
-    ShamirShares::Share acc{static_cast<uint64_t>(j + 1), 0};
-    for (size_t i = 0; i < n; ++i) {
-      acc.y = ShamirShares::AddMod(acc.y, sharings[i][j].y);
-    }
-    partials.push_back(acc);
-  }
-  if (network != nullptr) {
-    network->UniformRound(partials.size(), 2 * kShareBytes);
-  }
-  // Any `threshold` survivor points suffice; use them all for stability.
-  FEDAQP_ASSIGN_OR_RETURN(uint64_t total, ShamirShares::Reconstruct(partials));
-  return encoding_.Decode(total);
 }
 
 Result<double> SmcProtocol::ShareRows(

@@ -61,19 +61,6 @@ class SmcProtocol {
   Result<double> ShareRows(const std::vector<std::vector<double>>& rows_per_party,
                            SimNetwork* network, Rng* rng) const;
 
-  /// Dropout-tolerant secure sum over Shamir t-of-n shares: each party
-  /// splits its input into n shares (threshold t), distributes them,
-  /// parties listed in `dropped` then crash before the partial-sum round,
-  /// and the aggregator reconstructs the total from the survivors'
-  /// aggregated share points. Succeeds whenever n - |dropped| >= t — the
-  /// robustness the plain additive scheme lacks (any single crash there
-  /// loses the round). Inputs must be non-negative reals; precision
-  /// follows the fixed-point encoding.
-  Result<double> SecureSumWithDropouts(const std::vector<double>& inputs,
-                                       size_t threshold,
-                                       const std::vector<size_t>& dropped,
-                                       SimNetwork* network, Rng* rng) const;
-
   const FixedPoint& encoding() const { return encoding_; }
 
  private:

@@ -10,6 +10,7 @@
 #include "attack/nbc.h"
 #include "common/rng.h"
 #include "dp/composition.h"
+#include "fixture.h"
 #include "workload/datagen.h"
 
 namespace fedaqp {
@@ -118,19 +119,13 @@ class AttackFixture : public ::testing::Test {
     }
   }
 
-  std::vector<DataProvider*> Ptrs() {
-    std::vector<DataProvider*> out;
-    for (auto& p : providers_) out.push_back(p.get());
-    return out;
-  }
-
   /// A fresh client over the providers, configured like `config`; the
   /// fixture keeps it alive until the providers go away.
   FederationClient* Client(const FederationConfig& config) {
     FederationClient::Options options;
     options.protocol = config;
     Result<std::unique_ptr<FederationClient>> client =
-        FederationClient::Create(Ptrs(), options);
+        FederationClient::Create(Ptrs(providers_), options);
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     clients_.push_back(std::move(client).value());
     return clients_.back().get();

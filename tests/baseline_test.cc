@@ -10,6 +10,7 @@
 #include "baseline/row_sampling.h"
 #include "common/math.h"
 #include "common/rng.h"
+#include "fixture.h"
 #include "workload/datagen.h"
 
 namespace fedaqp {
@@ -39,12 +40,6 @@ class BaselineFixture : public ::testing::Test {
     }
   }
 
-  std::vector<DataProvider*> Ptrs() {
-    std::vector<DataProvider*> out;
-    for (auto& p : providers_) out.push_back(p.get());
-    return out;
-  }
-
   int64_t Truth(const RangeQuery& q) {
     int64_t total = 0;
     for (auto& p : providers_) total += p->store().EvaluateExact(q);
@@ -57,8 +52,8 @@ class BaselineFixture : public ::testing::Test {
 TEST_F(BaselineFixture, LocalSamplingValidation) {
   RangeQuery q = RangeQueryBuilder(Aggregation::kCount).Where(0, 0, 49).Build();
   EXPECT_FALSE(RunLocalSampling({}, q, 0.2, 0.1, 0.8, 1e-3).ok());
-  EXPECT_FALSE(RunLocalSampling(Ptrs(), q, 0.0, 0.1, 0.8, 1e-3).ok());
-  EXPECT_FALSE(RunLocalSampling(Ptrs(), q, 1.0, 0.1, 0.8, 1e-3).ok());
+  EXPECT_FALSE(RunLocalSampling(Ptrs(providers_), q, 0.0, 0.1, 0.8, 1e-3).ok());
+  EXPECT_FALSE(RunLocalSampling(Ptrs(providers_), q, 1.0, 0.1, 0.8, 1e-3).ok());
 }
 
 TEST_F(BaselineFixture, LocalSamplingScansFractionOfClusters) {
@@ -67,7 +62,7 @@ TEST_F(BaselineFixture, LocalSamplingScansFractionOfClusters) {
                      .Where(1, 0, 30)
                      .Build();
   Result<LocalSamplingResult> r =
-      RunLocalSampling(Ptrs(), q, 0.2, 1.0, 1.0, 1e-3);
+      RunLocalSampling(Ptrs(providers_), q, 0.2, 1.0, 1.0, 1e-3);
   ASSERT_TRUE(r.ok());
   size_t total_clusters = 0;
   for (auto& p : providers_) total_clusters += p->store().num_clusters();
@@ -84,7 +79,7 @@ TEST_F(BaselineFixture, LocalSamplingTracksTruthLoosely) {
   RunningStats st;
   for (int rep = 0; rep < 30; ++rep) {
     Result<LocalSamplingResult> r =
-        RunLocalSampling(Ptrs(), q, 0.4, 10.0, 2.0, 1e-3);
+        RunLocalSampling(Ptrs(providers_), q, 0.4, 10.0, 2.0, 1e-3);
     ASSERT_TRUE(r.ok());
     st.Add(r->estimate);
   }
@@ -100,7 +95,7 @@ TEST_F(BaselineFixture, RowSamplingScansEverythingYetEstimatesWell) {
   RunningStats st;
   size_t scanned = 0;
   for (int rep = 0; rep < 50; ++rep) {
-    Result<RowSamplingResult> r = RunRowSampling(Ptrs(), q, 0.3, &rng);
+    Result<RowSamplingResult> r = RunRowSampling(Ptrs(providers_), q, 0.3, &rng);
     ASSERT_TRUE(r.ok());
     st.Add(r->estimate);
     scanned = r->rows_scanned;

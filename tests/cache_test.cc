@@ -3,9 +3,10 @@
 // gate, greedy prefix/suffix tiling with remainder purchase, cut-point
 // demotion, invalidation, and the planner's stretch rule and snapshot
 // plan — plus the client-level property suite: with the cache on,
-// hit/miss patterns and answers are bit-identical to a no-cache replay of
-// the same admission sequence across pool sizes, both schedulers, and
-// loopback RPC; ledgers charge exactly the uncovered-remainder cost; a
+// misses are bit-identical to a no-cache run of the same admission
+// sequence (across pool sizes, schedulers, rounds and loopback in
+// tests/determinism_matrix_test.cc); ledgers charge exactly the
+// uncovered-remainder cost; a
 // cancelled remainder purchase leaves the cache consistent; the
 // registry's cache, client and accountant counters reconcile with ticket
 // outcomes; planning races admission safely. The file runs in the CI
@@ -24,11 +25,9 @@
 #include "cache/budget_planner.h"
 #include "exec/federation_client.h"
 #include "exec/in_process_endpoint.h"
+#include "fixture.h"
 #include "gate_endpoint.h"
 #include "registry_delta.h"
-#include "rpc/remote_endpoint.h"
-#include "rpc/server.h"
-#include "workload/datagen.h"
 
 namespace fedaqp {
 namespace {
@@ -230,7 +229,7 @@ TEST(AnswerCacheTest, SnapshotResolutionMatchesActualResolution) {
 // ------------------------------------------------------------------- planner --
 
 TEST(BudgetPlannerTest, NextQueryBudgetSpreadsTheGrantWithinClamps) {
-  BudgetPlanner planner({PrivacyBudget{1.0, 1e-3}, 0.05});
+  BudgetPlanner planner(PrivacyBudget{1.0, 1e-3});
   // Plenty left: the default.
   EXPECT_EQ(planner.NextQueryBudget({100.0, 1.0}, 10).epsilon, 1.0);
   // Stretched: 2.0 over 8 queries.
@@ -244,52 +243,6 @@ TEST(BudgetPlannerTest, NextQueryBudgetSpreadsTheGrantWithinClamps) {
 }
 
 // --------------------------------------------------- client property suite --
-
-std::unique_ptr<DataProvider> MakeProvider(size_t rows, uint64_t seed) {
-  SyntheticConfig cfg;
-  cfg.rows = rows;
-  cfg.seed = seed;
-  cfg.dims = {{"a", 200, DistributionKind::kNormal, 0.5},
-              {"b", 100, DistributionKind::kZipf, 1.2}};
-  Result<Table> t = GenerateSynthetic(cfg);
-  EXPECT_TRUE(t.ok());
-  Result<Table> tensor = t->BuildCountTensor({0, 1});
-  EXPECT_TRUE(tensor.ok());
-  DataProvider::Options popts;
-  popts.storage.cluster_capacity = 128;
-  popts.storage.layout = ClusterLayout::kShuffled;
-  popts.storage.shuffle_seed = seed;
-  popts.n_min = 4;
-  popts.seed = seed * 3 + 1;
-  Result<std::unique_ptr<DataProvider>> p = DataProvider::Create(*tensor, popts);
-  EXPECT_TRUE(p.ok());
-  return std::move(p).value();
-}
-
-std::vector<std::unique_ptr<DataProvider>> MakeFederation(size_t providers) {
-  std::vector<std::unique_ptr<DataProvider>> out;
-  for (size_t i = 0; i < providers; ++i) {
-    out.push_back(MakeProvider(4000, 901 + 13 * i));
-  }
-  return out;
-}
-
-std::vector<DataProvider*> Ptrs(
-    std::vector<std::unique_ptr<DataProvider>>& providers) {
-  std::vector<DataProvider*> out;
-  for (auto& p : providers) out.push_back(p.get());
-  return out;
-}
-
-FederationConfig BaseConfig(size_t threads, BatchScheduler scheduler) {
-  FederationConfig config;
-  config.per_query_budget = {1.0, 1e-3};
-  config.sampling_rate = 0.3;
-  config.seed = 626;
-  config.num_threads = threads;
-  config.scheduler = scheduler;
-  return config;
-}
 
 /// Mixed workload: 3 fresh misses, 1 exact repeat, 2 full compositions
 /// over adjacent earlier purchases, plus one interval no tiling serves.
@@ -306,54 +259,22 @@ struct RunOutcome {
   PrivacyBudget saved{0.0, 0.0};
 };
 
-RunOutcome RunCacheWorkload(bool enable_cache, size_t threads,
-                            BatchScheduler scheduler, bool loopback,
-                            bool same_round) {
-  auto providers = MakeFederation(2);
-  std::vector<std::unique_ptr<RpcProviderServer>> servers;
+/// Runs CacheWorkload one query at a time on a single-threaded client, so
+/// every hit links to an entry already terminal.
+RunOutcome RunCacheWorkload(bool enable_cache) {
+  auto providers = MakeProviders(2, 4000, 901, 13);
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(threads, scheduler);
+  copts.protocol = TestConfig(626);
   copts.analysts = {{"alice", 1e6, 1e3}};
   copts.enable_cache = enable_cache;
-  copts.start_paused = same_round;
-  Result<std::unique_ptr<FederationClient>> made = [&] {
-    if (!loopback) return FederationClient::Create(Ptrs(providers), copts);
-    std::vector<std::string> host_ports;
-    for (auto& p : providers) {
-      Result<std::unique_ptr<RpcProviderServer>> server =
-          RpcProviderServer::Start(p.get());
-      EXPECT_TRUE(server.ok()) << server.status().ToString();
-      servers.push_back(std::move(server).value());
-      host_ports.push_back("127.0.0.1:" +
-                           std::to_string(servers.back()->port()));
-    }
-    Result<std::vector<std::shared_ptr<ProviderEndpoint>>> remote =
-        RemoteEndpoint::ConnectAll(host_ports);
-    EXPECT_TRUE(remote.ok()) << remote.status().ToString();
-    return FederationClient::Create(std::move(remote).value(), copts);
-  }();
+  Result<std::unique_ptr<FederationClient>> made =
+      FederationClient::Create(Ptrs(providers), copts);
   RunOutcome out;
   EXPECT_TRUE(made.ok()) << made.status().ToString();
   if (!made.ok()) return out;
   FederationClient* client = made->get();
-
-  std::vector<QueryTicket> tickets;
   for (const RangeQuery& q : CacheWorkload()) {
-    QuerySpec spec;
-    spec.analyst = "alice";
-    spec.query = q;
-    tickets.push_back(client->Submit(std::move(spec)));
-    // Sequential mode: every query is its own round, so hits always link
-    // to terminal entries. Same-round mode batches everything into one
-    // round, exercising the deferred (pending same-round purchase) path.
-    if (!same_round) {
-      EXPECT_TRUE(tickets.back().Wait().ok());
-    }
-  }
-  if (same_round) client->Resume();
-  client->WaitIdle();
-
-  for (QueryTicket& ticket : tickets) {
+    QueryTicket ticket = client->Submit(QuerySpec{"alice", q});
     Result<QueryResponse> resp = ticket.Wait();
     EXPECT_TRUE(resp.ok()) << resp.status().ToString();
     out.estimates.push_back(resp.ok() ? resp->estimate : 0.0);
@@ -373,10 +294,8 @@ RunOutcome RunCacheWorkload(bool enable_cache, size_t threads,
 }
 
 TEST(CacheClientTest, HitMissPatternAndZeroBudgetServing) {
-  RunOutcome no_cache =
-      RunCacheWorkload(false, 1, BatchScheduler::kTaskGraph, false, false);
-  RunOutcome cached =
-      RunCacheWorkload(true, 1, BatchScheduler::kTaskGraph, false, false);
+  RunOutcome no_cache = RunCacheWorkload(false);
+  RunOutcome cached = RunCacheWorkload(true);
   ASSERT_EQ(cached.estimates.size(), 7u);
 
   const std::vector<bool> want_cache = {false, false, true, true,
@@ -404,42 +323,10 @@ TEST(CacheClientTest, HitMissPatternAndZeroBudgetServing) {
               1e-15);
 }
 
-TEST(CacheClientTest, BitIdenticalAcrossPoolsSchedulersRoundsAndLoopback) {
-  RunOutcome base =
-      RunCacheWorkload(true, 1, BatchScheduler::kTaskGraph, false, false);
-  auto expect_same = [&](const RunOutcome& other, const std::string& label) {
-    ASSERT_EQ(other.estimates.size(), base.estimates.size()) << label;
-    for (size_t i = 0; i < base.estimates.size(); ++i) {
-      EXPECT_EQ(other.estimates[i], base.estimates[i])
-          << label << " query " << i;
-      EXPECT_EQ(other.from_cache[i], base.from_cache[i])
-          << label << " query " << i;
-    }
-    EXPECT_EQ(other.spent.epsilon, base.spent.epsilon) << label;
-    EXPECT_EQ(other.saved.epsilon, base.saved.epsilon) << label;
-  };
-  for (size_t threads : {1u, 2u, 8u}) {
-    for (bool same_round : {false, true}) {
-      expect_same(RunCacheWorkload(true, threads, BatchScheduler::kTaskGraph,
-                                   false, same_round),
-                  "graph pool=" + std::to_string(threads) +
-                      (same_round ? " one-round" : " sequential"));
-      expect_same(RunCacheWorkload(true, threads,
-                                   BatchScheduler::kPhaseBarrier, false,
-                                   same_round),
-                  "barrier pool=" + std::to_string(threads) +
-                      (same_round ? " one-round" : " sequential"));
-    }
-  }
-  expect_same(
-      RunCacheWorkload(true, 2, BatchScheduler::kTaskGraph, true, true),
-      "loopback one-round");
-}
-
 TEST(CacheClientTest, PartialCompositionChargesExactlyTheRemainder) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(2, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 2);
   copts.analysts = {{"alice", 1e6, 1e3}};
   copts.enable_cache = true;
   Result<std::unique_ptr<FederationClient>> client =
@@ -494,7 +381,7 @@ TEST(CacheClientTest, PartialCompositionChargesExactlyTheRemainder) {
 
 TEST(CacheClientTest, CancelledRemainderLeavesCacheConsistent) {
   const RegistryDelta delta;
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   Result<std::vector<std::shared_ptr<ProviderEndpoint>>> inner =
       MakeInProcessEndpoints(Ptrs(providers));
   ASSERT_TRUE(inner.ok());
@@ -503,7 +390,7 @@ TEST(CacheClientTest, CancelledRemainderLeavesCacheConsistent) {
   std::vector<std::shared_ptr<ProviderEndpoint>> endpoints = {
       std::make_shared<GatedEndpoint>((*inner)[0], gate), (*inner)[1]};
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(2, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 2);
   copts.analysts = {{"alice", 1e6, 1e3}};
   copts.enable_cache = true;
   Result<std::unique_ptr<FederationClient>> client =
@@ -562,9 +449,9 @@ TEST(CacheClientTest, CancelledRemainderLeavesCacheConsistent) {
 // is submitted and delivered once, and only tickets that bought an
 // answer charge.
 TEST(CacheClientTest, RegistryCountersReconcileWithTickets) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(2, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 2);
   copts.analysts = {{"alice", 1e6, 1e3}};
   copts.enable_cache = true;
   copts.start_paused = true;
@@ -626,9 +513,9 @@ TEST(CacheClientTest, RegistryCountersReconcileWithTickets) {
 // grants the three plans below run against: (1.5, 1e-2), (0.12, 1e-2)
 // and (10, 2e-3).
 TEST(BudgetPlannerTest, PlanStretchesEpsilonAndCountsCacheHits) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(2, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 2);
   copts.analysts = {{"roomy", 2.5, 1.1e-2},
                     {"tight", 1.12, 1.1e-2},
                     {"delta_bound", 11.0, 3e-3}};
@@ -689,9 +576,9 @@ TEST(BudgetPlannerTest, PlanStretchesEpsilonAndCountsCacheHits) {
 }
 
 TEST(CacheClientTest, PlanHorizonKnobStretchesPerQueryCharge) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(1, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 1);
   // Grant eps 2.0: at horizon 4 the planner charges 0.5 per query.
   copts.analysts = {{"alice", 2.0, 1e3}};
   copts.enable_cache = true;
@@ -726,9 +613,9 @@ TEST(CacheClientTest, PlanHorizonKnobStretchesPerQueryCharge) {
 // so on a grant a hair short of three default charges it promises
 // exactly as many answers as admission then gives.
 TEST(CacheClientTest, PlanAnswerabilityMatchesAdmissionAtTheGrantEdge) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(1, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 1);
   copts.analysts = {{"alice", 3.0 - 3e-10, 1.0}};
   copts.enable_cache = true;
   Result<std::unique_ptr<FederationClient>> client =
@@ -752,9 +639,9 @@ TEST(CacheClientTest, PlanAnswerabilityMatchesAdmissionAtTheGrantEdge) {
 // with its planned budget, it is served the entry the plan bought at the
 // stretched epsilon instead of missing it at the configured one.
 TEST(CacheClientTest, PlannedCacheHitIsServedAtItsPlannedBudget) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(1, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 1);
   copts.analysts = {{"alice", 1.5, 1.0}};
   copts.enable_cache = true;
   Result<std::unique_ptr<FederationClient>> client =
@@ -787,9 +674,9 @@ TEST(CacheClientTest, PlannedCacheHitIsServedAtItsPlannedBudget) {
 // thread resolves and invalidates: a caller thread plans in a loop through
 // a burst whose grant covers four queries, so eight purchases are dropped.
 TEST(CacheClientTest, PlanningRacesAdmissionSafely) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(2, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 2);
   copts.analysts = {{"alice", 4.0, 1.0}};
   copts.enable_cache = true;
   copts.start_paused = true;

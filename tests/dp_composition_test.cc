@@ -73,45 +73,6 @@ TEST(BudgetSplitTest, ValidateEnforcesSimplex) {
 
 // ----------------------------------------------------------- Composition --
 
-TEST(CompositionTest, SequentialSums) {
-  PrivacyBudget total = SequentialComposition(
-      {{0.1, 1e-4}, {0.2, 2e-4}, {0.3, 3e-4}});
-  EXPECT_NEAR(total.epsilon, 0.6, 1e-12);
-  EXPECT_NEAR(total.delta, 6e-4, 1e-12);
-}
-
-TEST(CompositionTest, ParallelTakesMax) {
-  PrivacyBudget total = ParallelComposition(
-      {{0.1, 3e-4}, {0.5, 1e-4}, {0.3, 2e-4}});
-  EXPECT_DOUBLE_EQ(total.epsilon, 0.5);
-  EXPECT_DOUBLE_EQ(total.delta, 3e-4);
-}
-
-TEST(CompositionTest, EmptyCompositionsAreZero) {
-  EXPECT_DOUBLE_EQ(SequentialComposition({}).epsilon, 0.0);
-  EXPECT_DOUBLE_EQ(ParallelComposition({}).epsilon, 0.0);
-}
-
-TEST(CompositionTest, AdvancedCompositionFormula) {
-  const double eps = 0.1, delta = 1e-6, slack = 1e-5;
-  const size_t k = 100;
-  Result<PrivacyBudget> total = AdvancedComposition(eps, delta, k, slack);
-  ASSERT_TRUE(total.ok());
-  double expected = std::sqrt(2.0 * k * std::log(1.0 / slack)) * eps +
-                    k * eps * (std::exp(eps) - 1.0);
-  EXPECT_NEAR(total->epsilon, expected, 1e-12);
-  EXPECT_NEAR(total->delta, k * delta + slack, 1e-15);
-}
-
-TEST(CompositionTest, AdvancedBeatsSequentialForManyQueries) {
-  // For many small-eps queries the advanced bound is sublinear in k.
-  const double eps = 0.01;
-  const size_t k = 10000;
-  Result<PrivacyBudget> adv = AdvancedComposition(eps, 0.0, k, 1e-6);
-  ASSERT_TRUE(adv.ok());
-  EXPECT_LT(adv->epsilon, eps * static_cast<double>(k));
-}
-
 TEST(CompositionTest, PerQuerySequentialSplitsEvenly) {
   Result<PrivacyBudget> per = PerQuerySequential(100.0, 1e-6, 4000);
   ASSERT_TRUE(per.ok());

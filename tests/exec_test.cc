@@ -1,6 +1,8 @@
 // Tests for the execution layer: thread pool, provider endpoints, the
-// parallel orchestrator phases (determinism + cost aggregation), and the
+// orchestrator's cost aggregation and per-coordinator noise, and the
 // multi-analyst FederationClient session layer driven synchronously.
+// Answers across pool sizes, shard counts and batch splits are pinned by
+// tests/determinism_matrix_test.cc.
 
 #include <atomic>
 #include <chrono>
@@ -25,6 +27,7 @@
 #include "storage/sharded_scan_executor.h"
 #include "workload/datagen.h"
 #include "execute_query.h"
+#include "fixture.h"
 #include "registry_delta.h"
 
 namespace fedaqp {
@@ -222,54 +225,6 @@ TEST(AnalystLedgerTest, RejectsDuplicatesAndUnknowns) {
 
 // ----------------------------------------------------------------- Fixtures --
 
-std::unique_ptr<DataProvider> MakeProvider(size_t rows, uint64_t seed,
-                                           size_t capacity = 128,
-                                           size_t n_min = 4) {
-  SyntheticConfig cfg;
-  cfg.rows = rows;
-  cfg.seed = seed;
-  cfg.dims = {{"a", 200, DistributionKind::kNormal, 0.5},
-              {"b", 100, DistributionKind::kZipf, 1.2}};
-  Result<Table> t = GenerateSynthetic(cfg);
-  EXPECT_TRUE(t.ok());
-  Result<Table> tensor = t->BuildCountTensor({0, 1});
-  EXPECT_TRUE(tensor.ok());
-  DataProvider::Options popts;
-  popts.storage.cluster_capacity = capacity;
-  popts.storage.layout = ClusterLayout::kShuffled;
-  popts.storage.shuffle_seed = seed;
-  popts.n_min = n_min;
-  popts.seed = seed * 3 + 1;
-  Result<std::unique_ptr<DataProvider>> p =
-      DataProvider::Create(*tensor, popts);
-  EXPECT_TRUE(p.ok());
-  return std::move(p).value();
-}
-
-std::vector<std::unique_ptr<DataProvider>> MakeFederation(size_t providers) {
-  std::vector<std::unique_ptr<DataProvider>> out;
-  for (size_t i = 0; i < providers; ++i) {
-    out.push_back(MakeProvider(6000, 101 + 13 * i));
-  }
-  return out;
-}
-
-std::vector<DataProvider*> Ptrs(
-    std::vector<std::unique_ptr<DataProvider>>& providers) {
-  std::vector<DataProvider*> out;
-  for (auto& p : providers) out.push_back(p.get());
-  return out;
-}
-
-FederationConfig BaseConfig(size_t num_threads) {
-  FederationConfig config;
-  config.per_query_budget = {1.0, 1e-3};
-  config.sampling_rate = 0.3;
-  config.seed = 4242;
-  config.num_threads = num_threads;
-  return config;
-}
-
 RangeQuery WideQuery() {
   return RangeQueryBuilder(Aggregation::kSum).Where(0, 20, 180).Build();
 }
@@ -350,13 +305,13 @@ TEST(InProcessEndpointTest, ExactFullScanMatchesProvider) {
 // back inline) instead of leaving the endpoints scanning through a dead
 // pointer.
 TEST(InProcessEndpointTest, EndpointSurvivesOrchestratorTeardown) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 6000, 101, 13);
   Result<std::vector<std::shared_ptr<ProviderEndpoint>>> endpoints =
       MakeInProcessEndpoints(Ptrs(providers));
   ASSERT_TRUE(endpoints.ok());
   double pooled_value = 0.0;
   {
-    FederationConfig config = BaseConfig(/*num_threads=*/4);
+    FederationConfig config = TestConfig(4242, /*num_threads=*/4);
     config.num_scan_shards = 4;
     Result<QueryOrchestrator> orch =
         QueryOrchestrator::CreateFromEndpoints(*endpoints, config);
@@ -381,8 +336,9 @@ TEST(InProcessEndpointTest, EndpointSurvivesOrchestratorTeardown) {
 // default num_scan_shards=0 config, the detach's 0-fallback has to reuse
 // the endpoint's cached shard count, not re-resolve provider options.
 TEST(InProcessEndpointTest, OrchestratorOutlivingProvidersTearsDownSafely) {
-  auto providers = MakeFederation(2);
-  FederationConfig config = BaseConfig(/*num_threads=*/2);  // shards stay 0
+  auto providers = MakeProviders(2, 6000, 101, 13);
+  // Shards stay 0.
+  FederationConfig config = TestConfig(4242, /*num_threads=*/2);
   Result<QueryOrchestrator> orch =
       QueryOrchestrator::Create(Ptrs(providers), config);
   ASSERT_TRUE(orch.ok());
@@ -477,7 +433,7 @@ TEST(OrchestratorCostTest, ProviderSecondsAreMaxedNotSummed) {
       std::make_shared<FakeEndpoint>("slow", schema, /*phase1=*/3.0,
                                      /*phase2=*/0.5, /*estimate=*/20.0),
   };
-  FederationConfig config = BaseConfig(/*num_threads=*/1);
+  FederationConfig config = TestConfig(4242, /*num_threads=*/1);
   Result<QueryOrchestrator> orch =
       QueryOrchestrator::CreateFromEndpoints(endpoints, config);
   ASSERT_TRUE(orch.ok());
@@ -514,7 +470,7 @@ TEST(OrchestratorCostTest, ThrowingEndpointBecomesStatusNotTerminate) {
       std::make_shared<FakeEndpoint>("ok", schema, 0.0, 0.0, 1.0),
       std::make_shared<ThrowingEndpoint>("boom", schema),
   };
-  FederationConfig config = BaseConfig(/*num_threads=*/4);
+  FederationConfig config = TestConfig(4242, /*num_threads=*/4);
   config.num_scan_shards = 2;
   Result<QueryOrchestrator> orch =
       QueryOrchestrator::CreateFromEndpoints(endpoints, config);
@@ -526,100 +482,14 @@ TEST(OrchestratorCostTest, ThrowingEndpointBecomesStatusNotTerminate) {
   EXPECT_NE(resp.status().ToString().find("shard 0 failed"), std::string::npos);
 }
 
-// ------------------------------------------------------ Determinism (pools) --
-
-// Same seeds must give bit-identical answers for every pool size: the
-// acceptance criterion of the parallel refactor.
-TEST(ParallelDeterminismTest, OrchestratorIdenticalAcrossPoolSizes) {
-  constexpr size_t kProviders = 4;
-  const std::vector<size_t> pool_sizes = {1, 2, 8};
-  std::vector<std::vector<double>> estimates_by_pool;
-  for (size_t threads : pool_sizes) {
-    auto providers = MakeFederation(kProviders);
-    Result<QueryOrchestrator> orch =
-        QueryOrchestrator::Create(Ptrs(providers), BaseConfig(threads));
-    ASSERT_TRUE(orch.ok());
-    std::vector<double> estimates;
-    for (int rep = 0; rep < 3; ++rep) {
-      Result<QueryResponse> resp = ExecuteQuery(*orch, WideQuery());
-      ASSERT_TRUE(resp.ok());
-      estimates.push_back(resp->estimate);
-    }
-    estimates_by_pool.push_back(std::move(estimates));
-  }
-  for (size_t i = 1; i < estimates_by_pool.size(); ++i) {
-    for (size_t rep = 0; rep < estimates_by_pool[0].size(); ++rep) {
-      EXPECT_DOUBLE_EQ(estimates_by_pool[0][rep], estimates_by_pool[i][rep])
-          << "pool=" << pool_sizes[i] << " rep=" << rep;
-    }
-  }
-}
-
-TEST(ParallelDeterminismTest, EngineBatchIdenticalAcrossPoolSizes) {
-  constexpr size_t kProviders = 4;
-  const std::vector<size_t> pool_sizes = {1, 2, 8};
-
-  // A mixed batch from two analysts, including an over-budget entry whose
-  // refusal must also be stable.
-  auto make_batch = [] {
-    std::vector<QuerySpec> batch;
-    for (int i = 0; i < 3; ++i) {
-      batch.push_back({"alice",
-                       RangeQueryBuilder(Aggregation::kSum)
-                           .Where(0, 20 + i, 180)
-                           .Build()});
-      batch.push_back({"bob",
-                       RangeQueryBuilder(Aggregation::kCount)
-                           .Where(0, 10, 150 - i)
-                           .Build()});
-    }
-    return batch;
-  };
-
-  std::vector<std::vector<double>> estimates_by_pool;
-  std::vector<std::vector<bool>> admitted_by_pool;
-  for (size_t threads : pool_sizes) {
-    auto providers = MakeFederation(kProviders);
-    FederationClient::Options opts;
-    opts.protocol = BaseConfig(threads);
-    opts.analysts = {{"alice", 1e6, 1e3}, {"bob", 2.5, 1.0}};
-    Result<std::unique_ptr<FederationClient>> client =
-        FederationClient::Create(Ptrs(providers), opts);
-    ASSERT_TRUE(client.ok());
-    std::vector<BatchOutcome> outcomes =
-        SubmitAndWait(client->get(), make_batch());
-    std::vector<double> estimates;
-    std::vector<bool> admitted;
-    for (const auto& out : outcomes) {
-      admitted.push_back(out.ok());
-      estimates.push_back(out.ok() ? out.response.estimate : 0.0);
-    }
-    estimates_by_pool.push_back(std::move(estimates));
-    admitted_by_pool.push_back(std::move(admitted));
-  }
-  for (size_t i = 1; i < estimates_by_pool.size(); ++i) {
-    EXPECT_EQ(admitted_by_pool[0], admitted_by_pool[i]);
-    for (size_t q = 0; q < estimates_by_pool[0].size(); ++q) {
-      EXPECT_DOUBLE_EQ(estimates_by_pool[0][q], estimates_by_pool[i][q])
-          << "pool=" << pool_sizes[i] << " query=" << q;
-    }
-  }
-  // Bob's grant (xi = 2.5) admits exactly two of his three queries.
-  size_t bob_admitted = 0;
-  for (size_t q = 1; q < admitted_by_pool[0].size(); q += 2) {
-    if (admitted_by_pool[0][q]) ++bob_admitted;
-  }
-  EXPECT_EQ(bob_admitted, 2u);
-}
-
 // Two coordinators over the same providers must not replay each other's
 // noise: identical query ids with different orchestrator seeds have to
 // yield different draws, else an analyst could difference the releases
 // and cancel the DP noise.
 TEST(ParallelDeterminismTest, DistinctOrchestratorSeedsDrawDistinctNoise) {
-  auto providers = MakeFederation(2);
-  FederationConfig c1 = BaseConfig(1);
-  FederationConfig c2 = BaseConfig(1);
+  auto providers = MakeProviders(2, 6000, 101, 13);
+  FederationConfig c1 = TestConfig(4242, 1);
+  FederationConfig c2 = TestConfig(4242, 1);
   c2.seed = c1.seed + 1;
   Result<QueryOrchestrator> o1 = QueryOrchestrator::Create(Ptrs(providers), c1);
   Result<QueryOrchestrator> o2 = QueryOrchestrator::Create(Ptrs(providers), c2);
@@ -630,65 +500,6 @@ TEST(ParallelDeterminismTest, DistinctOrchestratorSeedsDrawDistinctNoise) {
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_NE(r1->estimate, r2->estimate);
-}
-
-// With intra-provider scan sharding enabled, the PR-1 guarantees must
-// hold unchanged: answers bit-identical across pool sizes 1/2/8, across
-// shard counts, and between batched and sequential execution.
-TEST(ParallelDeterminismTest, ShardedScansIdenticalAcrossPoolAndShardCounts) {
-  constexpr size_t kProviders = 3;
-  const std::vector<size_t> pool_sizes = {1, 2, 8};
-  const std::vector<size_t> shard_counts = {1, 2, 8};
-  std::vector<RangeQuery> queries;
-  for (int i = 0; i < 3; ++i) {
-    queries.push_back(
-        RangeQueryBuilder(Aggregation::kSum).Where(0, 18 + i, 175).Build());
-  }
-
-  std::vector<double> base_estimates;
-  size_t base_rows = 0;
-  for (size_t threads : pool_sizes) {
-    for (size_t shards : shard_counts) {
-      FederationConfig config = BaseConfig(threads);
-      config.num_scan_shards = shards;
-      auto providers = MakeFederation(kProviders);
-      Result<QueryOrchestrator> orch =
-          QueryOrchestrator::Create(Ptrs(providers), config);
-      ASSERT_TRUE(orch.ok());
-      std::vector<BatchOutcome> outcomes = ExecuteQueries(*orch, queries);
-      ASSERT_EQ(outcomes.size(), queries.size());
-      std::vector<double> estimates;
-      size_t rows = 0;
-      for (const auto& out : outcomes) {
-        ASSERT_TRUE(out.ok());
-        estimates.push_back(out.response.estimate);
-        rows += out.response.breakdown.rows_scanned;
-      }
-      if (base_estimates.empty()) {
-        base_estimates = estimates;
-        base_rows = rows;
-        continue;
-      }
-      EXPECT_EQ(estimates, base_estimates)
-          << "pool=" << threads << " shards=" << shards;
-      // Deterministic work counters must not depend on the fan-out either.
-      EXPECT_EQ(rows, base_rows) << "pool=" << threads << " shards=" << shards;
-    }
-  }
-
-  // Batched-vs-sequential with sharding on: one-at-a-time on a sharded
-  // single-thread twin reproduces the pooled sharded batch bit-for-bit.
-  FederationConfig seq_config = BaseConfig(1);
-  seq_config.num_scan_shards = 8;
-  auto seq_providers = MakeFederation(kProviders);
-  Result<QueryOrchestrator> seq =
-      QueryOrchestrator::Create(Ptrs(seq_providers), seq_config);
-  ASSERT_TRUE(seq.ok());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    Result<QueryResponse> resp = ExecuteQuery(*seq, queries[i]);
-    ASSERT_TRUE(resp.ok());
-    EXPECT_DOUBLE_EQ(resp->estimate, base_estimates[i]) << "query=" << i;
-  }
 }
 
 // The shard count must never change how provider_compute_seconds is
@@ -706,7 +517,7 @@ TEST(OrchestratorCostTest, ShardCountDoesNotChangeProviderSecondsSemantics) {
         std::make_shared<FakeEndpoint>("slow", schema, /*phase1=*/3.0,
                                        /*phase2=*/0.5, /*estimate=*/20.0),
     };
-    FederationConfig config = BaseConfig(/*num_threads=*/2);
+    FederationConfig config = TestConfig(4242, /*num_threads=*/2);
     config.num_scan_shards = shards;
     Result<QueryOrchestrator> orch =
         QueryOrchestrator::CreateFromEndpoints(endpoints, config);
@@ -722,45 +533,12 @@ TEST(OrchestratorCostTest, ShardCountDoesNotChangeProviderSecondsSemantics) {
   }
 }
 
-// param-free guard: a batch through a pooled engine equals running the
-// same queries one by one on a single-threaded twin.
-TEST(ParallelDeterminismTest, BatchMatchesSequentialExecution) {
-  constexpr size_t kProviders = 3;
-  std::vector<RangeQuery> queries;
-  for (int i = 0; i < 4; ++i) {
-    queries.push_back(
-        RangeQueryBuilder(Aggregation::kSum).Where(0, 15 + i, 170).Build());
-  }
-
-  auto seq_providers = MakeFederation(kProviders);
-  Result<QueryOrchestrator> seq =
-      QueryOrchestrator::Create(Ptrs(seq_providers), BaseConfig(1));
-  ASSERT_TRUE(seq.ok());
-  std::vector<double> sequential;
-  for (const auto& q : queries) {
-    Result<QueryResponse> resp = ExecuteQuery(*seq, q);
-    ASSERT_TRUE(resp.ok());
-    sequential.push_back(resp->estimate);
-  }
-
-  auto batch_providers = MakeFederation(kProviders);
-  Result<QueryOrchestrator> batched =
-      QueryOrchestrator::Create(Ptrs(batch_providers), BaseConfig(4));
-  ASSERT_TRUE(batched.ok());
-  std::vector<BatchOutcome> outcomes = ExecuteQueries(*batched, queries);
-  ASSERT_EQ(outcomes.size(), queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    ASSERT_TRUE(outcomes[q].ok());
-    EXPECT_DOUBLE_EQ(outcomes[q].response.estimate, sequential[q]);
-  }
-}
-
 // ------------------------------------------------ FederationClient sessions --
 
 TEST(ClientSessionTest, UnknownAnalystIsRefusedWithoutProviderWork) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 6000, 101, 13);
   FederationClient::Options opts;
-  opts.protocol = BaseConfig(1);
+  opts.protocol = TestConfig(4242, 1);
   opts.analysts = {{"alice", 10.0, 1.0}};
   Result<std::unique_ptr<FederationClient>> client =
       FederationClient::Create(Ptrs(providers), opts);
@@ -771,9 +549,9 @@ TEST(ClientSessionTest, UnknownAnalystIsRefusedWithoutProviderWork) {
 }
 
 TEST(ClientSessionTest, InvalidQuerySpendsNoBudget) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 6000, 101, 13);
   FederationClient::Options opts;
-  opts.protocol = BaseConfig(1);
+  opts.protocol = TestConfig(4242, 1);
   opts.analysts = {{"alice", 10.0, 1.0}};
   Result<std::unique_ptr<FederationClient>> client =
       FederationClient::Create(Ptrs(providers), opts);
@@ -786,9 +564,9 @@ TEST(ClientSessionTest, InvalidQuerySpendsNoBudget) {
 }
 
 TEST(ClientSessionTest, PerAnalystBudgetsEnforcedWithinOneBatch) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 6000, 101, 13);
   FederationClient::Options opts;
-  opts.protocol = BaseConfig(2);
+  opts.protocol = TestConfig(4242, 2);
   opts.analysts = {{"alice", 1.5, 1.0}, {"bob", 1e6, 1e3}};
   Result<std::unique_ptr<FederationClient>> client =
       FederationClient::Create(Ptrs(providers), opts);
@@ -816,9 +594,9 @@ TEST(ClientSessionTest, PerAnalystBudgetsEnforcedWithinOneBatch) {
 }
 
 TEST(ClientSessionTest, LateRegistrationAdmitsNewAnalyst) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 6000, 101, 13);
   FederationClient::Options opts;
-  opts.protocol = BaseConfig(1);
+  opts.protocol = TestConfig(4242, 1);
   Result<std::unique_ptr<FederationClient>> client =
       FederationClient::Create(Ptrs(providers), opts);
   ASSERT_TRUE(client.ok());
@@ -828,9 +606,9 @@ TEST(ClientSessionTest, LateRegistrationAdmitsNewAnalyst) {
 }
 
 TEST(ClientSessionTest, BatchResponsesCarryBreakdowns) {
-  auto providers = MakeFederation(3);
+  auto providers = MakeProviders(3, 6000, 101, 13);
   FederationClient::Options opts;
-  opts.protocol = BaseConfig(2);
+  opts.protocol = TestConfig(4242, 2);
   opts.analysts = {{"alice", 1e6, 1e3}};
   Result<std::unique_ptr<FederationClient>> client =
       FederationClient::Create(Ptrs(providers), opts);

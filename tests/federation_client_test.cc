@@ -26,59 +26,11 @@
 #include "exec/thread_pool.h"
 #include "federation/orchestrator.h"
 #include "execute_query.h"
+#include "fixture.h"
 #include "gate_endpoint.h"
-#include "rpc/remote_endpoint.h"
-#include "rpc/server.h"
-#include "workload/datagen.h"
 
 namespace fedaqp {
 namespace {
-
-std::unique_ptr<DataProvider> MakeProvider(size_t rows, uint64_t seed) {
-  SyntheticConfig cfg;
-  cfg.rows = rows;
-  cfg.seed = seed;
-  cfg.dims = {{"a", 200, DistributionKind::kNormal, 0.5},
-              {"b", 100, DistributionKind::kZipf, 1.2}};
-  Result<Table> t = GenerateSynthetic(cfg);
-  EXPECT_TRUE(t.ok());
-  Result<Table> tensor = t->BuildCountTensor({0, 1});
-  EXPECT_TRUE(tensor.ok());
-  DataProvider::Options popts;
-  popts.storage.cluster_capacity = 128;
-  popts.storage.layout = ClusterLayout::kShuffled;
-  popts.storage.shuffle_seed = seed;
-  popts.n_min = 4;
-  popts.seed = seed * 3 + 1;
-  Result<std::unique_ptr<DataProvider>> p = DataProvider::Create(*tensor, popts);
-  EXPECT_TRUE(p.ok());
-  return std::move(p).value();
-}
-
-std::vector<std::unique_ptr<DataProvider>> MakeFederation(size_t providers) {
-  std::vector<std::unique_ptr<DataProvider>> out;
-  for (size_t i = 0; i < providers; ++i) {
-    out.push_back(MakeProvider(4000, 901 + 13 * i));
-  }
-  return out;
-}
-
-std::vector<DataProvider*> Ptrs(
-    std::vector<std::unique_ptr<DataProvider>>& providers) {
-  std::vector<DataProvider*> out;
-  for (auto& p : providers) out.push_back(p.get());
-  return out;
-}
-
-FederationConfig BaseConfig(size_t threads, BatchScheduler scheduler) {
-  FederationConfig config;
-  config.per_query_budget = {1.0, 1e-3};
-  config.sampling_rate = 0.3;
-  config.seed = 626;
-  config.num_threads = threads;
-  config.scheduler = scheduler;
-  return config;
-}
 
 RangeQuery WideQuery(int shift = 0) {
   return RangeQueryBuilder(Aggregation::kCount)
@@ -88,43 +40,6 @@ RangeQuery WideQuery(int shift = 0) {
 
 // ------------------------------------------------- determinism vs sync path --
 
-// One submitter, one spec at a time: the pooled task-graph client's
-// answers must equal a single-threaded phase-barrier client's for the same
-// sequence.
-TEST(FederationClientTest, SubmitWaitMatchesSynchronousEngine) {
-  std::vector<RangeQuery> queries = {WideQuery(0), WideQuery(2), WideQuery(5)};
-
-  auto async_providers = MakeFederation(3);
-  FederationClient::Options copts;
-  copts.protocol = BaseConfig(2, BatchScheduler::kTaskGraph);
-  copts.analysts = {{"alice", 1e6, 1e3}};
-  Result<std::unique_ptr<FederationClient>> client =
-      FederationClient::Create(Ptrs(async_providers), copts);
-  ASSERT_TRUE(client.ok()) << client.status().ToString();
-  std::vector<double> async_estimates;
-  for (const RangeQuery& q : queries) {
-    QuerySpec spec;
-    spec.analyst = "alice";
-    spec.query = q;
-    Result<QueryResponse> resp = (*client)->Submit(std::move(spec)).Wait();
-    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-    async_estimates.push_back(resp->estimate);
-  }
-
-  auto sync_providers = MakeFederation(3);
-  FederationClient::Options sync_opts;
-  sync_opts.protocol = BaseConfig(1, BatchScheduler::kPhaseBarrier);
-  sync_opts.analysts = {{"alice", 1e6, 1e3}};
-  Result<std::unique_ptr<FederationClient>> sync =
-      FederationClient::Create(Ptrs(sync_providers), sync_opts);
-  ASSERT_TRUE(sync.ok());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    Result<QueryResponse> resp = (*sync)->Submit({"alice", queries[i]}).Wait();
-    ASSERT_TRUE(resp.ok());
-    EXPECT_EQ(resp->estimate, async_estimates[i]) << "query " << i;
-  }
-}
-
 /// One concurrently submitted workload, replayed synchronously in the
 /// admission order the client actually chose: answers, statuses, and
 /// per-analyst ledgers must match bit-for-bit.
@@ -133,29 +48,19 @@ void RunSubmitterStress(size_t pool_threads, BatchScheduler scheduler,
   constexpr size_t kSubmitters = 4;
   constexpr size_t kPerSubmitter = 3;
 
-  auto providers = MakeFederation(3);
-  std::vector<std::unique_ptr<RpcProviderServer>> servers;
+  auto providers = MakeProviders(3, 4000, 901, 13);
+  LoopbackServers servers(loopback ? Ptrs(providers)
+                                   : std::vector<DataProvider*>{});
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(pool_threads, scheduler);
+  copts.protocol = TestConfig(626, pool_threads, scheduler);
   for (size_t s = 0; s < kSubmitters; ++s) {
     copts.analysts.push_back({"a" + std::to_string(s), 1e6, 1e3});
   }
-  Result<std::unique_ptr<FederationClient>> made = [&] {
-    if (!loopback) return FederationClient::Create(Ptrs(providers), copts);
-    std::vector<std::string> host_ports;
-    for (auto& p : providers) {
-      Result<std::unique_ptr<RpcProviderServer>> server =
-          RpcProviderServer::Start(p.get());
-      EXPECT_TRUE(server.ok()) << server.status().ToString();
-      servers.push_back(std::move(server).value());
-      host_ports.push_back("127.0.0.1:" +
-                           std::to_string(servers.back()->port()));
-    }
-    Result<std::vector<std::shared_ptr<ProviderEndpoint>>> remote =
-        RemoteEndpoint::ConnectAll(host_ports);
-    EXPECT_TRUE(remote.ok()) << remote.status().ToString();
-    return FederationClient::Create(std::move(remote).value(), copts);
-  }();
+  Result<std::vector<std::shared_ptr<ProviderEndpoint>>> endpoints =
+      loopback ? servers.Connect() : MakeInProcessEndpoints(Ptrs(providers));
+  ASSERT_TRUE(endpoints.ok()) << endpoints.status().ToString();
+  Result<std::unique_ptr<FederationClient>> made =
+      FederationClient::Create(*endpoints, copts);
   ASSERT_TRUE(made.ok()) << made.status().ToString();
   FederationClient* client = made->get();
 
@@ -210,9 +115,9 @@ void RunSubmitterStress(size_t pool_threads, BatchScheduler scheduler,
 
   // Synchronous replay of that sequence on an identical federation: one
   // SubmitAll on a single-threaded phase-barrier client.
-  auto replay_providers = MakeFederation(3);
+  auto replay_providers = MakeProviders(3, 4000, 901, 13);
   FederationClient::Options ropts;
-  ropts.protocol = BaseConfig(1, BatchScheduler::kPhaseBarrier);
+  ropts.protocol = TestConfig(626, 1, BatchScheduler::kPhaseBarrier);
   ropts.analysts = copts.analysts;
   Result<std::unique_ptr<FederationClient>> replay =
       FederationClient::Create(Ptrs(replay_providers), ropts);
@@ -260,9 +165,9 @@ TEST(FederationClientStressTest, LoopbackSubmittersMatchSequentialReplay) {
 TEST(FederationClientStressTest, WaitThenStatsSeesSealedBatchStats) {
   constexpr size_t kSubmitters = 4;
   constexpr size_t kPerSubmitter = 4;
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(4, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 4);
   for (size_t s = 0; s < kSubmitters; ++s) {
     copts.analysts.push_back({"a" + std::to_string(s), 1e6, 1e3});
   }
@@ -317,9 +222,9 @@ TEST(QueryCancelTokenTest, CancelDoesNotRevokeAGrantedStage) {
 }
 
 TEST(FederationClientCancelTest, CancelBeforeExecutionRefusesAndChargesNothing) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(1, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 1);
   copts.analysts = {{"alice", 1e6, 1e3}};
   copts.start_paused = true;
   Result<std::unique_ptr<FederationClient>> client =
@@ -343,9 +248,9 @@ TEST(FederationClientCancelTest, CancelBeforeExecutionRefusesAndChargesNothing) 
 }
 
 TEST(FederationClientCancelTest, CancelAfterCompletionIsANoop) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(1, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 1);
   copts.analysts = {{"alice", 1e6, 1e3}};
   Result<std::unique_ptr<FederationClient>> client =
       FederationClient::Create(Ptrs(providers), copts);
@@ -366,7 +271,7 @@ TEST(FederationClientCancelTest, CancelAfterCompletionIsANoop) {
 // the full delta — refunded: the paper's composition accounting, stage
 // by stage.
 TEST(FederationClientCancelTest, MidQueryCancelRefundsUnexercisedShares) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   Result<std::vector<std::shared_ptr<ProviderEndpoint>>> inner =
       MakeInProcessEndpoints(Ptrs(providers));
   ASSERT_TRUE(inner.ok());
@@ -376,7 +281,7 @@ TEST(FederationClientCancelTest, MidQueryCancelRefundsUnexercisedShares) {
   std::vector<std::shared_ptr<ProviderEndpoint>> endpoints = {
       std::make_shared<GatedEndpoint>((*inner)[0], gate), (*inner)[1]};
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(2, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 2);
   copts.analysts = {{"alice", 1e6, 1e3}};
   Result<std::unique_ptr<FederationClient>> client =
       FederationClient::Create(endpoints, copts);
@@ -415,21 +320,13 @@ TEST(FederationClientCancelTest, MidQueryCancelRefundsUnexercisedShares) {
 // stubs inline, so no per-connection dispatch thread is ever started
 // (and no no-op closures queue behind live traffic).
 TEST(FederationClientCancelTest, CancelledQueriesBypassRemoteDispatch) {
-  auto providers = MakeFederation(2);
-  std::vector<std::unique_ptr<RpcProviderServer>> servers;
-  std::vector<std::string> host_ports;
-  for (auto& p : providers) {
-    Result<std::unique_ptr<RpcProviderServer>> server =
-        RpcProviderServer::Start(p.get());
-    ASSERT_TRUE(server.ok()) << server.status().ToString();
-    servers.push_back(std::move(server).value());
-    host_ports.push_back("127.0.0.1:" + std::to_string(servers.back()->port()));
-  }
+  auto providers = MakeProviders(2, 4000, 901, 13);
+  LoopbackServers servers(Ptrs(providers));
   Result<std::vector<std::shared_ptr<ProviderEndpoint>>> remote =
-      RemoteEndpoint::ConnectAll(host_ports);
+      servers.Connect();
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(2, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 2);
   copts.analysts = {{"alice", 1e6, 1e3}};
   copts.start_paused = true;
   Result<std::unique_ptr<FederationClient>> client =
@@ -490,9 +387,9 @@ TEST(TaskGraphPriorityTest, ReadyQueueDrainsByPriorityDeadlineThenKey) {
 }
 
 TEST(FederationClientPriorityTest, HighPriorityCompletesBeforeLowInOneRound) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(1, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 1);
   copts.analysts = {{"alice", 1e6, 1e3}};
   copts.start_paused = true;
   Result<std::unique_ptr<FederationClient>> client =
@@ -522,9 +419,9 @@ TEST(FederationClientPriorityTest, HighPriorityCompletesBeforeLowInOneRound) {
 }
 
 TEST(FederationClientDeadlineTest, ExpiredDeadlineIsRefusedBeforeCharging) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(1, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 1);
   copts.analysts = {{"alice", 1e6, 1e3}};
   copts.start_paused = true;
   Result<std::unique_ptr<FederationClient>> client =
@@ -548,7 +445,7 @@ TEST(FederationClientDeadlineTest, ExpiredDeadlineIsRefusedBeforeCharging) {
 // ------------------------------------------------ exact on one scheduler --
 
 TEST(FederationClientExactTest, ExactSpecsMatchTheExactBaseline) {
-  auto providers = MakeFederation(3);
+  auto providers = MakeProviders(3, 4000, 901, 13);
   const RangeQuery q = WideQuery();
   double expected = 0.0;
   for (DataProvider* p : Ptrs(providers)) {
@@ -557,7 +454,7 @@ TEST(FederationClientExactTest, ExactSpecsMatchTheExactBaseline) {
   for (BatchScheduler scheduler :
        {BatchScheduler::kTaskGraph, BatchScheduler::kPhaseBarrier}) {
     FederationClient::Options copts;
-    copts.protocol = BaseConfig(2, scheduler);
+    copts.protocol = TestConfig(626, 2, scheduler);
     copts.analysts = {{"alice", 1e6, 1e3}};
     Result<std::unique_ptr<FederationClient>> client =
         FederationClient::Create(Ptrs(providers), copts);
@@ -582,7 +479,7 @@ TEST(FederationClientExactTest, ExactSpecsMatchTheExactBaseline) {
   // ExecuteExact (the orchestrator surface) runs on the graph too and
   // must agree.
   Result<QueryOrchestrator> orch = QueryOrchestrator::Create(
-      Ptrs(providers), BaseConfig(2, BatchScheduler::kTaskGraph));
+      Ptrs(providers), TestConfig(626, 2));
   ASSERT_TRUE(orch.ok());
   Result<QueryResponse> direct = orch->ExecuteExact(q);
   ASSERT_TRUE(direct.ok());
@@ -594,12 +491,12 @@ TEST(FederationClientExactTest, ExactSpecsMatchTheExactBaseline) {
 // EndQuery rides the task graph as kRelease nodes; every session must
 // still be closed by the time the batch returns.
 TEST(FederationClientReleaseTest, GraphBatchReleasesEverySession) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   Result<std::vector<std::shared_ptr<ProviderEndpoint>>> endpoints =
       MakeInProcessEndpoints(Ptrs(providers));
   ASSERT_TRUE(endpoints.ok());
   Result<QueryOrchestrator> orch = QueryOrchestrator::CreateFromEndpoints(
-      *endpoints, BaseConfig(4, BatchScheduler::kTaskGraph));
+      *endpoints, TestConfig(626, 4));
   ASSERT_TRUE(orch.ok());
   std::vector<RangeQuery> queries = {WideQuery(0), WideQuery(1), WideQuery(2)};
   std::vector<BatchOutcome> outcomes = ExecuteQueries(*orch, queries);
@@ -615,12 +512,12 @@ TEST(FederationClientReleaseTest, GraphBatchReleasesEverySession) {
 // A client built over endpoints serves progressive queries: every round is
 // released and the whole budget charged.
 TEST(FederationClientProgressiveTest, EndpointBackedClientServesProgressive) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   Result<std::vector<std::shared_ptr<ProviderEndpoint>>> endpoints =
       MakeInProcessEndpoints(Ptrs(providers));
   ASSERT_TRUE(endpoints.ok());
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(1, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 1);
   copts.analysts = {{"alice", 1e6, 1e3}};
   Result<std::unique_ptr<FederationClient>> client =
       FederationClient::Create(*endpoints, copts);
@@ -641,9 +538,9 @@ TEST(FederationClientProgressiveTest, EndpointBackedClientServesProgressive) {
 // ------------------------------------------------------------- lifecycle --
 
 TEST(FederationClientLifecycleTest, DestructionDrainsOutstandingQueries) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(2, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 2);
   copts.analysts = {{"alice", 1e6, 1e3}};
   copts.start_paused = true;
   Result<std::unique_ptr<FederationClient>> client =
@@ -664,9 +561,9 @@ TEST(FederationClientLifecycleTest, DestructionDrainsOutstandingQueries) {
 }
 
 TEST(FederationClientLifecycleTest, UnknownAnalystIsRefused) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(1, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 1);
   copts.analysts = {{"alice", 1e6, 1e3}};
   Result<std::unique_ptr<FederationClient>> client =
       FederationClient::Create(Ptrs(providers), copts);
@@ -685,9 +582,9 @@ TEST(FederationClientLifecycleTest, UnknownAnalystIsRefused) {
 // query is charged remaining / horizon at its admission, so the plan walks
 // the workload in order and admission then charges exactly what it planned.
 TEST(FederationClientPlanTest, PlanWithHorizonMatchesAdmittedCharges) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(1, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 1);
   copts.analysts = {{"alice", 2.0, 1.0}};
   copts.plan_horizon = 4;
   Result<std::unique_ptr<FederationClient>> client =
@@ -722,9 +619,9 @@ TEST(FederationClientPlanTest, PlanWithHorizonMatchesAdmittedCharges) {
 // Progressive queries run the same admission decision, so the horizon
 // charges them what the plan predicts, exactly like approximate ones.
 TEST(FederationClientPlanTest, ProgressiveQueryGetsThePlannedHorizonCharge) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(1, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 1);
   copts.analysts = {{"alice", 2.0, 1.0}};
   copts.plan_horizon = 4;
   Result<std::unique_ptr<FederationClient>> client =

@@ -14,6 +14,7 @@
 #include "federation/aggregator.h"
 #include "federation/orchestrator.h"
 #include "federation/provider.h"
+#include "fixture.h"
 #include "workload/datagen.h"
 #include "execute_query.h"
 #include "registry_delta.h"
@@ -51,12 +52,6 @@ class FederationFixture : public ::testing::Test {
     }
   }
 
-  std::vector<DataProvider*> Ptrs() {
-    std::vector<DataProvider*> out;
-    for (auto& p : providers_) out.push_back(p.get());
-    return out;
-  }
-
   FederationConfig DefaultConfig() {
     FederationConfig config;
     config.per_query_budget = {1.0, 1e-3};
@@ -70,7 +65,7 @@ class FederationFixture : public ::testing::Test {
     options.protocol = DefaultConfig();
     options.analysts = {AnalystGrant{"a", xi, 1.0}};
     Result<std::unique_ptr<FederationClient>> client =
-        FederationClient::Create(Ptrs(), options);
+        FederationClient::Create(Ptrs(providers_), options);
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     return client.ok() ? std::move(client).value() : nullptr;
   }
@@ -254,11 +249,11 @@ TEST_F(FederationFixture, CreateValidatesFederation) {
 
   FederationConfig bad_rate = DefaultConfig();
   bad_rate.sampling_rate = 0.0;
-  EXPECT_FALSE(QueryOrchestrator::Create(Ptrs(), bad_rate).ok());
+  EXPECT_FALSE(QueryOrchestrator::Create(Ptrs(providers_), bad_rate).ok());
 
   FederationConfig bad_budget = DefaultConfig();
   bad_budget.per_query_budget.epsilon = -1.0;
-  EXPECT_FALSE(QueryOrchestrator::Create(Ptrs(), bad_budget).ok());
+  EXPECT_FALSE(QueryOrchestrator::Create(Ptrs(providers_), bad_budget).ok());
 }
 
 TEST_F(FederationFixture, CreateRejectsMismatchedCapacity) {
@@ -277,7 +272,7 @@ TEST_F(FederationFixture, CreateRejectsMismatchedCapacity) {
   popts.storage.cluster_capacity = 64;  // others use 128
   Result<std::unique_ptr<DataProvider>> odd = DataProvider::Create(*t, popts);
   ASSERT_TRUE(odd.ok());
-  std::vector<DataProvider*> ptrs = Ptrs();
+  std::vector<DataProvider*> ptrs = Ptrs(providers_);
   ptrs.push_back(odd->get());
   EXPECT_EQ(QueryOrchestrator::Create(ptrs, DefaultConfig()).status().code(),
             StatusCode::kFailedPrecondition);
@@ -285,24 +280,24 @@ TEST_F(FederationFixture, CreateRejectsMismatchedCapacity) {
 
 TEST_F(FederationFixture, ExecuteExactMatchesGroundTruth) {
   Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create(Ptrs(), DefaultConfig());
+      QueryOrchestrator::Create(Ptrs(providers_), DefaultConfig());
   ASSERT_TRUE(orch.ok());
   RangeQuery q = WideQuery();
   int64_t truth = 0;
-  for (auto* p : Ptrs()) truth += p->store().EvaluateExact(q);
+  for (auto* p : Ptrs(providers_)) truth += p->store().EvaluateExact(q);
   Result<QueryResponse> resp = orch->ExecuteExact(q);
   ASSERT_TRUE(resp.ok());
   EXPECT_DOUBLE_EQ(resp->estimate, static_cast<double>(truth));
   EXPECT_FALSE(resp->approximated);
   // Exact scan touches every row of every provider.
   size_t total_rows = 0;
-  for (auto* p : Ptrs()) total_rows += p->store().TotalRows();
+  for (auto* p : Ptrs(providers_)) total_rows += p->store().TotalRows();
   EXPECT_EQ(resp->breakdown.rows_scanned, total_rows);
 }
 
 TEST_F(FederationFixture, ExecuteApproximatesAndSavesWork) {
   Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create(Ptrs(), DefaultConfig());
+      QueryOrchestrator::Create(Ptrs(providers_), DefaultConfig());
   ASSERT_TRUE(orch.ok());
   RangeQuery q = WideQuery();
   Result<QueryResponse> resp = ExecuteQuery(*orch, q);
@@ -319,7 +314,7 @@ TEST_F(FederationFixture, ExecuteEstimateIsReasonablyAccurate) {
   FederationConfig config = DefaultConfig();
   config.per_query_budget = {2.0, 1e-3};
   config.sampling_rate = 0.4;
-  Result<QueryOrchestrator> orch = QueryOrchestrator::Create(Ptrs(), config);
+  Result<QueryOrchestrator> orch = QueryOrchestrator::Create(Ptrs(providers_), config);
   ASSERT_TRUE(orch.ok());
   RangeQuery q = WideQuery();
   Result<QueryResponse> exact = orch->ExecuteExact(q);
@@ -355,7 +350,7 @@ TEST_F(FederationFixture, SmcModeProducesComparableEstimates) {
   config.mode = ReleaseMode::kSmc;
   config.per_query_budget = {2.0, 1e-3};
   config.sampling_rate = 0.4;
-  Result<QueryOrchestrator> orch = QueryOrchestrator::Create(Ptrs(), config);
+  Result<QueryOrchestrator> orch = QueryOrchestrator::Create(Ptrs(providers_), config);
   ASSERT_TRUE(orch.ok());
   RangeQuery q = WideQuery();
   Result<QueryResponse> exact = orch->ExecuteExact(q);
@@ -375,9 +370,9 @@ TEST_F(FederationFixture, SmcModeMovesMoreBytesThanDpMode) {
   FederationConfig smc_config = DefaultConfig();
   smc_config.mode = ReleaseMode::kSmc;
   Result<QueryOrchestrator> dp_orch =
-      QueryOrchestrator::Create(Ptrs(), dp_config);
+      QueryOrchestrator::Create(Ptrs(providers_), dp_config);
   Result<QueryOrchestrator> smc_orch =
-      QueryOrchestrator::Create(Ptrs(), smc_config);
+      QueryOrchestrator::Create(Ptrs(providers_), smc_config);
   ASSERT_TRUE(dp_orch.ok());
   ASSERT_TRUE(smc_orch.ok());
   RangeQuery q = WideQuery();
@@ -393,7 +388,7 @@ TEST_F(FederationFixture, SmallQueriesTakeExactPath) {
   // A point query covers few clusters; with N_min above that, providers
   // answer exactly and the response is flagged unapproximated.
   FederationConfig config = DefaultConfig();
-  Result<QueryOrchestrator> orch = QueryOrchestrator::Create(Ptrs(), config);
+  Result<QueryOrchestrator> orch = QueryOrchestrator::Create(Ptrs(providers_), config);
   ASSERT_TRUE(orch.ok());
   // Find a point query covering < n_min clusters at every provider.
   RangeQuery q;
@@ -401,7 +396,7 @@ TEST_F(FederationFixture, SmallQueriesTakeExactPath) {
   for (Value v = 0; v < 60 && !found; ++v) {
     q = RangeQueryBuilder(Aggregation::kCount).Where(0, v, v).Build();
     found = true;
-    for (auto* p : Ptrs()) {
+    for (auto* p : Ptrs(providers_)) {
       CoverInfo cover = p->Cover(q, nullptr);
       if (p->ShouldApproximate(cover)) {
         found = false;

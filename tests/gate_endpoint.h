@@ -13,7 +13,7 @@
 #include <mutex>
 #include <utility>
 
-#include "exec/endpoint.h"
+#include "fixture.h"
 
 namespace fedaqp {
 
@@ -70,13 +70,14 @@ struct GatedCall {
 
 /// Forwards every call to `inner`, except that the `gated` call first
 /// passes `gate`.
-class GatedEndpoint : public ProviderEndpoint {
+class GatedEndpoint : public ForwardingEndpoint {
  public:
   GatedEndpoint(std::shared_ptr<ProviderEndpoint> inner,
                 std::shared_ptr<CallGate> gate, GatedCall gated = {})
-      : inner_(std::move(inner)), gate_(std::move(gate)), gated_(gated) {}
+      : ForwardingEndpoint(std::move(inner)),
+        gate_(std::move(gate)),
+        gated_(gated) {}
 
-  const EndpointInfo& info() const override { return inner_->info(); }
   Result<CoverReply> Cover(const CoverRequest& request) override {
     if (gated_.kind == GatedCall::Kind::kCover) gate_->Pass();
     return inner_->Cover(request);
@@ -93,19 +94,11 @@ class GatedEndpoint : public ProviderEndpoint {
     }
     return inner_->Approximate(r);
   }
-  Result<EstimateReply> ExactAnswer(const ExactAnswerRequest& r) override {
-    return inner_->ExactAnswer(r);
-  }
-  Result<ExactScanReply> ExactFullScan(const ExactScanRequest& r) override {
-    return inner_->ExactFullScan(r);
-  }
-  void EndQuery(uint64_t id) override { inner_->EndQuery(id); }
 
   /// Approximate calls forwarded so far.
   size_t approximate_calls() const { return approximate_calls_.load(); }
 
  private:
-  std::shared_ptr<ProviderEndpoint> inner_;
   std::shared_ptr<CallGate> gate_;
   GatedCall gated_;
   std::atomic<size_t> approximate_calls_{0};

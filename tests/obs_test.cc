@@ -1,9 +1,8 @@
 // Tests for the observability layer (src/obs/): the striped metric
 // registry under concurrent hammering, span lifecycle / ring bounding /
-// Chrome export in the trace recorder, bit-exact audit-log replay of the
-// analyst ledger (including clamped refunds), and the determinism pin
-// that a loopback batch with tracing on is bit-identical — answers,
-// ledgers, and admission sequence — to the same batch with tracing off.
+// Chrome export in the trace recorder, and bit-exact audit-log replay of
+// the analyst ledger (including clamped refunds). That tracing never
+// perturbs answers is pinned by tests/determinism_matrix_test.cc.
 // The whole file runs in the CI ThreadSanitizer job: the counter hammer
 // and the snapshot-while-incrementing reader are the TSan surface for
 // the registry's striped relaxed atomics.
@@ -19,12 +18,10 @@
 
 #include "dp/accountant.h"
 #include "exec/federation_client.h"
+#include "fixture.h"
 #include "obs/audit_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "rpc/remote_endpoint.h"
-#include "rpc/server.h"
-#include "workload/datagen.h"
 
 namespace fedaqp {
 namespace {
@@ -310,45 +307,6 @@ TEST(AuditLogTest, ReplayReproducesDirectLedgerMutations) {
   EXPECT_FALSE(replayed.Knows("mallory"));
 }
 
-std::unique_ptr<DataProvider> MakeProvider(size_t rows, uint64_t seed) {
-  SyntheticConfig cfg;
-  cfg.rows = rows;
-  cfg.seed = seed;
-  cfg.dims = {{"a", 200, DistributionKind::kNormal, 0.5},
-              {"b", 100, DistributionKind::kZipf, 1.2}};
-  Result<Table> t = GenerateSynthetic(cfg);
-  EXPECT_TRUE(t.ok());
-  Result<Table> tensor = t->BuildCountTensor({0, 1});
-  EXPECT_TRUE(tensor.ok());
-  DataProvider::Options popts;
-  popts.storage.cluster_capacity = 128;
-  popts.storage.layout = ClusterLayout::kShuffled;
-  popts.storage.shuffle_seed = seed;
-  popts.n_min = 4;
-  popts.seed = seed * 3 + 1;
-  Result<std::unique_ptr<DataProvider>> p =
-      DataProvider::Create(*tensor, popts);
-  EXPECT_TRUE(p.ok());
-  return std::move(p).value();
-}
-
-std::vector<DataProvider*> Ptrs(
-    std::vector<std::unique_ptr<DataProvider>>& providers) {
-  std::vector<DataProvider*> out;
-  for (auto& p : providers) out.push_back(p.get());
-  return out;
-}
-
-FederationConfig BaseConfig() {
-  FederationConfig config;
-  config.per_query_budget = {1.0, 1e-3};
-  config.sampling_rate = 0.3;
-  config.seed = 77;
-  config.num_threads = 2;
-  config.scheduler = BatchScheduler::kTaskGraph;
-  return config;
-}
-
 RangeQuery Query(int shift) {
   return RangeQueryBuilder(Aggregation::kCount)
       .Where(0, 20 + shift, 180)
@@ -359,12 +317,9 @@ RangeQuery Query(int shift) {
 // makes — fresh charges, cache-served savings — replays into a fresh
 // ledger bit-exactly.
 TEST(AuditLogTest, ReplayReproducesClientSessionLedger) {
-  std::vector<std::unique_ptr<DataProvider>> providers;
-  providers.push_back(MakeProvider(4000, 901));
-  providers.push_back(MakeProvider(4000, 914));
-
+  auto providers = MakeProviders(2, 4000, 901, 13);
   FederationClient::Options copts;
-  copts.protocol = BaseConfig();
+  copts.protocol = TestConfig(77, 2);
   copts.analysts = {{"alice", 1e6, 1e3}, {"bob", 1e6, 1e3}};
   copts.enable_cache = true;  // Repeats produce kSaving records.
   Result<std::unique_ptr<FederationClient>> client =
@@ -409,108 +364,6 @@ TEST(AuditLogTest, ReplayReproducesClientSessionLedger) {
   for (const std::string analyst : {"alice", "bob"}) {
     ExpectLedgersBitIdentical((*client)->ledger(), replayed, analyst);
   }
-}
-
-// --------------------------------------- tracing on/off determinism pin --
-
-struct LoopbackRun {
-  std::vector<double> estimates;
-  std::vector<uint64_t> seqs;
-  double spent_eps = 0.0;
-  double spent_delta = 0.0;
-};
-
-/// One full loopback session — fresh providers, servers, and client with
-/// identical seeds — returning everything the determinism contract
-/// covers: answers, admission sequence, and the analyst's exact spend.
-LoopbackRun RunLoopbackWorkload(bool traced) {
-  LoopbackRun run;
-  std::vector<std::unique_ptr<DataProvider>> providers;
-  providers.push_back(MakeProvider(4000, 901));
-  providers.push_back(MakeProvider(4000, 914));
-
-  std::vector<std::unique_ptr<RpcProviderServer>> servers;
-  std::vector<std::string> host_ports;
-  for (auto& p : providers) {
-    Result<std::unique_ptr<RpcProviderServer>> server =
-        RpcProviderServer::Start(p.get());
-    EXPECT_TRUE(server.ok()) << server.status().ToString();
-    servers.push_back(std::move(server).value());
-    host_ports.push_back("127.0.0.1:" +
-                         std::to_string(servers.back()->port()));
-  }
-  Result<std::vector<std::shared_ptr<ProviderEndpoint>>> remote =
-      RemoteEndpoint::ConnectAll(host_ports);
-  EXPECT_TRUE(remote.ok()) << remote.status().ToString();
-
-  FederationClient::Options copts;
-  copts.protocol = BaseConfig();
-  copts.analysts = {{"alice", 1e6, 1e3}};
-  Result<std::unique_ptr<FederationClient>> client =
-      FederationClient::Create(std::move(remote).value(), copts);
-  EXPECT_TRUE(client.ok()) << client.status().ToString();
-  if (!client.ok()) return run;
-
-  obs::TraceRecorder::Global().SetEnabled(traced);
-  std::vector<QueryTicket> tickets;
-  for (int i = 0; i < 4; ++i) {
-    QuerySpec spec;
-    spec.analyst = "alice";
-    spec.query = Query(i);
-    tickets.push_back((*client)->Submit(std::move(spec)));
-  }
-  for (auto& t : tickets) {
-    Result<QueryResponse> resp = t.Wait();
-    EXPECT_TRUE(resp.ok()) << resp.status().ToString();
-    run.estimates.push_back(resp.ok() ? resp->estimate : 0.0);
-    run.seqs.push_back(t.id());
-  }
-  obs::TraceRecorder::Global().SetEnabled(false);
-
-  Result<PrivacyBudget> spent = (*client)->ledger().Spent("alice");
-  EXPECT_TRUE(spent.ok());
-  if (spent.ok()) {
-    run.spent_eps = spent->epsilon;
-    run.spent_delta = spent->delta;
-  }
-  return run;
-}
-
-// Tracing must observe, never perturb: a traced loopback batch is
-// bit-identical to the untraced one — same estimates, same admission
-// sequence, same ledger state — while actually recording spans from the
-// task, client, rpc, and server layers.
-TEST(TraceDeterminismTest, LoopbackBatchBitIdenticalWithTracingOn) {
-  TraceGuard guard;
-  LoopbackRun off = RunLoopbackWorkload(false);
-  EXPECT_EQ(obs::TraceRecorder::Global().size(), 0u);
-
-  obs::TraceRecorder::Global().Clear();
-  LoopbackRun on = RunLoopbackWorkload(true);
-  EXPECT_GT(obs::TraceRecorder::Global().size(), 0u);
-
-  ASSERT_EQ(off.estimates.size(), on.estimates.size());
-  for (size_t i = 0; i < off.estimates.size(); ++i) {
-    EXPECT_EQ(off.estimates[i], on.estimates[i]) << "query " << i;
-  }
-  EXPECT_EQ(off.seqs, on.seqs);
-  EXPECT_EQ(off.spent_eps, on.spent_eps);
-  EXPECT_EQ(off.spent_delta, on.spent_delta);
-
-  // The traced run exercised every instrumented layer.
-  bool saw_task = false, saw_rpc = false, saw_server = false,
-       saw_client = false;
-  for (const obs::TraceSpan& span :
-       obs::TraceRecorder::Global().Snapshot()) {
-    if (span.cat == "task") saw_task = true;
-    if (span.cat == "rpc") saw_rpc = true;
-    if (span.cat == "server") saw_server = true;
-    if (span.cat == "client") saw_client = true;
-  }
-  EXPECT_TRUE(saw_task);
-  EXPECT_TRUE(saw_rpc);
-  EXPECT_TRUE(saw_server);
-  EXPECT_TRUE(saw_client);
 }
 
 }  // namespace

@@ -9,51 +9,17 @@
 #include <gtest/gtest.h>
 
 #include "common/math.h"
-#include "federation/orchestrator.h"
-#include "workload/datagen.h"
 #include "execute_query.h"
+#include "federation/orchestrator.h"
+#include "fixture.h"
 
 namespace fedaqp {
 namespace {
 
-std::unique_ptr<DataProvider> MakeProvider(size_t rows, uint64_t seed,
-                                           size_t capacity = 128,
-                                           size_t n_min = 4) {
-  // Large domains so the tensor does not saturate: the cell count (and
-  // with it N^Q) keeps growing with the row count, which the
-  // heterogeneous-size test below relies on.
-  SyntheticConfig cfg;
-  cfg.rows = rows;
-  cfg.seed = seed;
-  cfg.dims = {{"a", 200, DistributionKind::kNormal, 0.5},
-              {"b", 100, DistributionKind::kZipf, 1.2}};
-  Result<Table> t = GenerateSynthetic(cfg);
-  EXPECT_TRUE(t.ok());
-  Result<Table> tensor = t->BuildCountTensor({0, 1});
-  EXPECT_TRUE(tensor.ok());
-  DataProvider::Options popts;
-  popts.storage.cluster_capacity = capacity;
-  popts.storage.layout = ClusterLayout::kShuffled;
-  popts.storage.shuffle_seed = seed;
-  popts.n_min = n_min;
-  popts.seed = seed * 3 + 1;
-  Result<std::unique_ptr<DataProvider>> p =
-      DataProvider::Create(*tensor, popts);
-  EXPECT_TRUE(p.ok());
-  return std::move(p).value();
-}
-
-FederationConfig BaseConfig() {
-  FederationConfig config;
-  config.per_query_budget = {1.0, 1e-3};
-  config.sampling_rate = 0.3;
-  return config;
-}
-
 TEST(OrchestratorEdgeTest, SingleProviderFederationWorks) {
   std::unique_ptr<DataProvider> p = MakeProvider(8000, 11);
   Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create({p.get()}, BaseConfig());
+      QueryOrchestrator::Create({p.get()}, TestConfig(42));
   ASSERT_TRUE(orch.ok());
   RangeQuery q = RangeQueryBuilder(Aggregation::kSum).Where(0, 20, 180).Build();
   Result<QueryResponse> exact = orch->ExecuteExact(q);
@@ -70,7 +36,7 @@ TEST(OrchestratorEdgeTest, TinyProviderAlwaysTakesExactPath) {
   std::unique_ptr<DataProvider> tiny = MakeProvider(200, 13, 128, 50);
   ASSERT_LT(tiny->store().num_clusters(), 50u);
   Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create({tiny.get()}, BaseConfig());
+      QueryOrchestrator::Create({tiny.get()}, TestConfig(42));
   ASSERT_TRUE(orch.ok());
   RangeQuery q = RangeQueryBuilder(Aggregation::kCount).Where(0, 0, 199).Build();
   Result<QueryResponse> resp = ExecuteQuery(*orch, q);
@@ -84,7 +50,7 @@ TEST(OrchestratorEdgeTest, HeterogeneousProviderSizesAllowed) {
   std::unique_ptr<DataProvider> small = MakeProvider(3000, 17);
   std::unique_ptr<DataProvider> big = MakeProvider(30000, 19);
   Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create({small.get(), big.get()}, BaseConfig());
+      QueryOrchestrator::Create({small.get(), big.get()}, TestConfig(42));
   ASSERT_TRUE(orch.ok());
   RangeQuery q = RangeQueryBuilder(Aggregation::kSum).Where(0, 0, 199).Build();
   size_t small_total = 0, big_total = 0;
@@ -100,7 +66,7 @@ TEST(OrchestratorEdgeTest, HeterogeneousProviderSizesAllowed) {
 TEST(OrchestratorEdgeTest, EmptyRangeListMatchesWholeTable) {
   std::unique_ptr<DataProvider> p = MakeProvider(5000, 23);
   Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create({p.get()}, BaseConfig());
+      QueryOrchestrator::Create({p.get()}, TestConfig(42));
   ASSERT_TRUE(orch.ok());
   RangeQuery q(Aggregation::kSum, {});
   Result<QueryResponse> exact = orch->ExecuteExact(q);
@@ -111,7 +77,7 @@ TEST(OrchestratorEdgeTest, EmptyRangeListMatchesWholeTable) {
 TEST(OrchestratorEdgeTest, StderrReportedInDpMode) {
   std::unique_ptr<DataProvider> p = MakeProvider(20000, 29);
   Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create({p.get()}, BaseConfig());
+      QueryOrchestrator::Create({p.get()}, TestConfig(42));
   ASSERT_TRUE(orch.ok());
   RangeQuery q = RangeQueryBuilder(Aggregation::kSum).Where(0, 20, 180).Build();
   Result<QueryResponse> resp = ExecuteQuery(*orch, q);
@@ -135,7 +101,7 @@ TEST(OrchestratorEdgeTest, StderrReportedInDpMode) {
 
 TEST(OrchestratorEdgeTest, SmcModeReportsNoStderr) {
   std::unique_ptr<DataProvider> p = MakeProvider(20000, 31);
-  FederationConfig config = BaseConfig();
+  FederationConfig config = TestConfig(42);
   config.mode = ReleaseMode::kSmc;
   Result<QueryOrchestrator> orch =
       QueryOrchestrator::Create({p.get()}, config);
@@ -150,7 +116,7 @@ TEST(OrchestratorEdgeTest, MessageCountMatchesProtocolRounds) {
   std::unique_ptr<DataProvider> a = MakeProvider(20000, 37);
   std::unique_ptr<DataProvider> b = MakeProvider(20000, 41);
   Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create({a.get(), b.get()}, BaseConfig());
+      QueryOrchestrator::Create({a.get(), b.get()}, TestConfig(42));
   ASSERT_TRUE(orch.ok());
   RangeQuery q = RangeQueryBuilder(Aggregation::kSum).Where(0, 20, 180).Build();
   Result<QueryResponse> resp = ExecuteQuery(*orch, q);
@@ -168,7 +134,7 @@ TEST(OrchestratorEdgeTest, MessageCountMatchesProtocolRounds) {
 TEST(OrchestratorEdgeTest, SumSquaresQueriesRunEndToEnd) {
   std::unique_ptr<DataProvider> p = MakeProvider(20000, 43);
   Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create({p.get()}, BaseConfig());
+      QueryOrchestrator::Create({p.get()}, TestConfig(42));
   ASSERT_TRUE(orch.ok());
   RangeQuery q =
       RangeQueryBuilder(Aggregation::kSumSquares).Where(0, 0, 199).Build();
@@ -187,7 +153,7 @@ TEST(OrchestratorEdgeTest, AllocationSumMatchesPlanTotal) {
   std::unique_ptr<DataProvider> b = MakeProvider(15000, 53);
   std::unique_ptr<DataProvider> c = MakeProvider(15000, 59);
   Result<QueryOrchestrator> orch = QueryOrchestrator::Create(
-      {a.get(), b.get(), c.get()}, BaseConfig());
+      {a.get(), b.get(), c.get()}, TestConfig(42));
   ASSERT_TRUE(orch.ok());
   RangeQuery q = RangeQueryBuilder(Aggregation::kCount).Where(0, 0, 199).Build();
   Result<QueryResponse> resp = ExecuteQuery(*orch, q);

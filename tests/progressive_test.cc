@@ -12,6 +12,7 @@
 #include "common/math.h"
 #include "exec/federation_client.h"
 #include "exec/in_process_endpoint.h"
+#include "fixture.h"
 #include "gate_endpoint.h"
 #include "registry_delta.h"
 #include "workload/datagen.h"
@@ -48,12 +49,6 @@ class ProgressiveFixture : public ::testing::Test {
     }
   }
 
-  std::vector<DataProvider*> Ptrs() {
-    std::vector<DataProvider*> out;
-    for (auto& p : providers_) out.push_back(p.get());
-    return out;
-  }
-
   static FederationClient::Options Options(
       size_t threads = 2,
       BatchScheduler scheduler = BatchScheduler::kTaskGraph) {
@@ -69,7 +64,7 @@ class ProgressiveFixture : public ::testing::Test {
   std::unique_ptr<FederationClient> Client(
       const FederationClient::Options& options) {
     Result<std::unique_ptr<FederationClient>> client =
-        FederationClient::Create(Ptrs(), options);
+        FederationClient::Create(Ptrs(providers_), options);
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     return client.ok() ? std::move(client).value() : nullptr;
   }
@@ -79,7 +74,7 @@ class ProgressiveFixture : public ::testing::Test {
   std::unique_ptr<FederationClient> GatedClient(
       const std::shared_ptr<CallGate>& gate, GatedCall gated) {
     Result<std::vector<std::shared_ptr<ProviderEndpoint>>> inner =
-        MakeInProcessEndpoints(Ptrs());
+        MakeInProcessEndpoints(Ptrs(providers_));
     EXPECT_TRUE(inner.ok());
     std::vector<std::shared_ptr<ProviderEndpoint>> endpoints;
     gated_.clear();
@@ -364,50 +359,6 @@ TEST_F(ProgressiveFixture, OneRoundEqualsTheOneShotQuery) {
   EXPECT_EQ(answers[0].spent.epsilon, answers[1].spent.epsilon);
   EXPECT_EQ(answers[0].spent.delta, answers[1].spent.delta);
   EXPECT_EQ(charges[0], charges[1]);
-}
-
-// Rounds ride the one scheduler: bit-identical across pool sizes, both
-// schedulers and admission-round splits of the same admission sequence.
-TEST_F(ProgressiveFixture, RoundsIdenticalAcrossPoolsSchedulersAndSplits) {
-  auto run = [&](size_t threads, BatchScheduler scheduler, size_t split) {
-    FederationClient::Options options = Options(threads, scheduler);
-    options.start_paused = true;
-    options.max_batch_queries = split;
-    std::unique_ptr<FederationClient> client = Client(options);
-    std::vector<QuerySpec> specs = {QuerySpec{"alice", BroadQuery()},
-                                    Progressive(3), Progressive(2),
-                                    QuerySpec{"alice", BroadQuery()}};
-    std::vector<QueryTicket> tickets = client->SubmitAll(std::move(specs));
-    client->Resume();
-    std::vector<double> bits;
-    for (QueryTicket& ticket : tickets) {
-      Result<QueryResponse> resp = ticket.Wait();
-      EXPECT_TRUE(resp.ok()) << resp.status().ToString();
-      if (!resp.ok()) continue;
-      bits.push_back(resp->estimate);
-      bits.push_back(resp->stderr_estimate);
-      for (const ProgressiveRound& r : ticket.Refinements()) {
-        bits.push_back(r.estimate);
-        bits.push_back(r.stderr_estimate);
-        bits.push_back(r.spent.epsilon);
-        bits.push_back(static_cast<double>(r.clusters_scanned));
-      }
-    }
-    return bits;
-  };
-  const std::vector<double> base = run(1, BatchScheduler::kTaskGraph, 0);
-  ASSERT_EQ(base.size(), 2 * 4 + 4 * (3 + 2));
-  for (size_t threads : {1, 2, 4}) {
-    for (BatchScheduler scheduler :
-         {BatchScheduler::kTaskGraph, BatchScheduler::kPhaseBarrier}) {
-      for (size_t split : {0, 1}) {
-        EXPECT_EQ(run(threads, scheduler, split), base)
-            << "threads=" << threads << " barrier="
-            << (scheduler == BatchScheduler::kPhaseBarrier)
-            << " split=" << split;
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Second parameterized property suite: Shamir sharing sweeps, mapped-store
-// persistence across layouts/capacities, stratified estimation sweeps, EM
+// Second parameterized property suite: mapped-store persistence across
+// layouts/capacities, stratified estimation sweeps, EM
 // determinism and balanced chunking invariants.
 
 #include <cstdio>
@@ -14,61 +14,11 @@
 #include "common/rng.h"
 #include "sampling/em_sampler.h"
 #include "sampling/stratified.h"
-#include "smc/shamir.h"
 #include "storage/cluster_store.h"
 #include "workload/datagen.h"
 
 namespace fedaqp {
 namespace {
-
-// ------------------------------------------------------------ Shamir sweep
-
-// Param: (threshold, parties, seed).
-using ShamirParam = std::tuple<size_t, size_t, uint64_t>;
-
-class ShamirProperty : public ::testing::TestWithParam<ShamirParam> {};
-
-TEST_P(ShamirProperty, ThresholdReconstructionAcrossConfigurations) {
-  auto [t, n, seed] = GetParam();
-  Rng rng(seed);
-  for (uint64_t secret :
-       std::vector<uint64_t>{0, 1, 424242, ShamirShares::kPrime - 1}) {
-    Result<std::vector<ShamirShares::Share>> shares =
-        ShamirShares::Split(secret, t, n, &rng);
-    ASSERT_TRUE(shares.ok());
-    // First t shares reconstruct.
-    std::vector<ShamirShares::Share> prefix(shares->begin(),
-                                            shares->begin() + t);
-    EXPECT_EQ(*ShamirShares::Reconstruct(prefix), secret);
-    // Last t shares reconstruct too.
-    std::vector<ShamirShares::Share> suffix(shares->end() - t, shares->end());
-    EXPECT_EQ(*ShamirShares::Reconstruct(suffix), secret);
-    // All n shares reconstruct (over-determined interpolation still
-    // recovers a degree t-1 polynomial's constant term).
-    EXPECT_EQ(*ShamirShares::Reconstruct(*shares), secret);
-  }
-}
-
-TEST_P(ShamirProperty, HomomorphicSumAcrossConfigurations) {
-  auto [t, n, seed] = GetParam();
-  Rng rng(seed ^ 0xabc);
-  Result<std::vector<ShamirShares::Share>> a =
-      ShamirShares::Split(1000, t, n, &rng);
-  Result<std::vector<ShamirShares::Share>> b =
-      ShamirShares::Split(234, t, n, &rng);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  Result<std::vector<ShamirShares::Share>> sum = ShamirShares::Add(*a, *b);
-  ASSERT_TRUE(sum.ok());
-  std::vector<ShamirShares::Share> subset(sum->begin(), sum->begin() + t);
-  EXPECT_EQ(*ShamirShares::Reconstruct(subset), 1234u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, ShamirProperty,
-    ::testing::Combine(::testing::Values<size_t>(1, 2, 3, 5),
-                       ::testing::Values<size_t>(5, 9),
-                       ::testing::Values<uint64_t>(3, 77)));
 
 // ------------------------------------------------------- Persistence sweep
 

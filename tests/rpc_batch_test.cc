@@ -16,38 +16,16 @@
 #include <gtest/gtest.h>
 
 #include "federation/provider.h"
+#include "fixture.h"
 #include "registry_delta.h"
 #include "rpc/remote_endpoint.h"
 #include "rpc/server.h"
 #include "rpc/transport.h"
 #include "rpc/wire.h"
 #include "storage/range_query.h"
-#include "workload/datagen.h"
 
 namespace fedaqp {
 namespace {
-
-std::unique_ptr<DataProvider> MakeProvider(size_t rows, uint64_t seed) {
-  SyntheticConfig cfg;
-  cfg.rows = rows;
-  cfg.seed = seed;
-  cfg.dims = {{"a", 200, DistributionKind::kNormal, 0.5},
-              {"b", 100, DistributionKind::kZipf, 1.2}};
-  Result<Table> t = GenerateSynthetic(cfg);
-  EXPECT_TRUE(t.ok());
-  Result<Table> tensor = t->BuildCountTensor({0, 1});
-  EXPECT_TRUE(tensor.ok());
-  DataProvider::Options popts;
-  popts.storage.cluster_capacity = 128;
-  popts.storage.layout = ClusterLayout::kShuffled;
-  popts.storage.shuffle_seed = seed;
-  popts.n_min = 4;
-  popts.seed = seed * 3 + 1;
-  Result<std::unique_ptr<DataProvider>> p =
-      DataProvider::Create(*tensor, popts);
-  EXPECT_TRUE(p.ok());
-  return std::move(p).value();
-}
 
 RangeQuery ScanQuery(uint32_t lo, uint32_t hi) {
   return RangeQueryBuilder(Aggregation::kCount).Where(0, lo, hi).Build();

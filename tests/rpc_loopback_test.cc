@@ -1,8 +1,9 @@
 // End-to-end loopback federation tests: providers hosted by
 // RpcProviderServer on 127.0.0.1, coordinated through RemoteEndpoint —
-// answers must be bit-identical to the in-process engine, real wire
-// bytes must equal SimNetwork's charges, stateless retries must be
-// invisible, and errors must travel as Status, never as crashes.
+// real wire bytes must equal SimNetwork's charges, stateless retries must
+// be invisible, and errors, hostile requests included, must travel as
+// Status, never as crashes. Loopback answers equal in-process ones bit
+// for bit in tests/determinism_matrix_test.cc.
 
 #include <chrono>
 #include <memory>
@@ -14,79 +15,20 @@
 #include <gtest/gtest.h>
 
 #include "exec/federation_client.h"
-#include "exec/in_process_endpoint.h"
+#include "execute_query.h"
 #include "federation/orchestrator.h"
+#include "fixture.h"
 #include "rpc/remote_endpoint.h"
 #include "rpc/server.h"
 #include "rpc/transport.h"
 #include "rpc/wire.h"
-#include "workload/datagen.h"
-#include "execute_query.h"
 
 namespace fedaqp {
 namespace {
 
-std::unique_ptr<DataProvider> MakeProvider(size_t rows, uint64_t seed,
-                                           size_t n_min = 4) {
-  SyntheticConfig cfg;
-  cfg.rows = rows;
-  cfg.seed = seed;
-  cfg.dims = {{"a", 200, DistributionKind::kNormal, 0.5},
-              {"b", 100, DistributionKind::kZipf, 1.2}};
-  Result<Table> t = GenerateSynthetic(cfg);
-  EXPECT_TRUE(t.ok());
-  Result<Table> tensor = t->BuildCountTensor({0, 1});
-  EXPECT_TRUE(tensor.ok());
-  DataProvider::Options popts;
-  popts.storage.cluster_capacity = 128;
-  popts.storage.layout = ClusterLayout::kShuffled;
-  popts.storage.shuffle_seed = seed;
-  popts.n_min = n_min;
-  popts.seed = seed * 3 + 1;
-  Result<std::unique_ptr<DataProvider>> p = DataProvider::Create(*tensor, popts);
-  EXPECT_TRUE(p.ok());
-  return std::move(p).value();
-}
-
-FederationConfig BaseConfig() {
-  FederationConfig config;
-  config.per_query_budget = {1.0, 1e-3};
-  config.sampling_rate = 0.3;
-  config.seed = 77;
-  return config;
-}
-
-/// Two providers, their loopback servers, and remote endpoints to them.
-/// The same provider instances back both the in-process and the remote
-/// path: all per-query randomness is keyed by (provider seed, session
-/// nonce), so runs do not perturb each other.
+/// Two providers behind loopback servers.
 class RpcLoopbackTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    providers_.push_back(MakeProvider(20000, 3));
-    providers_.push_back(MakeProvider(30000, 5));
-    for (auto& p : providers_) {
-      Result<std::unique_ptr<RpcProviderServer>> server =
-          RpcProviderServer::Start(p.get());
-      ASSERT_TRUE(server.ok()) << server.status().ToString();
-      servers_.push_back(std::move(server).value());
-    }
-  }
-
-  std::vector<DataProvider*> Ptrs() {
-    std::vector<DataProvider*> out;
-    for (auto& p : providers_) out.push_back(p.get());
-    return out;
-  }
-
-  Result<std::vector<std::shared_ptr<ProviderEndpoint>>> ConnectRemote() {
-    std::vector<std::string> host_ports;
-    for (auto& s : servers_) {
-      host_ports.push_back("127.0.0.1:" + std::to_string(s->port()));
-    }
-    return RemoteEndpoint::ConnectAll(host_ports);
-  }
-
   std::vector<RangeQuery> Workload() const {
     return {
         RangeQueryBuilder(Aggregation::kSum).Where(0, 20, 180).Build(),
@@ -99,13 +41,18 @@ class RpcLoopbackTest : public ::testing::Test {
     };
   }
 
-  std::vector<std::unique_ptr<DataProvider>> providers_;
-  std::vector<std::unique_ptr<RpcProviderServer>> servers_;
+  std::vector<std::unique_ptr<DataProvider>> providers_ = [] {
+    std::vector<std::unique_ptr<DataProvider>> two;
+    two.push_back(MakeProvider(20000, 3));
+    two.push_back(MakeProvider(30000, 5));
+    return two;
+  }();
+  LoopbackServers servers_{Ptrs(providers_)};
 };
 
 TEST_F(RpcLoopbackTest, HandshakePublishesEndpointInfo) {
   Result<std::vector<std::shared_ptr<ProviderEndpoint>>> remote =
-      ConnectRemote();
+      servers_.Connect();
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   for (size_t i = 0; i < remote->size(); ++i) {
     const EndpointInfo& info = (*remote)[i]->info();
@@ -117,135 +64,9 @@ TEST_F(RpcLoopbackTest, HandshakePublishesEndpointInfo) {
   }
 }
 
-TEST_F(RpcLoopbackTest, LoopbackFederationIsBitIdenticalToInProcess) {
-  Result<std::vector<std::shared_ptr<ProviderEndpoint>>> remote =
-      ConnectRemote();
-  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-
-  Result<QueryOrchestrator> local =
-      QueryOrchestrator::Create(Ptrs(), BaseConfig());
-  Result<QueryOrchestrator> over_wire =
-      QueryOrchestrator::CreateFromEndpoints(std::move(remote).value(),
-                                             BaseConfig());
-  ASSERT_TRUE(local.ok());
-  ASSERT_TRUE(over_wire.ok()) << over_wire.status().ToString();
-
-  for (const RangeQuery& q : Workload()) {
-    Result<QueryResponse> a = ExecuteQuery(*local, q);
-    Result<QueryResponse> b = ExecuteQuery(*over_wire, q);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    // Bit-identical, not approximately equal: the wire codec moves raw
-    // double bits and the noise streams are keyed identically.
-    EXPECT_EQ(a->estimate, b->estimate) << q.ToString(local->schema());
-    EXPECT_EQ(a->stderr_estimate, b->stderr_estimate);
-    EXPECT_EQ(a->approximated, b->approximated);
-    EXPECT_EQ(a->allocation, b->allocation);
-    EXPECT_EQ(a->spent.epsilon, b->spent.epsilon);
-    EXPECT_EQ(a->spent.delta, b->spent.delta);
-    // Deterministic work counters and the simulated network agree;
-    // compute_seconds is wall time and naturally differs.
-    EXPECT_EQ(a->breakdown.clusters_scanned, b->breakdown.clusters_scanned);
-    EXPECT_EQ(a->breakdown.rows_scanned, b->breakdown.rows_scanned);
-    EXPECT_EQ(a->breakdown.network_bytes, b->breakdown.network_bytes);
-    EXPECT_EQ(a->breakdown.network_messages, b->breakdown.network_messages);
-
-    Result<QueryResponse> ea = local->ExecuteExact(q);
-    Result<QueryResponse> eb = over_wire->ExecuteExact(q);
-    ASSERT_TRUE(ea.ok());
-    ASSERT_TRUE(eb.ok());
-    EXPECT_EQ(ea->estimate, eb->estimate);
-  }
-}
-
-// Progressive rounds cross the wire like one-shot estimates: a client over
-// loopback endpoints releases the in-process client's rounds bit for bit,
-// exact-path providers included.
-TEST_F(RpcLoopbackTest, ProgressiveRoundsAreBitIdenticalOverLoopback) {
-  Result<std::vector<std::shared_ptr<ProviderEndpoint>>> remote =
-      ConnectRemote();
-  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-  Result<std::vector<std::shared_ptr<ProviderEndpoint>>> local =
-      MakeInProcessEndpoints(Ptrs());
-  ASSERT_TRUE(local.ok());
-  FederationClient::Options options;
-  options.protocol = BaseConfig();
-  options.analysts = {{"alice", 1e6, 1e3}};
-  std::vector<std::vector<double>> bits;
-  for (auto* endpoints : {&*local, &*remote}) {
-    Result<std::unique_ptr<FederationClient>> client =
-        FederationClient::Create(*endpoints, options);
-    ASSERT_TRUE(client.ok()) << client.status().ToString();
-    bits.emplace_back();
-    for (const RangeQuery& q : Workload()) {
-      QuerySpec spec{"alice", q};
-      spec.kind = QueryKind::kProgressive;
-      spec.progressive_rounds = 3;
-      QueryTicket ticket = (*client)->Submit(std::move(spec));
-      Result<QueryResponse> resp = ticket.Wait();
-      ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-      ASSERT_EQ(ticket.Refinements().size(), 3u);
-      for (const ProgressiveRound& r : ticket.Refinements()) {
-        bits.back().push_back(r.estimate);
-        bits.back().push_back(r.stderr_estimate);
-        bits.back().push_back(r.spent.epsilon);
-        bits.back().push_back(static_cast<double>(r.clusters_scanned));
-      }
-      bits.back().push_back(static_cast<double>(resp->breakdown.network_bytes));
-    }
-  }
-  EXPECT_EQ(bits[0], bits[1]);
-}
-
-TEST_F(RpcLoopbackTest, BatchedEnginePathIsBitIdenticalOverLoopback) {
-  Result<std::vector<std::shared_ptr<ProviderEndpoint>>> remote =
-      ConnectRemote();
-  ASSERT_TRUE(remote.ok());
-
-  FederationClient::Options opts;
-  opts.protocol = BaseConfig();
-  opts.protocol.num_threads = 4;  // Pool pipelining must survive the wire.
-  opts.analysts = {{"ana", 50.0, 0.5}, {"bob", 2.5, 0.1}};
-
-  Result<std::unique_ptr<FederationClient>> local_client =
-      FederationClient::Create(Ptrs(), opts);
-  Result<std::unique_ptr<FederationClient>> wire_client =
-      FederationClient::Create(std::move(remote).value(), opts);
-  ASSERT_TRUE(local_client.ok());
-  ASSERT_TRUE(wire_client.ok()) << wire_client.status().ToString();
-
-  std::vector<QuerySpec> batch;
-  for (const RangeQuery& q : Workload()) {
-    batch.push_back({"ana", q});
-    batch.push_back({"bob", q});
-  }
-  batch.push_back({"mallory", Workload()[0]});  // unknown analyst
-
-  std::vector<QueryTicket> a = (*local_client)->SubmitAll(batch);
-  std::vector<QueryTicket> b = (*wire_client)->SubmitAll(batch);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    Result<QueryResponse> ra = a[i].Wait();
-    Result<QueryResponse> rb = b[i].Wait();
-    EXPECT_EQ(ra.status().code(), rb.status().code()) << "entry " << i;
-    if (ra.ok() && rb.ok()) {
-      EXPECT_EQ(ra->estimate, rb->estimate) << "entry " << i;
-      EXPECT_EQ(ra->allocation, rb->allocation);
-    }
-  }
-  for (const char* analyst : {"ana", "bob"}) {
-    Result<PrivacyBudget> sa = (*local_client)->ledger().Spent(analyst);
-    Result<PrivacyBudget> sb = (*wire_client)->ledger().Spent(analyst);
-    ASSERT_TRUE(sa.ok());
-    ASSERT_TRUE(sb.ok());
-    EXPECT_EQ(sa->epsilon, sb->epsilon);
-    EXPECT_EQ(sa->delta, sb->delta);
-  }
-}
-
 TEST_F(RpcLoopbackTest, RealWireBytesEqualSimNetworkCharges) {
   Result<std::vector<std::shared_ptr<ProviderEndpoint>>> remote =
-      ConnectRemote();
+      servers_.Connect();
   ASSERT_TRUE(remote.ok());
   std::vector<RemoteEndpoint*> raw;
   for (auto& e : *remote) {
@@ -253,7 +74,7 @@ TEST_F(RpcLoopbackTest, RealWireBytesEqualSimNetworkCharges) {
   }
   Result<QueryOrchestrator> orch =
       QueryOrchestrator::CreateFromEndpoints(std::move(remote).value(),
-                                             BaseConfig());
+                                             TestConfig(77));
   ASSERT_TRUE(orch.ok());
 
   // Baseline after the connect-time kInfo handshake (which SimNetwork,
@@ -283,7 +104,7 @@ TEST_F(RpcLoopbackTest, RealWireBytesEqualSimNetworkCharges) {
 
 TEST_F(RpcLoopbackTest, ExactFullScanIsIdempotentAndDrawsNoProviderRng) {
   Result<std::vector<std::shared_ptr<ProviderEndpoint>>> remote =
-      ConnectRemote();
+      servers_.Connect();
   ASSERT_TRUE(remote.ok());
   ProviderEndpoint* endpoint = (*remote)[0].get();
 
@@ -309,7 +130,7 @@ TEST_F(RpcLoopbackTest, ExactFullScanIsIdempotentAndDrawsNoProviderRng) {
 
 TEST_F(RpcLoopbackTest, SessionErrorsTravelAsStatusAndConnectionSurvives) {
   Result<std::vector<std::shared_ptr<ProviderEndpoint>>> remote =
-      ConnectRemote();
+      servers_.Connect();
   ASSERT_TRUE(remote.ok());
   ProviderEndpoint* endpoint = (*remote)[0].get();
 
@@ -341,11 +162,12 @@ TEST_F(RpcLoopbackTest, SessionErrorsTravelAsStatusAndConnectionSurvives) {
 }
 
 // A peer asking for a sample no session can need (2^62 draws) is refused
-// before anything is allocated, and the server keeps serving: the same
-// server then answers a well-formed query.
+// before anything is allocated; one whose own tiny eps_allocation let an
+// absurd sample through gets an error reply for that frame. Either way
+// the server keeps serving: it then answers a well-formed query.
 TEST_F(RpcLoopbackTest, HostileSampleSizeIsRefusedAndTheServerSurvives) {
   Result<std::vector<std::shared_ptr<ProviderEndpoint>>> remote =
-      ConnectRemote();
+      servers_.Connect();
   ASSERT_TRUE(remote.ok());
   ProviderEndpoint* endpoint = (*remote)[0].get();
   CoverRequest cover;
@@ -376,8 +198,31 @@ TEST_F(RpcLoopbackTest, HostileSampleSizeIsRefusedAndTheServerSurvives) {
   }
   endpoint->EndQuery(31);
 
+  // The peer also picks eps_allocation. At 1e-300 the published ~N^Q is
+  // noise of order 1e300, so a sample of 2^61 draws passes the size check
+  // and the sampler's reserve throws: the server answers that frame with
+  // an error instead of dying.
+  uint64_t session = 32;
+  for (; session < 64; ++session) {
+    cover.query_id = session;
+    ASSERT_TRUE(endpoint->Cover(cover).ok());
+    Result<SummaryReply> summary =
+        endpoint->PublishSummary(SummaryRequest{session, 1e-300});
+    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    if (summary->summary.noisy_n_q > 1e19) break;
+    endpoint->EndQuery(session);
+  }
+  ASSERT_LT(session, 64u);
+  ApproximateRequest huge = hostile;
+  huge.query_id = session;
+  huge.sample_size = size_t{1} << 61;
+  Result<EstimateReply> thrown = endpoint->Approximate(huge);
+  ASSERT_FALSE(thrown.ok());
+  EXPECT_EQ(thrown.status().code(), StatusCode::kInternal);
+  endpoint->EndQuery(session);
+
   FederationClient::Options options;
-  options.protocol = BaseConfig();
+  options.protocol = TestConfig(77);
   options.analysts = {{"alice", 1e6, 1e3}};
   Result<std::unique_ptr<FederationClient>> client =
       FederationClient::Create(*remote, options);
@@ -514,7 +359,7 @@ TEST_F(RpcLoopbackTest, MalformedFramesGetErrorRepliesNotCrashes) {
 
 TEST_F(RpcLoopbackTest, StoppedServerPoisonsClientWithStatusNotCrash) {
   Result<std::vector<std::shared_ptr<ProviderEndpoint>>> remote =
-      ConnectRemote();
+      servers_.Connect();
   ASSERT_TRUE(remote.ok());
   ProviderEndpoint* endpoint = (*remote)[0].get();
 
@@ -542,7 +387,7 @@ TEST_F(RpcLoopbackTest, StoppedServerPoisonsClientWithStatusNotCrash) {
 
 TEST_F(RpcLoopbackTest, ExactFullScanReconnectsAcrossServerRestart) {
   Result<std::vector<std::shared_ptr<ProviderEndpoint>>> remote =
-      ConnectRemote();
+      servers_.Connect();
   ASSERT_TRUE(remote.ok());
   ProviderEndpoint* endpoint = (*remote)[0].get();
 

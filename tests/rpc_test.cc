@@ -21,11 +21,11 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "execute_query.h"
 #include "federation/orchestrator.h"
+#include "fixture.h"
 #include "rpc/transport.h"
 #include "rpc/wire.h"
-#include "workload/datagen.h"
-#include "execute_query.h"
 
 namespace fedaqp {
 namespace {
@@ -316,18 +316,6 @@ TEST(RpcWireTest, TruncatedHeaderIsRejected) {
   }
 }
 
-/// One seeded mutation: flip a byte, append bytes, or both.
-void Mutate(std::vector<uint8_t>* bytes, Rng* rng) {
-  const uint64_t kind = rng->UniformU64(3);
-  if (kind != 1 && !bytes->empty()) {
-    (*bytes)[rng->UniformU64(bytes->size())] ^=
-        static_cast<uint8_t>(1 + rng->UniformU64(255));
-  }
-  for (uint64_t n = kind == 0 ? 0 : 1 + rng->UniformU64(4); n > 0; --n) {
-    bytes->push_back(static_cast<uint8_t>(rng->NextU64()));
-  }
-}
-
 /// Hostile bytes may still decode (a flipped value is still a value), but
 /// may fail only with a codec error.
 void ExpectCleanOutcome(const Status& status, const std::string& what) {
@@ -563,28 +551,6 @@ TEST(RpcWireTest, WireSizeMatchesEncodedFrameForEveryMessageType) {
               WireSize(ApproximateRequest{}));
   }
   EXPECT_EQ(WireSize(Empty{}), kFrameHeaderBytes);  // The EndQuery ack.
-}
-
-std::unique_ptr<DataProvider> MakeProvider(size_t rows, uint64_t seed,
-                                           size_t n_min = 4) {
-  SyntheticConfig cfg;
-  cfg.rows = rows;
-  cfg.seed = seed;
-  cfg.dims = {{"a", 200, DistributionKind::kNormal, 0.5},
-              {"b", 100, DistributionKind::kZipf, 1.2}};
-  Result<Table> t = GenerateSynthetic(cfg);
-  EXPECT_TRUE(t.ok());
-  Result<Table> tensor = t->BuildCountTensor({0, 1});
-  EXPECT_TRUE(tensor.ok());
-  DataProvider::Options popts;
-  popts.storage.cluster_capacity = 128;
-  popts.storage.layout = ClusterLayout::kShuffled;
-  popts.storage.shuffle_seed = seed;
-  popts.n_min = n_min;
-  popts.seed = seed * 3 + 1;
-  Result<std::unique_ptr<DataProvider>> p = DataProvider::Create(*tensor, popts);
-  EXPECT_TRUE(p.ok());
-  return std::move(p).value();
 }
 
 TEST(RpcWireTest, OrchestratorChargesExactlyTheCodecSizes) {

@@ -1,5 +1,5 @@
 // Tests for pps probabilities (Eq. 1), Hansen-Hurwitz estimation (Eq. 3),
-// the EM sampler (Algorithm 2) and the uniform/Bernoulli baselines.
+// the EM sampler (Algorithm 2) and the Bernoulli row-sampling baseline.
 
 #include <cmath>
 #include <numeric>
@@ -191,26 +191,7 @@ TEST(EmSamplerTest, TinyBudgetDegradesTowardUniform) {
   EXPECT_NEAR(static_cast<double>(dense_picks) / total, 1.0 / 3.0, 0.05);
 }
 
-// ------------------------------------------------------ Uniform baselines --
-
-TEST(UniformIndicesTest, Validation) {
-  Rng rng(19);
-  EXPECT_FALSE(UniformIndices(0, 1, true, &rng).ok());
-  EXPECT_FALSE(UniformIndices(3, 4, false, &rng).ok());
-  EXPECT_TRUE(UniformIndices(3, 4, true, &rng).ok());
-}
-
-TEST(UniformIndicesTest, WithoutReplacementDistinctAndInRange) {
-  Rng rng(23);
-  Result<std::vector<size_t>> r = UniformIndices(10, 10, false, &rng);
-  ASSERT_TRUE(r.ok());
-  std::vector<bool> seen(10, false);
-  for (size_t idx : *r) {
-    ASSERT_LT(idx, 10u);
-    EXPECT_FALSE(seen[idx]);
-    seen[idx] = true;
-  }
-}
+// ------------------------------------------------------ Row-level baseline --
 
 ClusterStore MakeStore(size_t rows, uint64_t seed, size_t capacity) {
   Schema s;
@@ -250,22 +231,6 @@ TEST(BernoulliRowTest, RateValidation) {
   Rng rng(41);
   EXPECT_FALSE(BernoulliRowEstimate(store, q, 0.0, &rng).ok());
   EXPECT_FALSE(BernoulliRowEstimate(store, q, 1.5, &rng).ok());
-}
-
-TEST(UniformClusterTest, RoughlyUnbiasedOnUniformData) {
-  ClusterStore store = MakeStore(4000, 43, 128);
-  RangeQuery q = RangeQueryBuilder(Aggregation::kCount).Where(0, 20, 79).Build();
-  int64_t truth = store.EvaluateExact(q);
-  Rng rng(47);
-  RunningStats est;
-  for (int rep = 0; rep < 400; ++rep) {
-    Result<UniformClusterEstimate> r =
-        UniformClusterSample(store, q, 8, &rng);
-    ASSERT_TRUE(r.ok());
-    est.Add(r->estimate);
-    EXPECT_EQ(r->clusters_scanned, 8u);
-  }
-  EXPECT_NEAR(est.mean(), static_cast<double>(truth), truth * 0.05);
 }
 
 }  // namespace

@@ -21,62 +21,16 @@
 #include "dp/accountant.h"
 #include "exec/federation_client.h"
 #include "exec/in_process_endpoint.h"
+#include "fixture.h"
 #include "gate_endpoint.h"
 #include "obs/audit_log.h"
 #include "obs/metrics.h"
 #include "serve/fair_queue.h"
 #include "serve/ledger_service.h"
 #include "serve/loadgen.h"
-#include "workload/datagen.h"
 
 namespace fedaqp {
 namespace {
-
-std::unique_ptr<DataProvider> MakeProvider(size_t rows, uint64_t seed) {
-  SyntheticConfig cfg;
-  cfg.rows = rows;
-  cfg.seed = seed;
-  cfg.dims = {{"a", 200, DistributionKind::kNormal, 0.5},
-              {"b", 100, DistributionKind::kZipf, 1.2}};
-  Result<Table> t = GenerateSynthetic(cfg);
-  EXPECT_TRUE(t.ok());
-  Result<Table> tensor = t->BuildCountTensor({0, 1});
-  EXPECT_TRUE(tensor.ok());
-  DataProvider::Options popts;
-  popts.storage.cluster_capacity = 128;
-  popts.storage.layout = ClusterLayout::kShuffled;
-  popts.storage.shuffle_seed = seed;
-  popts.n_min = 4;
-  popts.seed = seed * 3 + 1;
-  Result<std::unique_ptr<DataProvider>> p = DataProvider::Create(*tensor, popts);
-  EXPECT_TRUE(p.ok());
-  return std::move(p).value();
-}
-
-std::vector<std::unique_ptr<DataProvider>> MakeFederation(size_t providers) {
-  std::vector<std::unique_ptr<DataProvider>> out;
-  for (size_t i = 0; i < providers; ++i) {
-    out.push_back(MakeProvider(4000, 901 + 13 * i));
-  }
-  return out;
-}
-
-std::vector<DataProvider*> Ptrs(
-    std::vector<std::unique_ptr<DataProvider>>& providers) {
-  std::vector<DataProvider*> out;
-  for (auto& p : providers) out.push_back(p.get());
-  return out;
-}
-
-FederationConfig BaseConfig(size_t threads, BatchScheduler scheduler) {
-  FederationConfig config;
-  config.per_query_budget = {1.0, 1e-3};
-  config.sampling_rate = 0.3;
-  config.seed = 626;
-  config.num_threads = threads;
-  config.scheduler = scheduler;
-  return config;
-}
 
 RangeQuery WideQuery(int shift = 0) {
   return RangeQueryBuilder(Aggregation::kCount)
@@ -148,67 +102,12 @@ std::vector<QuerySpec> InterleavedBurst(size_t n) {
   return specs;
 }
 
-// The DWRR admission order, answers, and ledgers are bit-identical
-// across pool sizes and both schedulers: fairness is an admission-order
-// policy, not a scheduling accident.
-TEST(FairAdmissionTest, BitIdenticalAcrossPoolsAndSchedulers) {
-  auto run = [](size_t threads, BatchScheduler sched,
-                std::vector<uint64_t>* order, std::vector<double>* answers,
-                PrivacyBudget* spent) {
-    auto providers = MakeFederation(2);
-    FederationClient::Options copts;
-    copts.protocol = BaseConfig(threads, sched);
-    copts.analysts = {{"a0", 1e6, 1e3, 1},
-                      {"a1", 1e6, 1e3, 2},
-                      {"a2", 1e6, 1e3, 8}};
-    copts.fair_admission = true;
-    copts.start_paused = true;
-    Result<std::unique_ptr<FederationClient>> client =
-        FederationClient::Create(Ptrs(providers), copts);
-    ASSERT_TRUE(client.ok()) << client.status().ToString();
-    std::vector<QueryTicket> burst =
-        (*client)->SubmitAll(InterleavedBurst(12));
-    (*client)->Resume();
-    (*client)->WaitIdle();
-    for (QueryTicket& t : burst) {
-      Result<QueryResponse> resp = t.Wait();
-      ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-      answers->push_back(resp->estimate);
-    }
-    *order = (*client)->admission_order();
-    Result<PrivacyBudget> s = (*client)->ledger().Spent("a2");
-    ASSERT_TRUE(s.ok());
-    *spent = *s;
-  };
-  std::vector<uint64_t> ref_order;
-  std::vector<double> ref_answers;
-  PrivacyBudget ref_spent;
-  run(1, BatchScheduler::kTaskGraph, &ref_order, &ref_answers, &ref_spent);
-  ASSERT_EQ(ref_order.size(), 12u);
-  // The heavy analyst (a2, weight 8) leads its rotation: after the first-
-  // queued analyst a0 (weight 1) takes one, a1 takes two, a2 drains its
-  // whole backlog within its first quantum.
-  for (size_t threads : {2u, 8u}) {
-    for (BatchScheduler sched :
-         {BatchScheduler::kTaskGraph, BatchScheduler::kPhaseBarrier}) {
-      std::vector<uint64_t> order;
-      std::vector<double> answers;
-      PrivacyBudget spent;
-      run(threads, sched, &order, &answers, &spent);
-      EXPECT_EQ(order, ref_order) << "threads=" << threads;
-      EXPECT_EQ(answers, ref_answers) << "threads=" << threads;
-      EXPECT_EQ(spent.epsilon, ref_spent.epsilon);
-      EXPECT_EQ(spent.delta, ref_spent.delta);
-    }
-  }
-}
-
 // Fairness off (the default) keeps strict FIFO arrival order — the
 // pre-serving behavior every existing pin relies on.
 TEST(FairAdmissionTest, FifoDefaultPreservesArrivalOrder) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(2, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 2);
   copts.analysts = {{"a0", 1e6, 1e3, 1},
                     {"a1", 1e6, 1e3, 2},
                     {"a2", 1e6, 1e3, 8}};
@@ -230,9 +129,9 @@ TEST(FairAdmissionTest, FifoDefaultPreservesArrivalOrder) {
 // analyst: the light analyst's first query admits within one rotation of
 // the heavy backlog, not after all of it.
 TEST(FairAdmissionTest, HeavyBacklogDoesNotStarveLightAnalyst) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(2, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 2);
   copts.analysts = {{"heavy", 1e6, 1e3, 8}, {"light", 1e6, 1e3, 1}};
   copts.fair_admission = true;
   copts.start_paused = true;
@@ -271,7 +170,7 @@ TEST(FairAdmissionTest, HeavyBacklogDoesNotStarveLightAnalyst) {
 // kDeadlineExceeded with stats.evicted set, and the audit log still
 // replays to the live ledger bit-exactly.
 TEST(DeadlineEvictionTest, EvictedQueriesRefundFullyAndAuditReplays) {
-  auto providers = MakeFederation(3);
+  auto providers = MakeProviders(3, 4000, 901, 13);
   Result<std::vector<std::shared_ptr<ProviderEndpoint>>> inner =
       MakeInProcessEndpoints(Ptrs(providers));
   ASSERT_TRUE(inner.ok());
@@ -283,7 +182,7 @@ TEST(DeadlineEvictionTest, EvictedQueriesRefundFullyAndAuditReplays) {
     endpoints.push_back(std::make_shared<GatedEndpoint>(e, gate));
   }
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(1, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 1);
   copts.analysts = {{"alice", 1e6, 1e3}};
   copts.evict_expired = true;
   copts.start_paused = true;
@@ -444,13 +343,13 @@ TEST(LedgerServiceTest, TwoClientsShareOneBudget) {
   // Room for exactly 5 unit-epsilon queries across both coordinators.
   ASSERT_TRUE((*service)->Register("alice", 5.0, 1.0).ok());
   auto run_client = [&](uint32_t coordinator, size_t queries, size_t* ok) {
-    auto providers = MakeFederation(2);
+    auto providers = MakeProviders(2, 4000, 901, 13);
     Result<std::shared_ptr<serve::RemoteLedger>> remote =
         serve::RemoteLedger::Connect("127.0.0.1", (*service)->port(),
                                      coordinator);
     ASSERT_TRUE(remote.ok());
     FederationClient::Options copts;
-    copts.protocol = BaseConfig(2, BatchScheduler::kTaskGraph);
+    copts.protocol = TestConfig(626, 2);
     copts.shared_ledger = *remote;
     Result<std::unique_ptr<FederationClient>> client =
         FederationClient::Create(Ptrs(providers), copts);
@@ -482,12 +381,12 @@ TEST(LedgerServiceTest, ServiceDeathFailsAdmissionsWithoutHangingOrLeaking) {
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   const uint16_t port = (*service)->port();
   ASSERT_TRUE((*service)->Register("alice", 1e6, 1e3).ok());
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   Result<std::shared_ptr<serve::RemoteLedger>> remote =
       serve::RemoteLedger::Connect("127.0.0.1", port, 9);
   ASSERT_TRUE(remote.ok());
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(2, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 2);
   copts.shared_ledger = *remote;
   Result<std::unique_ptr<FederationClient>> client =
       FederationClient::Create(Ptrs(providers), copts);
@@ -565,12 +464,12 @@ TEST(LedgerServiceTest, AdmissionAfterRegisterCostsOneOp) {
   Result<std::unique_ptr<serve::LedgerService>> service =
       serve::LedgerService::Start({});
   ASSERT_TRUE(service.ok()) << service.status().ToString();
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   Result<std::shared_ptr<serve::RemoteLedger>> remote =
       serve::RemoteLedger::Connect("127.0.0.1", (*service)->port(), 4);
   ASSERT_TRUE(remote.ok());
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(2, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 2);
   copts.analysts = {{"alice", 1e6, 1e3}};
   copts.shared_ledger = *remote;
   Result<std::unique_ptr<FederationClient>> client =
@@ -629,9 +528,9 @@ TEST(LedgerServiceTest, ReconnectForgetsConfirmedAnalysts) {
 // The harness offers its configured load without closed-loop throttling
 // and classifies every outcome; totals reconcile.
 TEST(LoadGeneratorTest, OffersLoadAndReconcilesOutcomes) {
-  auto providers = MakeFederation(2);
+  auto providers = MakeProviders(2, 4000, 901, 13);
   FederationClient::Options copts;
-  copts.protocol = BaseConfig(2, BatchScheduler::kTaskGraph);
+  copts.protocol = TestConfig(626, 2);
   copts.analysts = {{"a0", 1e6, 1e3, 1}, {"a1", 1e6, 1e3, 2}};
   copts.fair_admission = true;
   copts.enable_cache = true;

@@ -148,57 +148,9 @@ TEST(SmcProtocolTest, ShareRowsReconstructsGlobalSum) {
   EXPECT_NEAR(*witness, 21.0, 1e-4);
 }
 
-TEST(SmcProtocolTest, ShamirSumMatchesPlainSumWithoutDropouts) {
-  SmcProtocol protocol{FixedPoint(), SmcCostModel{}};
-  Rng rng(41);
-  SimNetwork net;
-  Result<double> sum = protocol.SecureSumWithDropouts(
-      {10.5, 2.25, 100.0, 7.25}, /*threshold=*/3, /*dropped=*/{}, &net, &rng);
-  ASSERT_TRUE(sum.ok());
-  EXPECT_NEAR(*sum, 120.0, 1e-4);
-}
-
-TEST(SmcProtocolTest, ShamirSumSurvivesDropoutsUpToThreshold) {
-  // Failure injection: providers crash after sharing, before aggregation.
-  SmcProtocol protocol{FixedPoint(), SmcCostModel{}};
-  Rng rng(43);
-  std::vector<double> inputs{5.0, 6.0, 7.0, 8.0, 9.0};
-  // threshold 3 of 5: tolerate up to two dropouts.
-  for (const std::vector<size_t>& dropped :
-       std::vector<std::vector<size_t>>{{}, {0}, {4}, {1, 3}, {0, 4}}) {
-    SimNetwork net;
-    Result<double> sum = protocol.SecureSumWithDropouts(
-        inputs, 3, dropped, &net, &rng);
-    ASSERT_TRUE(sum.ok()) << dropped.size() << " dropouts";
-    EXPECT_NEAR(*sum, 35.0, 1e-4);
-  }
-  // Three dropouts exceed the tolerance.
-  SimNetwork net;
-  EXPECT_EQ(protocol.SecureSumWithDropouts(inputs, 3, {0, 1, 2}, &net, &rng)
-                .status()
-                .code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST(SmcProtocolTest, ShamirSumValidation) {
-  SmcProtocol protocol{FixedPoint(), SmcCostModel{}};
-  Rng rng(47);
-  EXPECT_FALSE(
-      protocol.SecureSumWithDropouts({}, 1, {}, nullptr, &rng).ok());
-  EXPECT_FALSE(
-      protocol.SecureSumWithDropouts({1.0}, 0, {}, nullptr, &rng).ok());
-  EXPECT_FALSE(
-      protocol.SecureSumWithDropouts({1.0}, 2, {}, nullptr, &rng).ok());
-  EXPECT_FALSE(
-      protocol.SecureSumWithDropouts({1.0, 2.0}, 1, {7}, nullptr, &rng).ok());
-  EXPECT_FALSE(
-      protocol.SecureSumWithDropouts({-1.0, 2.0}, 1, {}, nullptr, &rng).ok());
-}
-
 TEST(SmcProtocolTest, AdditiveSchemeCannotSurviveDropouts) {
-  // The contrast motivating the Shamir path: additive reconstruction with
-  // a missing party yields garbage (a uniformly random-looking value),
-  // not the sum.
+  // Additive reconstruction with a missing party yields garbage (a
+  // uniformly random-looking value), not the sum.
   Rng rng(53);
   Result<std::vector<uint64_t>> shares = AdditiveShares::Split(1000, 4, &rng);
   ASSERT_TRUE(shares.ok());

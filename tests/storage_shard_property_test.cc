@@ -15,6 +15,7 @@
 #include "common/rng.h"
 #include "core/federation.h"
 #include "exec/thread_pool.h"
+#include "fixture.h"
 #include "federation/provider.h"
 #include "metadata/metadata_store.h"
 #include "storage/cluster_store.h"
@@ -244,20 +245,23 @@ TEST(ShardedProviderProperty, LocalEstimatesIdenticalForEveryShardCount) {
   }
 }
 
-// --------------------------------------- Federation-level (config-driven) --
+// ------------------------------------------ Federation::Open (pool build) --
 
-// The num_scan_shards knob threaded through FederationConfig must leave
-// end-to-end answers bit-identical while the orchestration pool is live.
-TEST(ShardedFederationProperty, EndToEndAnswersIdenticalForEveryShardCount) {
+// Federation::Open builds its providers on a pool and gives each the
+// federation's num_scan_shards: what it opens answers alike for every
+// shard count. (Shards at query time are an axis of
+// tests/determinism_matrix_test.cc.)
+TEST(ShardedFederationProperty, OpenBuildsAlikeForEveryShardCount) {
   SyntheticConfig cfg;
   cfg.rows = 6000;
   cfg.seed = 77;
   cfg.dims = {{"a", 80, DistributionKind::kNormal, 0.4},
               {"b", 40, DistributionKind::kZipf, 1.2}};
-
-  std::vector<double> estimates;
-  std::vector<double> exacts;
-  std::vector<size_t> rows_scanned;
+  const RangeQuery q = RangeQueryBuilder(Aggregation::kCount)
+                           .Where(0, 10, 70)
+                           .Where(1, 0, 30)
+                           .Build();
+  std::vector<double> first;
   for (size_t shards : kShardCounts) {
     Result<std::vector<Table>> parts = GenerateFederatedTensors(cfg, {0, 1}, 3);
     ASSERT_TRUE(parts.ok());
@@ -265,30 +269,21 @@ TEST(ShardedFederationProperty, EndToEndAnswersIdenticalForEveryShardCount) {
     fopts.cluster_capacity = 64;
     fopts.layout = ClusterLayout::kShuffled;
     fopts.seed = 4321;
-    fopts.protocol.sampling_rate = 0.3;
+    fopts.protocol = TestConfig(42, 4);
     fopts.protocol.total_xi = 1e6;
     fopts.protocol.total_psi = 1e3;
-    fopts.protocol.num_threads = 4;
     fopts.protocol.num_scan_shards = shards;
     Result<std::unique_ptr<Federation>> fed =
         Federation::Open(std::move(parts).value(), fopts);
     ASSERT_TRUE(fed.ok());
-    RangeQuery q = RangeQueryBuilder(Aggregation::kCount)
-                       .Where(0, 10, 70)
-                       .Where(1, 0, 30)
-                       .Build();
     Result<QueryResponse> resp = (*fed)->Query(q);
-    ASSERT_TRUE(resp.ok());
-    estimates.push_back(resp->estimate);
-    rows_scanned.push_back(resp->breakdown.rows_scanned);
     Result<QueryResponse> exact = (*fed)->QueryExact(q);
-    ASSERT_TRUE(exact.ok());
-    exacts.push_back(exact->estimate);
-  }
-  for (size_t i = 1; i < estimates.size(); ++i) {
-    EXPECT_EQ(estimates[i], estimates[0]) << "shards=" << kShardCounts[i];
-    EXPECT_EQ(exacts[i], exacts[0]) << "shards=" << kShardCounts[i];
-    EXPECT_EQ(rows_scanned[i], rows_scanned[0]) << "shards=" << kShardCounts[i];
+    ASSERT_TRUE(resp.ok() && exact.ok());
+    const std::vector<double> got = {
+        resp->estimate, exact->estimate,
+        static_cast<double>(resp->breakdown.rows_scanned)};
+    if (first.empty()) first = got;
+    EXPECT_EQ(got, first) << "shards=" << shards;
   }
 }
 

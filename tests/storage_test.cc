@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "exec/thread_pool.h"
+#include "fixture.h"
 #include "obs/metrics.h"
 #include "storage/cluster_store.h"
 #include "storage/range_query.h"
@@ -440,6 +441,17 @@ class MappedStoreTest : public ::testing::Test {
   void TearDown() override {
     for (const auto& p : paths_) std::remove(p.c_str());
   }
+  static std::vector<uint8_t> ReadBytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+  }
+  static void WriteBytes(const std::string& path,
+                         const std::vector<uint8_t>& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
   std::vector<std::string> paths_;
 };
 
@@ -527,30 +539,7 @@ TEST_F(MappedStoreTest, CompressionShrinksSmallDomains) {
   EXPECT_LT(file_size, raw_size / 2);
 }
 
-TEST_F(MappedStoreTest, RejectsTruncatedFiles) {
-  Table t = WideTable(500, 47);
-  ClusterStoreOptions opts;
-  opts.cluster_capacity = 100;
-  Result<ClusterStore> built = ClusterStore::Build(t, opts);
-  ASSERT_TRUE(built.ok());
-  std::string path = Path("truncate_src");
-  ASSERT_TRUE(built->SaveMapped(path).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  ASSERT_GT(bytes.size(), 64u);
-  // Cut at several depths: inside the header, the directory, the data.
-  for (size_t keep : {size_t{6}, size_t{40}, bytes.size() / 2,
-                      bytes.size() - 1}) {
-    std::string cut = Path("truncate_" + std::to_string(keep));
-    std::ofstream out(cut, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(keep));
-    out.close();
-    EXPECT_FALSE(ClusterStore::OpenMapped(cut).ok()) << "keep=" << keep;
-  }
-}
-
-TEST_F(MappedStoreTest, RejectsCorruptedFiles) {
+TEST_F(MappedStoreTest, RejectsNamedCorruptions) {
   Table t = WideTable(500, 53);
   ClusterStoreOptions opts;
   opts.cluster_capacity = 100;
@@ -558,57 +547,60 @@ TEST_F(MappedStoreTest, RejectsCorruptedFiles) {
   ASSERT_TRUE(built.ok());
   std::string path = Path("corrupt_src");
   ASSERT_TRUE(built->SaveMapped(path).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-
-  auto write_variant = [&](const std::string& name,
-                           const std::vector<char>& b) {
-    std::string p = Path(name);
-    std::ofstream out(p, std::ios::binary | std::ios::trunc);
-    out.write(b.data(), static_cast<std::streamsize>(b.size()));
-    out.close();
-    return p;
+  const std::vector<uint8_t> bytes = ReadBytes(path);
+  auto open_variant = [&](size_t offset, uint8_t value) {
+    std::vector<uint8_t> variant = bytes;
+    variant[offset] = value;
+    WriteBytes(path, variant);
+    return ClusterStore::OpenMapped(path).ok();
   };
-
-  // Bad magic.
-  std::vector<char> bad_magic = bytes;
-  bad_magic[0] ^= 0x5A;
-  EXPECT_FALSE(ClusterStore::OpenMapped(write_variant("magic", bad_magic)).ok());
-
-  // Unsupported version.
-  std::vector<char> bad_version = bytes;
-  bad_version[4] = 99;
-  EXPECT_FALSE(
-      ClusterStore::OpenMapped(write_variant("version", bad_version)).ok());
-
-  // Header total_rows inconsistent with the per-cluster directory.
-  std::vector<char> bad_rows = bytes;
-  bad_rows[24] ^= 0x01;  // total_rows low byte (offset 8+8+8)
-  EXPECT_FALSE(ClusterStore::OpenMapped(write_variant("rows", bad_rows)).ok());
-
-  // Flipping a directory byte must never crash: either the open fails
-  // validation or the decoded answers change in a bounded way — we only
-  // require no UB here, checked by running a scan if it opens.
-  Rng rng(59);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<char> mutated = bytes;
-    const size_t pos = 8 + static_cast<size_t>(
-        rng.UniformU64(std::min<size_t>(mutated.size() - 8, 400)));
-    mutated[pos] ^= static_cast<char>(1 + rng.UniformU64(255));
-    Result<ClusterStore> opened =
-        ClusterStore::OpenMapped(write_variant("fuzz" + std::to_string(trial),
-                                               mutated));
-    if (opened.ok()) {
-      RangeQuery q =
-          RangeQueryBuilder(Aggregation::kSum).Where(0, 0, 99).Build();
-      (void)opened->EvaluateExact(q);
-    }
-  }
-
-  // Missing file.
+  EXPECT_FALSE(open_variant(0, bytes[0] ^ 0x5A));  // bad magic
+  EXPECT_FALSE(open_variant(4, 99));               // unsupported version
+  // Header total_rows (offset 8+8+8) inconsistent with the directory.
+  EXPECT_FALSE(open_variant(24, bytes[24] ^ 0x01));
   EXPECT_EQ(ClusterStore::OpenMapped(Path("missing")).status().code(),
             StatusCode::kNotFound);
+}
+
+// Every proper prefix of a store file fails to open; every seeded
+// mutation anywhere in it (tests/fixture.h's Mutate) either fails to open
+// with a Status or opens into a store that answers exact and
+// covering-set scans and carries a provider's metadata build over its
+// untrusted per-cluster bounds.
+TEST_F(MappedStoreTest, EveryPrefixAndSeededMutationFailsCleanly) {
+  Table t = WideTable(500, 47);
+  ClusterStoreOptions opts;
+  opts.cluster_capacity = 100;
+  Result<ClusterStore> built = ClusterStore::Build(t, opts);
+  ASSERT_TRUE(built.ok());
+  const std::string path = Path("fuzz");
+  ASSERT_TRUE(built->SaveMapped(path).ok());
+  const std::vector<uint8_t> bytes = ReadBytes(path);
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    WriteBytes(path, {bytes.begin(), bytes.begin() + len});
+    EXPECT_FALSE(ClusterStore::OpenMapped(path).ok()) << "prefix " << len;
+  }
+  Rng rng(59);
+  size_t opened_files = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::vector<uint8_t> mutated = bytes;
+    Mutate(&mutated, &rng);
+    WriteBytes(path, mutated);
+    Result<ClusterStore> opened = ClusterStore::OpenMapped(path);
+    if (!opened.ok()) continue;
+    ++opened_files;
+    std::vector<uint32_t> all(opened->num_clusters());
+    for (uint32_t c = 0; c < all.size(); ++c) all[c] = c;
+    for (Aggregation agg : {Aggregation::kCount, Aggregation::kSum,
+                            Aggregation::kSumSquares}) {
+      const RangeQuery q = RangeQueryBuilder(agg).Where(0, 10, 90).Build();
+      (void)opened->EvaluateExact(q);
+      (void)opened->ScanClusters(q, all);
+    }
+    (void)DataProvider::CreateFromStore(std::move(opened).value(), {});
+  }
+  // Mutated values are still values: many files open and get scanned.
+  EXPECT_GT(opened_files, 0u);
 }
 
 TEST_F(MappedStoreTest, BytesMappedAccountingRisesAndFalls) {

@@ -1,10 +1,8 @@
 // Tests for the unified task-graph scheduler: graph mechanics (dependency
 // order, dynamic fan-out, deterministic first-error reporting, async
-// endpoint dispatch) and the execution-stack guarantee that the
-// barrier-free batch path is bit-identical to the sequential and
-// phase-barrier paths — answers, ledgers, and SimNetwork byte accounting
-// — for every pool size, shard count, and schedule interleaving, both
-// in-process and over loopback RPC.
+// endpoint dispatch). That the barrier-free batch path answers bit for
+// bit like the phase barrier, for every pool size, shard count and
+// transport, is pinned by tests/determinism_matrix_test.cc.
 
 #include <atomic>
 #include <chrono>
@@ -17,16 +15,11 @@
 #include <gtest/gtest.h>
 
 #include "common/stopwatch.h"
-#include "exec/federation_client.h"
-#include "exec/in_process_endpoint.h"
 #include "exec/task_graph.h"
 #include "exec/thread_pool.h"
+#include "execute_query.h"
 #include "federation/orchestrator.h"
 #include "registry_delta.h"
-#include "rpc/remote_endpoint.h"
-#include "rpc/server.h"
-#include "workload/datagen.h"
-#include "execute_query.h"
 
 namespace fedaqp {
 namespace {
@@ -481,375 +474,6 @@ TEST(TaskGraphTest, AsyncIssueOverlapsSlowEndpointsDespiteOnePoolWorker) {
   if (timing_is_meaningful) {
     EXPECT_LT(seconds, 0.360) << "async issue failed to overlap endpoints";
   }
-}
-
-// -------------------------------------------- execution-stack determinism --
-
-std::unique_ptr<DataProvider> MakeProvider(size_t rows, uint64_t seed) {
-  SyntheticConfig cfg;
-  cfg.rows = rows;
-  cfg.seed = seed;
-  cfg.dims = {{"a", 200, DistributionKind::kNormal, 0.5},
-              {"b", 100, DistributionKind::kZipf, 1.2}};
-  Result<Table> t = GenerateSynthetic(cfg);
-  EXPECT_TRUE(t.ok());
-  Result<Table> tensor = t->BuildCountTensor({0, 1});
-  EXPECT_TRUE(tensor.ok());
-  DataProvider::Options popts;
-  popts.storage.cluster_capacity = 128;
-  popts.storage.layout = ClusterLayout::kShuffled;
-  popts.storage.shuffle_seed = seed;
-  popts.n_min = 4;
-  popts.seed = seed * 3 + 1;
-  Result<std::unique_ptr<DataProvider>> p = DataProvider::Create(*tensor, popts);
-  EXPECT_TRUE(p.ok());
-  return std::move(p).value();
-}
-
-std::vector<std::unique_ptr<DataProvider>> MakeFederation(size_t providers) {
-  std::vector<std::unique_ptr<DataProvider>> out;
-  for (size_t i = 0; i < providers; ++i) {
-    out.push_back(MakeProvider(5000, 301 + 17 * i));
-  }
-  return out;
-}
-
-std::vector<DataProvider*> Ptrs(
-    std::vector<std::unique_ptr<DataProvider>>& providers) {
-  std::vector<DataProvider*> out;
-  for (auto& p : providers) out.push_back(p.get());
-  return out;
-}
-
-FederationConfig BaseConfig(size_t threads, size_t shards,
-                            BatchScheduler scheduler) {
-  FederationConfig config;
-  config.per_query_budget = {1.0, 1e-3};
-  config.sampling_rate = 0.3;
-  config.seed = 515;
-  config.num_threads = threads;
-  config.num_scan_shards = shards;
-  config.scheduler = scheduler;
-  return config;
-}
-
-std::vector<RangeQuery> MixedWorkload() {
-  std::vector<RangeQuery> queries;
-  for (int i = 0; i < 3; ++i) {
-    queries.push_back(
-        RangeQueryBuilder(Aggregation::kSum).Where(0, 18 + i, 178).Build());
-    queries.push_back(
-        RangeQueryBuilder(Aggregation::kCount).Where(0, 10, 160 - i).Build());
-  }
-  return queries;
-}
-
-/// Everything a batch outcome exposes deterministically.
-struct Fingerprint {
-  std::vector<double> estimates;
-  std::vector<std::vector<size_t>> allocations;
-  std::vector<size_t> rows_scanned;
-  std::vector<uint64_t> network_bytes;
-  std::vector<uint64_t> network_messages;
-  double spent_epsilon = 0.0;
-
-  bool operator==(const Fingerprint& o) const {
-    return estimates == o.estimates && allocations == o.allocations &&
-           rows_scanned == o.rows_scanned && network_bytes == o.network_bytes &&
-           network_messages == o.network_messages &&
-           spent_epsilon == o.spent_epsilon;
-  }
-};
-
-Fingerprint RunBatch(const FederationConfig& config,
-                     const std::vector<RangeQuery>& queries) {
-  auto providers = MakeFederation(3);
-  Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create(Ptrs(providers), config);
-  EXPECT_TRUE(orch.ok());
-  std::vector<BatchOutcome> outcomes = ExecuteQueries(*orch, queries);
-  Fingerprint fp;
-  for (const auto& out : outcomes) {
-    EXPECT_TRUE(out.ok()) << out.status.ToString();
-    fp.estimates.push_back(out.response.estimate);
-    fp.allocations.push_back(out.response.allocation);
-    fp.rows_scanned.push_back(out.response.breakdown.rows_scanned);
-    fp.network_bytes.push_back(out.response.breakdown.network_bytes);
-    fp.network_messages.push_back(out.response.breakdown.network_messages);
-    fp.spent_epsilon += out.response.spent.epsilon;
-  }
-  return fp;
-}
-
-// The acceptance criterion of the refactor: the task-graph batch path is
-// bit-identical to the sequential/batched-barrier paths — answers,
-// ledgers, SimNetwork bytes — for pool sizes {1,2,8} x shard counts
-// {1,3,16}, under whatever interleaving each run's scheduling produced.
-TEST(TaskGraphDeterminismTest, BitIdenticalToBarrierAcrossPoolsAndShards) {
-  const std::vector<RangeQuery> queries = MixedWorkload();
-  // Reference: the lock-step barrier scheduler, single thread, unsharded.
-  const Fingerprint reference =
-      RunBatch(BaseConfig(1, 1, BatchScheduler::kPhaseBarrier), queries);
-  ASSERT_EQ(reference.estimates.size(), queries.size());
-
-  for (size_t threads : {1u, 2u, 8u}) {
-    for (size_t shards : {1u, 3u, 16u}) {
-      Fingerprint graph = RunBatch(
-          BaseConfig(threads, shards, BatchScheduler::kTaskGraph), queries);
-      EXPECT_TRUE(graph == reference)
-          << "task graph diverged at pool=" << threads << " shards=" << shards;
-      // Same config under the barrier scheduler: also identical.
-      Fingerprint barrier = RunBatch(
-          BaseConfig(threads, shards, BatchScheduler::kPhaseBarrier), queries);
-      EXPECT_TRUE(barrier == reference)
-          << "barrier diverged at pool=" << threads << " shards=" << shards;
-    }
-  }
-
-  // Sequential one-at-a-time execution ties the knot: same answers again.
-  auto providers = MakeFederation(3);
-  Result<QueryOrchestrator> seq = QueryOrchestrator::Create(
-      Ptrs(providers), BaseConfig(1, 1, BatchScheduler::kTaskGraph));
-  ASSERT_TRUE(seq.ok());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    Result<QueryResponse> resp = ExecuteQuery(*seq, queries[i]);
-    ASSERT_TRUE(resp.ok());
-    EXPECT_DOUBLE_EQ(resp->estimate, reference.estimates[i]) << "query " << i;
-  }
-}
-
-// Schedule-interleaving stress: repeated pooled runs of the same batch
-// must reproduce the same fingerprint every time even though the graph
-// interleaves differently run to run.
-TEST(TaskGraphDeterminismTest, RepeatedPooledRunsAreStable) {
-  const std::vector<RangeQuery> queries = MixedWorkload();
-  const FederationConfig config =
-      BaseConfig(8, 3, BatchScheduler::kTaskGraph);
-  const Fingerprint first = RunBatch(config, queries);
-  for (int rep = 0; rep < 4; ++rep) {
-    EXPECT_TRUE(RunBatch(config, queries) == first) << "rep " << rep;
-  }
-}
-
-// SMC release mode draws from the aggregator's single RNG stream at every
-// combine; the graph chains combines in submission order, so the stream —
-// and therefore every estimate — must match the barrier path bit-for-bit.
-TEST(TaskGraphDeterminismTest, SmcModeKeepsAggregatorStreamOrder) {
-  std::vector<RangeQuery> queries = MixedWorkload();
-  FederationConfig barrier = BaseConfig(1, 1, BatchScheduler::kPhaseBarrier);
-  barrier.mode = ReleaseMode::kSmc;
-  const Fingerprint reference = RunBatch(barrier, queries);
-  for (size_t threads : {2u, 8u}) {
-    FederationConfig graph = BaseConfig(threads, 3, BatchScheduler::kTaskGraph);
-    graph.mode = ReleaseMode::kSmc;
-    EXPECT_TRUE(RunBatch(graph, queries) == reference)
-        << "SMC diverged at pool=" << threads;
-  }
-}
-
-// Per-analyst ledger charges are part of the pinned surface: the client's
-// admission refusals and spends must not depend on the scheduler.
-TEST(TaskGraphDeterminismTest, EngineLedgersMatchAcrossSchedulers) {
-  auto run = [](BatchScheduler scheduler, size_t threads) {
-    auto providers = MakeFederation(3);
-    FederationClient::Options opts;
-    opts.protocol = BaseConfig(threads, 3, scheduler);
-    opts.analysts = {{"alice", 1e6, 1e3}, {"bob", 2.5, 1.0}};
-    Result<std::unique_ptr<FederationClient>> client =
-        FederationClient::Create(Ptrs(providers), opts);
-    EXPECT_TRUE(client.ok());
-    std::vector<QuerySpec> batch;
-    for (const RangeQuery& q : MixedWorkload()) {
-      batch.push_back({"alice", q});
-      batch.push_back({"bob", q});  // bob exhausts after two queries
-    }
-    std::vector<QueryTicket> tickets = (*client)->SubmitAll(std::move(batch));
-    std::vector<std::pair<int, double>> fingerprint;
-    for (QueryTicket& ticket : tickets) {
-      Result<QueryResponse> out = ticket.Wait();
-      fingerprint.emplace_back(static_cast<int>(out.status().code()),
-                               out.ok() ? out->estimate : 0.0);
-    }
-    Result<PrivacyBudget> alice = (*client)->ledger().Spent("alice");
-    Result<PrivacyBudget> bob = (*client)->ledger().Spent("bob");
-    EXPECT_TRUE(alice.ok());
-    EXPECT_TRUE(bob.ok());
-    fingerprint.emplace_back(-1, alice->epsilon);
-    fingerprint.emplace_back(-2, bob->epsilon);
-    return fingerprint;
-  };
-  auto reference = run(BatchScheduler::kPhaseBarrier, 1);
-  EXPECT_EQ(run(BatchScheduler::kTaskGraph, 1), reference);
-  EXPECT_EQ(run(BatchScheduler::kTaskGraph, 8), reference);
-}
-
-// Failure parity: a provider failing one query mid-batch must produce the
-// same per-outcome statuses under both schedulers, and healthy queries
-// must keep their answers.
-class FailingEndpoint : public ProviderEndpoint {
- public:
-  FailingEndpoint(std::shared_ptr<ProviderEndpoint> inner, uint64_t fail_id)
-      : inner_(std::move(inner)), fail_id_(fail_id) {}
-
-  const EndpointInfo& info() const override { return inner_->info(); }
-  Result<CoverReply> Cover(const CoverRequest& request) override {
-    if (request.query_id == fail_id_) {
-      return Status::Internal("scripted cover failure");
-    }
-    return inner_->Cover(request);
-  }
-  Result<SummaryReply> PublishSummary(const SummaryRequest& r) override {
-    return inner_->PublishSummary(r);
-  }
-  Result<EstimateReply> Approximate(const ApproximateRequest& r) override {
-    return inner_->Approximate(r);
-  }
-  Result<EstimateReply> ExactAnswer(const ExactAnswerRequest& r) override {
-    return inner_->ExactAnswer(r);
-  }
-  Result<ExactScanReply> ExactFullScan(const ExactScanRequest& r) override {
-    return inner_->ExactFullScan(r);
-  }
-  void EndQuery(uint64_t id) override { inner_->EndQuery(id); }
-
- private:
-  std::shared_ptr<ProviderEndpoint> inner_;
-  uint64_t fail_id_;
-};
-
-TEST(TaskGraphDeterminismTest, MidBatchProviderFailureMatchesBarrier) {
-  auto run = [](BatchScheduler scheduler, size_t threads) {
-    auto providers = MakeFederation(2);
-    Result<std::vector<std::shared_ptr<ProviderEndpoint>>> inner =
-        MakeInProcessEndpoints(Ptrs(providers));
-    EXPECT_TRUE(inner.ok());
-    // Query id 2 (the second of the batch) fails at provider 1.
-    std::vector<std::shared_ptr<ProviderEndpoint>> endpoints = {
-        (*inner)[0],
-        std::make_shared<FailingEndpoint>((*inner)[1], /*fail_id=*/2)};
-    Result<QueryOrchestrator> orch = QueryOrchestrator::CreateFromEndpoints(
-        endpoints, BaseConfig(threads, 1, scheduler));
-    EXPECT_TRUE(orch.ok());
-    std::vector<BatchOutcome> outcomes =
-        ExecuteQueries(*orch, MixedWorkload());
-    std::vector<std::pair<int, double>> fingerprint;
-    for (const auto& out : outcomes) {
-      fingerprint.emplace_back(static_cast<int>(out.status.code()),
-                               out.ok() ? out.response.estimate : 0.0);
-    }
-    return fingerprint;
-  };
-  auto reference = run(BatchScheduler::kPhaseBarrier, 1);
-  int failures = 0;
-  for (const auto& entry : reference) {
-    if (entry.first != 0) ++failures;
-  }
-  EXPECT_EQ(failures, 1);  // exactly the scripted query fails
-  EXPECT_EQ(run(BatchScheduler::kTaskGraph, 1), reference);
-  EXPECT_EQ(run(BatchScheduler::kTaskGraph, 4), reference);
-}
-
-// ------------------------------------------------------- loopback parity --
-
-class TaskGraphLoopbackTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    providers_.push_back(MakeProvider(12000, 3));
-    providers_.push_back(MakeProvider(16000, 5));
-    for (auto& p : providers_) {
-      Result<std::unique_ptr<RpcProviderServer>> server =
-          RpcProviderServer::Start(p.get());
-      ASSERT_TRUE(server.ok()) << server.status().ToString();
-      servers_.push_back(std::move(server).value());
-    }
-  }
-
-  Result<std::vector<std::shared_ptr<ProviderEndpoint>>> ConnectRemote() {
-    std::vector<std::string> host_ports;
-    for (auto& s : servers_) {
-      host_ports.push_back("127.0.0.1:" + std::to_string(s->port()));
-    }
-    return RemoteEndpoint::ConnectAll(host_ports);
-  }
-
-  std::vector<std::unique_ptr<DataProvider>> providers_;
-  std::vector<std::unique_ptr<RpcProviderServer>> servers_;
-};
-
-// Over real loopback sockets — where endpoint tasks ride per-connection
-// dispatch threads — the pipelined path must still be bit-identical to
-// the in-process barrier reference for every pool size and shard count.
-TEST_F(TaskGraphLoopbackTest, PipelinedLoopbackMatchesInProcessBarrier) {
-  const std::vector<RangeQuery> queries = MixedWorkload();
-
-  std::vector<DataProvider*> raw;
-  for (auto& p : providers_) raw.push_back(p.get());
-  Result<QueryOrchestrator> reference_orch = QueryOrchestrator::Create(
-      raw, BaseConfig(1, 1, BatchScheduler::kPhaseBarrier));
-  ASSERT_TRUE(reference_orch.ok());
-  std::vector<BatchOutcome> reference =
-      ExecuteQueries(*reference_orch, queries);
-
-  for (size_t threads : {1u, 2u, 8u}) {
-    for (size_t shards : {1u, 16u}) {
-      Result<std::vector<std::shared_ptr<ProviderEndpoint>>> remote =
-          ConnectRemote();
-      ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-      Result<QueryOrchestrator> orch = QueryOrchestrator::CreateFromEndpoints(
-          std::move(remote).value(),
-          BaseConfig(threads, shards, BatchScheduler::kTaskGraph));
-      ASSERT_TRUE(orch.ok()) << orch.status().ToString();
-      std::vector<BatchOutcome> outcomes = ExecuteQueries(*orch, queries);
-      ASSERT_EQ(outcomes.size(), reference.size());
-      for (size_t i = 0; i < outcomes.size(); ++i) {
-        ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].status.ToString();
-        EXPECT_EQ(outcomes[i].response.estimate,
-                  reference[i].response.estimate)
-            << "pool=" << threads << " shards=" << shards << " query=" << i;
-        EXPECT_EQ(outcomes[i].response.allocation,
-                  reference[i].response.allocation);
-        EXPECT_EQ(outcomes[i].response.breakdown.network_bytes,
-                  reference[i].response.breakdown.network_bytes);
-        EXPECT_EQ(outcomes[i].response.breakdown.network_messages,
-                  reference[i].response.breakdown.network_messages);
-      }
-      // All sessions released despite the pipelined shutdown order.
-      for (auto& s : servers_) {
-        EXPECT_EQ(s->num_open_sessions(), 0u);
-      }
-    }
-  }
-}
-
-// Real wire bytes must equal SimNetwork's charges on the pipelined path
-// too, plus exactly the outer-header overhead of whatever doorbell
-// coalescing happened to occur (the graph reorders calls but never
-// changes them; batching only wraps them).
-TEST_F(TaskGraphLoopbackTest, PipelinedWireBytesEqualCharges) {
-  Result<std::vector<std::shared_ptr<ProviderEndpoint>>> remote =
-      ConnectRemote();
-  ASSERT_TRUE(remote.ok());
-  std::vector<RemoteEndpoint*> raw;
-  for (auto& e : *remote) raw.push_back(static_cast<RemoteEndpoint*>(e.get()));
-  Result<QueryOrchestrator> orch = QueryOrchestrator::CreateFromEndpoints(
-      std::move(remote).value(), BaseConfig(4, 1, BatchScheduler::kTaskGraph));
-  ASSERT_TRUE(orch.ok());
-
-  uint64_t base = 0;
-  for (auto* e : raw) base += e->bytes_sent() + e->bytes_received();
-  uint64_t charged = 0;
-  std::vector<BatchOutcome> outcomes = ExecuteQueries(*orch, MixedWorkload());
-  for (const auto& out : outcomes) {
-    ASSERT_TRUE(out.ok());
-    charged += out.response.breakdown.network_bytes;
-  }
-  uint64_t moved = 0;
-  uint64_t overhead = 0;
-  for (auto* e : raw) {
-    moved += e->bytes_sent() + e->bytes_received();
-    overhead += e->batch_overhead_bytes();
-  }
-  EXPECT_EQ(moved - base, charged + overhead);
 }
 
 }  // namespace
